@@ -141,11 +141,16 @@ _HEADER = struct.Struct("<IHHH")
 _RECORD = struct.Struct("<HB")
 
 
-def encode_round(round_idx: int, c: CompressedVocab, spec: PayloadSpec) -> bytes:
+def check_transcript_payload(spec: PayloadSpec) -> None:
+    """Reject payloads the transcript records cannot hold."""
     if spec.b_prob > 8:
         raise ValueError("transcript records store probabilities in one byte")
-    if c.vocab_size > 0xFFFF:
+    if spec.vocab_size > 0xFFFF:
         raise ValueError("transcript indexes are 16-bit")
+
+
+def encode_round(round_idx: int, c: CompressedVocab, spec: PayloadSpec) -> bytes:
+    check_transcript_payload(spec)
     ids = list(c.entry_ids)
     probs = list(c.entry_probs)
     if not c.draft_in_topk:

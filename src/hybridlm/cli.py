@@ -17,14 +17,17 @@ from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .compression import load_utv_table, save_utv_table
-from .config import RunConfig, load_config
-from .oracle import CalibrationSet, calibrate
-from .pipeline import RECORD_FIELDS, RoundRecord, metrics, run_many
-from .uncertainty import (
-    LinearRejectionModel,
-    load_calibration_pairs,
-    save_calibration_pairs,
+from .channel import check_transcript_payload
+from .config import RunConfig, field_types, load_config
+from .oracle import load_calibration, save_calibration
+from .pipeline import (
+    RECORD_FIELDS,
+    RoundRecord,
+    SimReport,
+    calibrate_from_config,
+    ensure_calibration,
+    metrics,
+    run_many,
 )
 from .verification import run_all_suites
 
@@ -35,19 +38,10 @@ SWEEP_AXES = {
     "k": ("policy", "k_star", int),
 }
 
-SWEEP_COLUMNS = [
-    "fading",
-    "axis",
-    "value",
-    "n_rounds",
-    "tr",
-    "tsr",
-    "mean_bias",
-    "mean_throughput_tokens_per_s",
-    "mean_k",
-    "mean_payload_bits",
-    "acceptance_rate_given_tx",
-]
+# CSV columns parse by annotation: an empty cell is None where the field allows it.
+_RECORD_TYPES = field_types(RoundRecord)
+
+SWEEP_COLUMNS = ["fading", "axis", "value", *(f.name for f in dataclasses.fields(SimReport))]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,8 +76,7 @@ def _write_records(records: list[RoundRecord], path: Path, fmt: str) -> None:
             writer = csv.writer(fh)
             writer.writerow(RECORD_FIELDS)
             for r in records:
-                d = r.to_dict()
-                writer.writerow([_fmt(d[k]) for k in RECORD_FIELDS])
+                writer.writerow([_fmt(v) for v in r.to_dict().values()])
 
 
 def _read_records(path: Path) -> list[RoundRecord]:
@@ -102,78 +95,20 @@ def _read_records(path: Path) -> list[RoundRecord]:
 
 
 def _record_from_strings(row: dict) -> RoundRecord:
-    def opt(key, conv):
-        v = row.get(key, "")
-        return None if v == "" else conv(v)
-
-    return RoundRecord(
-        seq=int(row["seq"]),
-        round=int(row["round"]),
-        u=opt("u", float),
-        delta=int(row["delta"]),
-        k_used=opt("k_used", int),
-        payload_bits=int(row["payload_bits"]),
-        snr_linear=opt("snr_linear", float),
-        tau_comm_s=float(row["tau_comm_s"]),
-        verdict=row["verdict"],
-        fallback_used=bool(int(row["fallback_used"])),
-        bias=opt("bias", float),
-        tvd_pq=opt("tvd_pq", float),
-        bound_at_selection=opt("bound_at_selection", float),
-        token=int(row["token"]),
-        latency_s=float(row["latency_s"]),
-        counterfactual_accept=(
-            None
-            if row.get("counterfactual_accept", "") == ""
-            else bool(int(row["counterfactual_accept"]))
-        ),
-        eos=bool(int(row["eos"])),
-    )
-
-
-def save_calibration(out: Path, cal: CalibrationSet) -> None:
-    out.mkdir(parents=True, exist_ok=True)
-    save_calibration_pairs(out / "calibration_pairs.csv", cal.rows)
-    save_utv_table(out / "utv_table.csv", cal.utv_k_grid, cal.utv_values)
-    model = {
-        "a": cal.model.a,
-        "b": cal.model.b,
-        "mse": cal.model.mse,
-        "r2": cal.model.r2,
-        "delta_hat": cal.delta_hat,
-    }
-    with open(out / "model.json", "w") as fh:
-        json.dump(model, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_calibration(path: Path) -> CalibrationSet:
-    with open(path / "model.json") as fh:
-        m = json.load(fh)
-    k_grid, values = load_utv_table(path / "utv_table.csv")
-    pairs_path = path / "calibration_pairs.csv"
-    rows = load_calibration_pairs(pairs_path) if pairs_path.exists() else []
-    return CalibrationSet(
-        pairs=[(r[0], r[1]) for r in rows],
-        rows=rows,
-        delta_hat=m["delta_hat"],
-        utv_k_grid=k_grid,
-        utv_values=values,
-        model=LinearRejectionModel(a=m["a"], b=m["b"], mse=m["mse"], r2=m["r2"]),
-    )
+    values = {}
+    for name, (conv, optional) in _RECORD_TYPES.items():
+        text = row.get(name, "")
+        if optional and text == "":
+            values[name] = None
+        else:
+            values[name] = bool(int(text)) if conv is bool else conv(text)
+    return RoundRecord(**values)
 
 
 def cmd_calibrate(args) -> int:
     cfg = _load(args)
     n_rounds = args.rounds or cfg.calibration.n_rounds
-    cal_seed = cfg.calibration.seed if cfg.calibration.seed is not None else cfg.seed + 1
-    cal = calibrate(
-        cfg.oracle,
-        n_rounds,
-        cfg.uncertainty,
-        seed=cal_seed,
-        delta_u_gate=cfg.calibration.delta_u_gate,
-    )
+    cal = calibrate_from_config(cfg, n_rounds)
     out = Path(args.out)
     save_calibration(out, cal)
     print(
@@ -185,6 +120,8 @@ def cmd_calibrate(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
+    if args.transcript:
+        check_transcript_payload(cfg.payload)
     calib = load_calibration(Path(args.calib)) if args.calib else None
     transcript: list[bytes] | None = [] if args.transcript else None
     report, records = run_many(cfg, calib=calib, transcript=transcript)
@@ -236,11 +173,7 @@ def cmd_sweep(args) -> int:
     if not values:
         raise ValueError("sweep needs at least one value")
     fadings = [f.strip() for f in (args.fading or cfg.channel.fading).split(",")]
-    calib = load_calibration(Path(args.calib)) if args.calib else None
-    if calib is None and cfg.policy.variant in ("cu_hlm_online", "cu_hlm_offline"):
-        from .pipeline import ensure_calibration
-
-        calib = ensure_calibration(cfg, None)
+    calib = ensure_calibration(cfg, load_calibration(Path(args.calib)) if args.calib else None)
 
     points = [
         (cfg.to_dict(), fading, args.axis, value, calib)

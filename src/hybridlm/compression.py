@@ -13,8 +13,8 @@ distributions:
   the predicted rejection probability, used online per round.
 
 Both bounds share the same numerator: the l1 gap between the true and
-reconstructed tails beyond rank k, which a per-k closed form evaluates from
-prefix sums without materializing each reconstruction.
+reconstructed tails beyond rank k, which a closed form evaluates from prefix
+sums for a whole array of k without materializing any reconstruction.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .dist import ProbVec, SortedProbVec, TokenId, tvd
-from .uncertainty import LinearRejectionModel
+from .uncertainty import LinearRejectionModel, predict_beta
 
 # Softplus argument above which exp() underflow makes the asymptote exact.
 _SOFTPLUS_CUTOFF = 30.0
@@ -202,39 +202,38 @@ def utv_bound_online(
     return tail / online_denominator(x_d, beta_hat, cfg)
 
 
-def tail_gap_after_fill(x_sorted: SortedProbVec, k: int, draft_rank: int) -> float:
-    """Closed-form tail numerator sum(|x_i - x_hat_i|, ranks > k).
+def tail_gap_after_fill(
+    x_sorted: SortedProbVec, k: np.ndarray, draft_rank: int
+) -> np.ndarray:
+    """Closed-form tail numerator sum(|x_i - x_hat_i|, ranks > k) for each k.
 
     Equivalent to compressing at k (draft entry included), reconstructing,
     and summing the tail l1 gap, but computed from prefix sums: with the
     untransmitted range filled by its own mean, the absolute deviations are
     twice the positive part, 2*(sum of above-mean entries - count*mean).
+    ``k`` is an integer array; the result has its shape.
     """
     s = x_sorted.probs
     prefix = x_sorted.prefix
     vocab = s.size
-    if draft_rank < k:
-        m = vocab - k
-        mass = 1.0 - prefix[k]
-        range_sum = float(prefix[vocab] - prefix[k])
-        exclude_draft = False
-    else:
-        m = vocab - k - 1
-        mass = 1.0 - prefix[k] - s[draft_rank]
-        range_sum = float(prefix[vocab] - prefix[k] - s[draft_rank])
-        exclude_draft = True
-    if m <= 0:
-        return 0.0
-    fill = max(mass, 0.0) / m
-    # Count and sum of tail entries >= fill; the tail s[k:] is non-increasing.
-    c = int(np.searchsorted(-s[k:], -fill, side="right"))
-    above = float(prefix[k + c] - prefix[k])
-    if exclude_draft and s[draft_rank] >= fill:
-        c -= 1
-        above -= float(s[draft_rank])
+    s_d = s[draft_rank]
+    # A draft beyond the top-k is transmitted too, so it leaves the fill range.
+    outside = draft_rank >= k
+    m = vocab - k - outside
+    mass = 1.0 - prefix[k] - np.where(outside, s_d, 0.0)
+    range_sum = prefix[vocab] - prefix[k] - np.where(outside, s_d, 0.0)
+    fill = np.maximum(mass, 0.0) / np.maximum(m, 1)
+    # Count and sum of tail entries >= fill: s is non-increasing, so they are
+    # the ranks from k up to the first entry below fill.
+    c = np.maximum(np.searchsorted(-s, -fill, side="right") - k, 0)
+    above = prefix[k + c] - prefix[k]
+    draft_above = outside & (s_d >= fill)
+    c = c - draft_above
+    above = np.where(draft_above, above - s_d, above)
     # The last term vanishes when the vector sums exactly to 1; keeping it
     # makes the identity hold for any construction drift within tolerance.
-    return max(2.0 * (above - c * fill) + (m * fill - range_sum), 0.0)
+    gap = np.maximum(2.0 * (above - c * fill) + (m * fill - range_sum), 0.0)
+    return np.where(m > 0, gap, 0.0)
 
 
 @dataclass(frozen=True)
@@ -294,64 +293,29 @@ def select_k_online(
 ) -> KSelection:
     """Smallest k whose device-only bound stays within theta for this round.
 
-    Scans geometrically (k = 1, 2, 4, ...) assuming the tail numerator shrinks
-    with k, then refines linearly inside the bracketing octave; if the probe
-    sees the numerator grow, falls back to a full ascending scan.
+    Probes k = 1, 2, 4, ..., |V| and then scans the octave that brackets the
+    first probe within theta, each as one vector call. This finds the
+    smallest k because the tail numerator never grows with k. Raising k past
+    a non-draft rank drops the tail's top entry a; with T the tail and mu its
+    mean, the mean moves by (a - mu)/(|T| - 1), so the l1 deviation of the
+    remaining entries rises by at most what removing a's own deviation took
+    away. Raising k past the draft's rank leaves the untransmitted set as it
+    was. At k = |V| the numerator is zero, so any theta > 0 is met.
     """
-    if not theta > 0.0:
-        vocab = len(x_sorted)
-        num = tail_gap_after_fill(x_sorted, vocab, draft_rank)
-        denom = online_denominator(
-            float(x_sorted.probs[draft_rank]),
-            float(np.clip(model.a * u + model.b, 0.0, 1.0)),
-            cfg,
-        )
-        return KSelection(vocab, num / denom, "online", theta, cfg.eta, saturated=True)
     vocab = len(x_sorted)
     x_d = float(x_sorted.probs[draft_rank])
-    beta_hat = float(np.clip(model.a * u + model.b, 0.0, 1.0))
-    denom = online_denominator(x_d, beta_hat, cfg)
+    denom = online_denominator(x_d, predict_beta(model, u), cfg)
+    if not theta > 0.0:
+        return KSelection(vocab, 0.0, "online", theta, cfg.eta, saturated=True)
 
-    def bound_at(k: int) -> float:
-        return tail_gap_after_fill(x_sorted, k, draft_rank) / denom
-
-    probes: list[int] = []
-    k = 1
-    while k < vocab:
-        probes.append(k)
-        k *= 2
-    probes.append(vocab)
-
-    monotone = True
-    prev_num = float("inf")
-    hit = None
-    for i, kp in enumerate(probes):
-        num = tail_gap_after_fill(x_sorted, kp, draft_rank)
-        if num > prev_num + 1e-12:
-            monotone = False
-            break
-        prev_num = num
-        if num / denom <= theta:
-            hit = i
-            break
-
-    if not monotone:
-        for k in range(1, vocab + 1):
-            b = bound_at(k)
-            if b <= theta:
-                return KSelection(k, b, "online", theta, cfg.eta)
-        return KSelection(vocab, bound_at(vocab), "online", theta, cfg.eta, saturated=True)
-
-    if hit is None:
-        # theta > 0 means k = vocab (zero numerator) always qualifies.
-        return KSelection(vocab, 0.0, "online", theta, cfg.eta)
-    lo = 1 if hit == 0 else probes[hit - 1] + 1
-    for k in range(lo, probes[hit] + 1):
-        b = bound_at(k)
-        if b <= theta:
-            return KSelection(k, b, "online", theta, cfg.eta)
-    b = bound_at(probes[hit])
-    return KSelection(probes[hit], b, "online", theta, cfg.eta)
+    probes = np.append(2 ** np.arange((vocab - 1).bit_length()), vocab)
+    within = tail_gap_after_fill(x_sorted, probes, draft_rank) / denom <= theta
+    hit = int(np.argmax(within))  # the last probe, k = |V|, is always within
+    lo = 1 if hit == 0 else int(probes[hit - 1]) + 1
+    ks = np.arange(lo, int(probes[hit]) + 1)
+    bounds = tail_gap_after_fill(x_sorted, ks, draft_rank) / denom
+    j = int(np.argmax(bounds <= theta))
+    return KSelection(int(ks[j]), float(bounds[j]), "online", theta, cfg.eta)
 
 
 def default_k_grid(vocab_size: int, points: int = 64) -> np.ndarray:

@@ -9,8 +9,9 @@ threshold 0.8, distortion tolerance 0.1, and softplus sharpness 10.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .channel import ChannelSpec, LatencySpec, PayloadSpec
 from .oracle import OracleSpec
@@ -75,7 +76,6 @@ class RunConfig:
     n_sequences: int = 1
     seed: int = 0
     quantize_wire: bool = True
-    outputs: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.r_max < 1:
@@ -88,26 +88,12 @@ class RunConfig:
         return PayloadSpec(vocab_size=self.oracle.vocab_size, b_prob=self.b_prob)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        d = dict(d)
-        parts = {}
-        if "oracle" in d:
-            parts["oracle"] = OracleSpec(**d.pop("oracle"))
-        if "policy" in d:
-            parts["policy"] = PolicySpec(**d.pop("policy"))
-        if "channel" in d:
-            parts["channel"] = ChannelSpec(**d.pop("channel"))
-        if "latency" in d:
-            parts["latency"] = LatencySpec(**d.pop("latency"))
-        if "uncertainty" in d:
-            parts["uncertainty"] = UncertaintyConfig(**d.pop("uncertainty"))
-        if "calibration" in d:
-            parts["calibration"] = CalibrationConfig(**d.pop("calibration"))
-        return cls(**parts, **d)
+        """Build from a JSON document; unknown keys and mistyped values raise ValueError."""
+        return _from_dict(cls, d, "")
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -115,6 +101,44 @@ class RunConfig:
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
         return cls.from_dict(json.loads(text))
+
+
+def field_types(cls) -> dict[str, tuple[type, bool]]:
+    """Each init field's type and whether it may be None, read from its annotation."""
+    hints = get_type_hints(cls)
+    out = {}
+    for f in fields(cls):
+        if f.init:
+            args = get_args(hints[f.name]) or (hints[f.name],)
+            base = next(a for a in args if a is not type(None))
+            out[f.name] = (base, type(None) in args)
+    return out
+
+
+def _json_scalar_fits(value, tp: type) -> bool:
+    # An integer literal is a valid float; true/false are booleans only.
+    if isinstance(value, bool):
+        return tp is bool
+    return isinstance(value, {int: int, float: (int, float), str: str}.get(tp, ()))
+
+
+def _from_dict(cls, d, path: str):
+    if not isinstance(d, dict):
+        raise ValueError(f"{path.rstrip('.') or 'config'}: expected an object")
+    types = field_types(cls)
+    kwargs = {}
+    for key, value in d.items():
+        where = path + key
+        if key not in types:
+            raise ValueError(f"unknown key {where!r}")
+        tp, optional = types[key]
+        if is_dataclass(tp):
+            value = _from_dict(tp, value, where + ".")
+        elif not ((value is None and optional) or _json_scalar_fits(value, tp)):
+            expected = tp.__name__ + (" or null" if optional else "")
+            raise ValueError(f"{where}: expected {expected}, got {value!r}")
+        kwargs[key] = value
+    return cls(**kwargs)
 
 
 def load_config(path: str | Path | None) -> RunConfig:

@@ -12,16 +12,24 @@ bound per candidate k.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import seeding
-from .compression import default_k_grid, tail_gap_after_fill
+from .compression import default_k_grid, load_utv_table, save_utv_table, tail_gap_after_fill
 from .dist import ProbVec, sample, softmax, sort_desc, tvd
 from .specdec import rejection_prob, resample_dist, verify
-from .uncertainty import LinearRejectionModel, UncertaintyConfig, estimate_u, fit_linear
+from .uncertainty import (
+    LinearRejectionModel,
+    UncertaintyConfig,
+    estimate_delta,
+    estimate_u,
+    fit_linear,
+    load_calibration_pairs,
+    save_calibration_pairs,
+)
 
 EOS_TOKEN = 0
 
@@ -213,9 +221,7 @@ def calibrate(
         divergence_tvd = tvd(x, y)
         if divergence_tvd > 0.0:
             x_sorted = sort_desc(x)
-            rank = x_sorted.rank_of(d)
-            for j, k in enumerate(k_grid):
-                utv_acc[j] += tail_gap_after_fill(x_sorted, int(k), rank) / divergence_tvd
+            utv_acc += tail_gap_after_fill(x_sorted, k_grid, x_sorted.rank_of(d)) / divergence_tvd
             utv_count += 1
 
         if divergence_tvd > 0.0:
@@ -238,11 +244,7 @@ def calibrate(
         delta_rows = rows
     else:
         delta_rows = [r for r in rows if r[0] > delta_u_gate]
-    delta_hat = (
-        float(np.mean([1.0 if r[3] < r[2] else 0.0 for r in delta_rows]))
-        if delta_rows
-        else 0.0
-    )
+    delta_hat = estimate_delta([(r[2], r[3]) for r in delta_rows]) if delta_rows else 0.0
     utv_values = utv_acc / utv_count if utv_count > 0 else np.full(k_grid.size, np.nan)
     model = fit_linear(pairs)
     return CalibrationSet(
@@ -252,4 +254,32 @@ def calibrate(
         utv_k_grid=k_grid,
         utv_values=utv_values,
         model=model,
+    )
+
+
+def save_calibration(out: Path, cal: CalibrationSet) -> None:
+    """Write calibration_pairs.csv, utv_table.csv and model.json under ``out``."""
+    out.mkdir(parents=True, exist_ok=True)
+    save_calibration_pairs(out / "calibration_pairs.csv", cal.rows)
+    save_utv_table(out / "utv_table.csv", cal.utv_k_grid, cal.utv_values)
+    model = {**asdict(cal.model), "delta_hat": cal.delta_hat}
+    with open(out / "model.json", "w") as fh:
+        json.dump(model, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def load_calibration(path: Path) -> CalibrationSet:
+    """Read a directory written by ``save_calibration``; the pairs file is optional."""
+    with open(path / "model.json") as fh:
+        m = json.load(fh)
+    k_grid, values = load_utv_table(path / "utv_table.csv")
+    pairs_path = path / "calibration_pairs.csv"
+    rows = load_calibration_pairs(pairs_path) if pairs_path.exists() else []
+    return CalibrationSet(
+        pairs=[(r[0], r[1]) for r in rows],
+        rows=rows,
+        delta_hat=m["delta_hat"],
+        utv_k_grid=k_grid,
+        utv_values=values,
+        model=LinearRejectionModel(**{f.name: m[f.name] for f in fields(LinearRejectionModel)}),
     )

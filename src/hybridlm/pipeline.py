@@ -15,7 +15,7 @@ metric only and never influences decisions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .oracle import (
 )
 from .specdec import (
     distorted_resample_dist,
+    rejection_prob,
     resample_dist,
     round_bias,
     verify_draft,
@@ -47,70 +48,40 @@ from .specdec import (
 from .uncertainty import estimate_u
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RoundRecord:
+    """One round of a sequence; field order is the JSONL key and CSV column order.
+
+    Skipped and ``llm_only`` rounds leave the transmission fields at their
+    defaults.
+    """
+
     seq: int
     round: int
-    u: float | None
-    delta: int
-    k_used: int | None
-    payload_bits: int
-    snr_linear: float | None
-    tau_comm_s: float
-    verdict: str  # "skipped" | "accepted" | "rejected"
-    fallback_used: bool
-    bias: float | None
-    tvd_pq: float | None
-    bound_at_selection: float | None
+    u: float | None = None
+    delta: int = 0
+    k_used: int | None = None
+    payload_bits: int = 0
+    snr_linear: float | None = None
+    tau_comm_s: float = 0.0
+    verdict: str = "skipped"  # "skipped" | "accepted" | "rejected"
+    fallback_used: bool = False
+    bias: float | None = None
+    tvd_pq: float | None = None
+    bound_at_selection: float | None = None
     token: int
     latency_s: float
-    counterfactual_accept: bool | None
+    counterfactual_accept: bool | None = None
     eos: bool
 
     def to_dict(self) -> dict:
-        return {
-            "seq": self.seq,
-            "round": self.round,
-            "u": self.u,
-            "delta": self.delta,
-            "k_used": self.k_used,
-            "payload_bits": self.payload_bits,
-            "snr_linear": self.snr_linear,
-            "tau_comm_s": self.tau_comm_s,
-            "verdict": self.verdict,
-            "fallback_used": self.fallback_used,
-            "bias": self.bias,
-            "tvd_pq": self.tvd_pq,
-            "bound_at_selection": self.bound_at_selection,
-            "token": self.token,
-            "latency_s": self.latency_s,
-            "counterfactual_accept": self.counterfactual_accept,
-            "eos": self.eos,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
 
 
-RECORD_FIELDS = [
-    "seq",
-    "round",
-    "u",
-    "delta",
-    "k_used",
-    "payload_bits",
-    "snr_linear",
-    "tau_comm_s",
-    "verdict",
-    "fallback_used",
-    "bias",
-    "tvd_pq",
-    "bound_at_selection",
-    "token",
-    "latency_s",
-    "counterfactual_accept",
-    "eos",
-]
+RECORD_FIELDS = [f.name for f in fields(RoundRecord)]
 
 
 @dataclass(frozen=True)
@@ -125,16 +96,7 @@ class SimReport:
     acceptance_rate_given_tx: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "n_rounds": self.n_rounds,
-            "tr": self.tr,
-            "tsr": self.tsr,
-            "mean_bias": self.mean_bias,
-            "mean_throughput_tokens_per_s": self.mean_throughput_tokens_per_s,
-            "mean_k": self.mean_k,
-            "mean_payload_bits": self.mean_payload_bits,
-            "acceptance_rate_given_tx": self.acceptance_rate_given_tx,
-        }
+        return asdict(self)
 
 
 def _should_transmit(
@@ -185,20 +147,8 @@ def run_round(
         return RoundRecord(
             seq=seq_index,
             round=t,
-            u=None,
-            delta=0,
-            k_used=None,
-            payload_bits=0,
-            snr_linear=None,
-            tau_comm_s=0.0,
-            verdict="skipped",
-            fallback_used=False,
-            bias=None,
-            tvd_pq=None,
-            bound_at_selection=None,
             token=token,
             latency_s=cfg.latency.tau_llm_s,
-            counterfactual_accept=None,
             eos=_is_eos(token, cfg.oracle, inputs.eos),
         )
 
@@ -217,25 +167,17 @@ def run_round(
         ).u
 
     if not _should_transmit(policy, u, seed, t):
-        cf_rng = seeding.round_rng(seed, t, seeding.COUNTERFACTUAL)
-        cf_accept = y_d >= x_d or cf_rng.random() < y_d / x_d
+        beta = rejection_prob(x_d, y_d)
+        cf_accept = beta == 0.0 or (
+            seeding.round_rng(seed, t, seeding.COUNTERFACTUAL).random() < 1.0 - beta
+        )
         return RoundRecord(
             seq=seq_index,
             round=t,
             u=u,
-            delta=0,
-            k_used=None,
-            payload_bits=0,
-            snr_linear=None,
-            tau_comm_s=0.0,
-            verdict="skipped",
-            fallback_used=False,
-            bias=None,
-            tvd_pq=None,
-            bound_at_selection=None,
             token=d,
             latency_s=cfg.latency.tau_slm_s,
-            counterfactual_accept=bool(cf_accept),
+            counterfactual_accept=cf_accept,
             eos=_is_eos(d, cfg.oracle, inputs.eos),
         )
 
@@ -296,7 +238,6 @@ def run_round(
         bound_at_selection=bound_at_selection,
         token=token,
         latency_s=cfg.latency.tau_slm_s + tau_comm + cfg.latency.tau_llm_s,
-        counterfactual_accept=None,
         eos=_is_eos(token, cfg.oracle, inputs.eos),
     )
 
@@ -307,6 +248,22 @@ def _is_eos(token: int, oracle_spec: OracleSpec, trace_eos: bool) -> bool:
     return oracle_spec.eos_prob > 0.0 and token == EOS_TOKEN
 
 
+def calibrate_from_config(cfg: RunConfig, n_rounds: int) -> CalibrationSet:
+    """Calibrate as the config's ``calibration`` section says.
+
+    The calibration seed defaults to the run seed + 1, so calibration and
+    simulation rounds draw from different streams.
+    """
+    cal = cfg.calibration
+    return calibrate(
+        cfg.oracle,
+        n_rounds,
+        cfg.uncertainty,
+        seed=cal.seed if cal.seed is not None else cfg.seed + 1,
+        delta_u_gate=cal.delta_u_gate,
+    )
+
+
 def ensure_calibration(cfg: RunConfig, calib: CalibrationSet | None) -> CalibrationSet | None:
     """Calibrate on the fly when the policy needs statistics it wasn't given."""
     if calib is not None:
@@ -314,18 +271,7 @@ def ensure_calibration(cfg: RunConfig, calib: CalibrationSet | None) -> Calibrat
     needs = cfg.policy.variant == "cu_hlm_online" or (
         cfg.policy.variant == "cu_hlm_offline" and cfg.policy.k_star is None
     )
-    if not needs:
-        return None
-    cal_seed = (
-        cfg.calibration.seed if cfg.calibration.seed is not None else cfg.seed + 1
-    )
-    return calibrate(
-        cfg.oracle,
-        cfg.calibration.n_rounds,
-        cfg.uncertainty,
-        seed=cal_seed,
-        delta_u_gate=cfg.calibration.delta_u_gate,
-    )
+    return calibrate_from_config(cfg, cfg.calibration.n_rounds) if needs else None
 
 
 def run_sequence(

@@ -1,12 +1,15 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hybridlm.cli import load_calibration, main
+from hybridlm import cli
+from hybridlm.cli import _read_records, load_calibration, main
+from hybridlm.pipeline import RoundRecord
 
 BASE_CFG = {
     "oracle": {
@@ -101,6 +104,25 @@ class TestSimulate:
                 assert again[key] == pytest.approx(val, rel=1e-6)
             else:
                 assert again[key] == val
+
+    def test_jsonl_and_csv_round_trip_to_equal_records(self, cfg_path, tmp_path):
+        out_j, out_c = tmp_path / "rj", tmp_path / "rc"
+        main(["simulate", "--config", cfg_path, "--out", str(out_j)])
+        main(["simulate", "--config", cfg_path, "--out", str(out_c), "--format", "csv"])
+        header = (out_c / "records.csv").read_text().splitlines()[0].split(",")
+        assert header == [f.name for f in fields(RoundRecord)]
+        from_jsonl = _read_records(out_j / "records.jsonl")
+        from_csv = _read_records(out_c / "records.csv")
+        assert len(from_jsonl) == BASE_CFG["r_max"]
+        assert {r.verdict for r in from_jsonl} >= {"skipped", "accepted"}
+        # CSV floats carry 9 significant digits; compare them at that precision.
+        for rj, rc in zip(from_jsonl, from_csv, strict=True):
+            for f in fields(RoundRecord):
+                vj, vc = getattr(rj, f.name), getattr(rc, f.name)
+                if isinstance(vj, float):
+                    assert vc == float(f"{vj:.9g}")
+                else:
+                    assert vc == vj and type(vc) is type(vj)
 
     def test_online_payload_below_hlm(self, cfg_path, tmp_path):
         out_cu = tmp_path / "cu"
@@ -215,6 +237,26 @@ class TestExitCodes:
     def test_bad_config_values(self, tmp_path):
         cfg = write_cfg(tmp_path, policy={"variant": "nonsense"})
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"foo": 1},
+            {"channel": {"mean_snr_db": "abc"}},
+            {"oracle": {"vocab_size": 70_000}},
+            {"b_prob": 9},
+        ],
+        ids=["unknown_key", "mistyped_value", "transcript_vocab", "transcript_b_prob"],
+    )
+    def test_config_error_before_any_work(self, tmp_path, capsys, monkeypatch, overrides):
+        monkeypatch.setattr(cli, "run_many", lambda *a, **k: pytest.fail("the run started"))
+        cfg = write_cfg(tmp_path, **overrides)
+        out = tmp_path / "x"
+        argv = ["simulate", "--config", cfg, "--out", str(out), "--transcript"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not list(out.glob("records.*"))
 
     def test_missing_records_file_is_io_error(self, tmp_path):
         rc = main(["report", "--records", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path)])

@@ -287,18 +287,33 @@ class TestTailGapClosedForm:
             n = int(rng.integers(3, 80))
             x = ProbVec(rng.dirichlet(np.full(n, 0.4)) + 1e-12)
             s = sort_desc(x)
-            k = int(rng.integers(1, n + 1))
+            ks = np.arange(1, n + 1)
             draft_rank = int(rng.integers(0, n))
             d = int(s.perm[draft_rank])
-            x_hat = reconstruct(compress(s, k, d))
-            explicit = float(np.abs(s.probs[k:] - x_hat.probs[s.perm[k:]]).sum())
-            assert tail_gap_after_fill(s, k, draft_rank) == pytest.approx(
-                explicit, abs=1e-12
+            explicit = []
+            for k in ks:
+                x_hat = reconstruct(compress(s, int(k), d))
+                explicit.append(float(np.abs(s.probs[k:] - x_hat.probs[s.perm[k:]]).sum()))
+            np.testing.assert_allclose(
+                tail_gap_after_fill(s, ks, draft_rank), explicit, rtol=0, atol=1e-12
             )
 
     def test_zero_at_full_k(self):
         s = sort_desc(ProbVec.uniform(10))
-        assert tail_gap_after_fill(s, 10, 0) == 0.0
+        assert tail_gap_after_fill(s, np.array([10]), 0)[0] == 0.0
+
+    def test_non_increasing_in_k(self):
+        # The invariant select_k_online's probe-and-octave search relies on.
+        rng = np.random.default_rng(10)
+        for _ in range(300):
+            n = int(rng.integers(3, 200))
+            x = ProbVec(rng.dirichlet(np.full(n, rng.choice([0.05, 0.3, 1.0]))) + 1e-12)
+            s = sort_desc(x)
+            ks = np.arange(1, n + 1)
+            # Draft inside the top-k for small ranks, outside for large ones.
+            for draft_rank in (0, int(rng.integers(0, n)), n - 1):
+                gaps = tail_gap_after_fill(s, ks, draft_rank)
+                assert np.all(np.diff(gaps) <= 1e-12)
 
 
 class TestSelectKOffline:
@@ -336,9 +351,10 @@ class TestSelectKOnline:
 
     def _naive_scan(self, s, draft_rank, beta_hat, theta, cfg):
         denom = online_denominator(float(s.probs[draft_rank]), beta_hat, cfg)
-        for k in range(1, len(s) + 1):
-            if tail_gap_after_fill(s, k, draft_rank) / denom <= theta:
-                return k
+        ks = np.arange(1, len(s) + 1)
+        for k, gap in zip(ks, tail_gap_after_fill(s, ks, draft_rank)):
+            if gap / denom <= theta:
+                return int(k)
         return len(s)
 
     def test_matches_naive_full_scan(self):
