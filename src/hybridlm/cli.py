@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -150,15 +151,18 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _sweep_point(payload) -> dict:
-    cfg_dict, fading, axis, value, calib = payload
-    cfg = RunConfig.from_dict(cfg_dict)
+def _sweep_config(cfg: RunConfig, fading: str, axis: str, value: str) -> RunConfig:
+    """One grid point's config; a value or fading the config rejects raises ValueError."""
     cfg = dataclasses.replace(
         cfg, channel=dataclasses.replace(cfg.channel, fading=fading)
     )
     section, field, conv = SWEEP_AXES[axis]
     part = dataclasses.replace(getattr(cfg, section), **{field: conv(value)})
-    cfg = dataclasses.replace(cfg, **{section: part})
+    return dataclasses.replace(cfg, **{section: part})
+
+
+def _sweep_point(calib, point) -> dict:
+    cfg, fading, axis, value = point
     report, _ = run_many(cfg, calib=calib)
     row = {"fading": fading, "axis": axis, "value": value}
     row.update(report.to_dict())
@@ -173,18 +177,20 @@ def cmd_sweep(args) -> int:
     if not values:
         raise ValueError("sweep needs at least one value")
     fadings = [f.strip() for f in (args.fading or cfg.channel.fading).split(",")]
-    calib = ensure_calibration(cfg, load_calibration(Path(args.calib)) if args.calib else None)
-
+    # Every grid point is built (and so validated) before calibration starts.
     points = [
-        (cfg.to_dict(), fading, args.axis, value, calib)
+        (_sweep_config(cfg, fading, args.axis, value), fading, args.axis, value)
         for fading in fadings
         for value in values
     ]
+    calib = ensure_calibration(cfg, load_calibration(Path(args.calib)) if args.calib else None)
+
+    run_point = functools.partial(_sweep_point, calib)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_point, points))
+            rows = list(pool.map(run_point, points))
     else:
-        rows = [_sweep_point(p) for p in points]
+        rows = [run_point(p) for p in points]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import gaussian_kde
 
-from .dist import MIN_TEMPERATURE, TokenId, sample, softmax
+from .dist import MIN_TEMPERATURE, TokenId, check_logits, draws_token, tempered_probs
 
 
 @dataclass(frozen=True)
@@ -85,12 +84,22 @@ def estimate_u(
     Temperatures are drawn uniformly from [0, theta_max]; an exact-zero draw
     is remapped to the smallest legal temperature, where the redraw collapses
     to the argmax.
+
+    Each redraw is ``sample(softmax(logits, theta), rng)``, but only whether
+    it equals d matters. ``draws_token`` decides that from the CDF prefix
+    up to d, and ``tempered_probs`` gives softmax's probabilities without
+    re-validating the logits or building a ``ProbVec``. The rng is consumed as before (one ``uniform``, then
+    one ``random`` per redraw) and the probabilities are the same floats, so
+    every redraw agrees with d exactly when the full sample would, and u is
+    unchanged bit for bit.
     """
+    z = check_logits(logits)
+    if not 0 <= d < z.size:
+        raise ValueError(f"draft token {d} outside vocabulary of size {z.size}")
     disagree = 0
     for _ in range(cfg.m):
         theta = max(float(rng.uniform(0.0, cfg.theta_max)), MIN_TEMPERATURE)
-        perturbed = softmax(logits, theta)
-        if sample(perturbed, rng) != d:
+        if not draws_token(tempered_probs(z, theta), d, rng.random()):
             disagree += 1
     return UncertaintySample(u=disagree / cfg.m, m=cfg.m)
 
@@ -146,6 +155,8 @@ class GaussianKdeEstimator:
             return 0.0
         if np.ptp(samples) == 0.0:
             raise ValueError("KDE undefined for zero-variance samples")
+        from scipy.stats import gaussian_kde  # ~1 s and ~60 MB to import; only used here
+
         kde = gaussian_kde(samples, bw_method="silverman")
         grid = np.linspace(lo, hi, self.grid_points)
         f = kde(grid)

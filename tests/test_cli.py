@@ -1,13 +1,14 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hybridlm import cli
+from hybridlm import cli, pipeline
 from hybridlm.cli import _read_records, load_calibration, main
 from hybridlm.pipeline import RoundRecord
 
@@ -200,6 +201,27 @@ class TestSweep:
             rep["mean_throughput_tokens_per_s"], rel=1e-8
         )
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--axis", "theta", "--values", "abc"],
+            ["--axis", "k", "--values", "0"],
+            ["--axis", "k", "--values", "4,1.5"],
+            ["--axis", "snr_db", "--values", "0", "--fading", "fixed,foo"],
+        ],
+        ids=["not_a_float", "k_below_one", "k_not_an_int", "unknown_fading"],
+    )
+    def test_bad_grid_point_fails_before_calibration(
+        self, cfg_path, tmp_path, capsys, monkeypatch, extra
+    ):
+        monkeypatch.setattr(pipeline, "calibrate", lambda *a, **k: pytest.fail("calibrated"))
+        monkeypatch.setattr(cli, "run_many", lambda *a, **k: pytest.fail("the run started"))
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", cfg_path, "--out", str(out), *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_jobs_parallel_same_output(self, cfg_path, tmp_path):
         out1, out2 = tmp_path / "sj1", tmp_path / "sj2"
         argv = [
@@ -289,6 +311,25 @@ class TestTraceWorkflow:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         doc = json.loads((out / "report.json").read_text())
         assert doc["report"]["n_rounds"] == 6  # trace exhaustion bounds the run
+
+
+class TestStartup:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        import subprocess
+        import sys
+
+        import hybridlm
+
+        src = str(Path(hybridlm.__file__).resolve().parents[1])
+        code = "import sys, hybridlm.cli; print('scipy' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestCrossProcessDeterminism:

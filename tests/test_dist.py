@@ -9,9 +9,12 @@ import pytest
 from hybridlm.dist import (
     DistributionError,
     ProbVec,
+    apply_sum_rule,
+    draws_token,
     sample,
     softmax,
     sort_desc,
+    tempered_probs,
     tvd,
 )
 
@@ -204,3 +207,147 @@ class TestSortDesc:
         assert s.rank_of(0) == 2
         with pytest.raises(ValueError):
             s.rank_of(3)
+
+
+class _FixedRng:
+    """Stands in for a Generator whose next ``random()`` is r."""
+
+    def __init__(self, r):
+        self.r = r
+
+    def random(self):
+        return self.r
+
+
+def _boundary_draws(cdf, d):
+    """CDF boundaries around token d and the floats just below them."""
+    edges = [cdf[d], cdf[-1], 0.0]
+    if d > 0:
+        edges.append(cdf[d - 1])
+    rs = []
+    for e in edges:
+        rs += [e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf)]
+    return [r for r in rs if r >= 0.0]
+
+
+class TestDrawsToken:
+    def _vectors(self):
+        rng = np.random.default_rng(31)
+        yield np.array([1.0])
+        yield np.array([0.2, 0.3, 0.5])
+        yield np.array([0.5, 0.0, 0.0, 0.5])  # zero-mass tokens: flat CDF steps
+        yield np.array([0.0, 1.0, 0.0])
+        for _ in range(200):
+            n = int(rng.integers(2, 300))
+            alpha = float(rng.choice([0.05, 1.0, 20.0]))
+            yield rng.dirichlet(np.full(n, alpha))
+
+    def test_equals_sample_at_cdf_boundaries(self):
+        rng = np.random.default_rng(32)
+        checked = 0
+        for raw in self._vectors():
+            pv = ProbVec(raw)
+            p = pv.probs
+            cdf = np.cumsum(p)
+            v = p.size
+            for d in {0, v - 1, int(rng.integers(v))}:
+                rs = _boundary_draws(cdf, d) + list(rng.random(4))
+                if cdf[-1] < 1.0:
+                    rs.append(float(rng.uniform(cdf[-1], 1.0)))  # past the CDF: clamped
+                for r in rs:
+                    expected = sample(pv, _FixedRng(r)) == d
+                    assert draws_token(p, d, r) == expected, (v, d, r)
+                    checked += 1
+        assert checked > 3000
+
+    def test_cdf_short_of_one_clamps_to_last_token(self):
+        p = np.array([0.25, 0.25, 0.5 - 1e-12])
+        r = float(np.cumsum(p)[-1])
+        assert sample(ProbVec(p), _FixedRng(r)) == 2
+        assert draws_token(p, 2, r)
+        assert not draws_token(p, 1, r)
+
+
+class TestTemperedProbs:
+    def test_bit_identical_to_softmax(self):
+        rng = np.random.default_rng(33)
+        for _ in range(300):
+            n = int(rng.integers(1, 400))
+            z = rng.normal(scale=float(rng.choice([0.1, 5.0, 300.0])), size=n)
+            theta = max(float(rng.uniform(0.0, 3.0)), 1e-6)
+            assert tempered_probs(z, theta).tobytes() == softmax(z, theta).probs.tobytes()
+
+    def test_overflowing_logits_rejected_like_softmax(self):
+        z = np.array([1e303, 0.0])  # z / 1e-6 overflows, and inf - inf is NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DistributionError, match="non-finite"):
+                softmax(z, 1e-6)
+            with pytest.raises(DistributionError, match="non-finite"):
+                tempered_probs(z, 1e-6)
+
+
+class TestApplySumRule:
+    def test_same_outcome_as_probvec(self):
+        cases = [
+            np.array([0.5, 0.5 + 1e-12]),  # accepted silently
+            np.array([0.5, 0.5 + 3e-7]),  # repaired with a warning
+            np.array([0.5, 0.4]),  # rejected
+        ]
+        for p in cases:
+            with warnings.catch_warnings(record=True) as w_direct:
+                warnings.simplefilter("always")
+                try:
+                    direct = apply_sum_rule(p, p.sum())
+                except DistributionError as e:
+                    direct = str(e)
+            with warnings.catch_warnings(record=True) as w_vec:
+                warnings.simplefilter("always")
+                try:
+                    via = ProbVec(p).probs
+                except DistributionError as e:
+                    via = str(e)
+            assert [str(x.message) for x in w_direct] == [str(x.message) for x in w_vec]
+            if isinstance(via, str):
+                assert direct == via
+            else:
+                assert direct.tobytes() == via.tobytes()
+
+    def test_nan_total_rejected(self):
+        with pytest.raises(DistributionError, match="non-finite"):
+            apply_sum_rule(np.array([np.nan, 0.5]), np.nan)
+
+
+class TestSortDescMatchesStable:
+    def _check(self, probs):
+        p = ProbVec(probs)
+        s = sort_desc(p)
+        expected = np.argsort(-p.probs, kind="stable")
+        np.testing.assert_array_equal(s.perm, expected)
+        assert s.probs.tobytes() == p.probs[expected].tobytes()
+
+    def test_uniform(self):
+        for n in (2, 7, 1000):
+            self._check(np.full(n, 1.0 / n))
+
+    def test_one_hot(self):
+        for i in (0, 5, 9):
+            self._check(ProbVec.one_hot(i, 10).probs)
+
+    def test_rounded_dirichlet(self):
+        rng = np.random.default_rng(34)
+        for _ in range(50):
+            p = np.round(rng.dirichlet(np.ones(int(rng.integers(5, 500)))), 3)
+            if p.sum() > 0.0:
+                self._check(p / p.sum())
+
+    def test_large_vocabulary_with_duplicates(self):
+        rng = np.random.default_rng(35)
+        half = rng.dirichlet(np.ones(16_000))
+        p = rng.permutation(np.concatenate([half, half]))
+        self._check(p / p.sum())
+
+    def test_large_vocabulary_without_ties(self):
+        rng = np.random.default_rng(36)
+        p = rng.dirichlet(np.ones(32_000))
+        assert np.unique(p).size == p.size
+        self._check(p)

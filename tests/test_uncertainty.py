@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hybridlm.dist import MIN_TEMPERATURE, ProbVec, sample
 from hybridlm.uncertainty import (
     DiscretePmfEstimator,
     GaussianKdeEstimator,
@@ -85,6 +86,70 @@ class TestEstimateU:
         a = estimate_u(logits, 49, cfg, np.random.default_rng(77))
         b = estimate_u(logits, 49, cfg, np.random.default_rng(77))
         assert a == b
+
+
+def reference_estimate_u(logits, d, cfg, rng):
+    """The plain definition: m full tempered-softmax-and-sample redraws."""
+    disagree = 0
+    for _ in range(cfg.m):
+        theta = max(float(rng.uniform(0.0, cfg.theta_max)), MIN_TEMPERATURE)
+        w = logits / theta
+        w = w - w.max()
+        e = np.exp(w)
+        if sample(ProbVec(e / e.sum()), rng) != d:
+            disagree += 1
+    return disagree / cfg.m
+
+
+class TestEstimateUMatchesReference:
+    def _cases(self):
+        rng = np.random.default_rng(41)
+        for i in range(2400):
+            n = int(rng.integers(1, 40))
+            scale = float(rng.choice([0.1, 1.0, 10.0, 1000.0]))
+            z = rng.normal(scale=scale, size=n)
+            if i % 3 == 0:
+                z = np.round(z / scale) * scale  # tied logits
+            if i % 7 == 0:
+                z = np.full(n, float(rng.normal()))  # all tied
+            d = int(rng.choice([0, n - 1, int(np.argmax(z)), int(rng.integers(n))]))
+            cfg = UncertaintyConfig(
+                m=int(rng.integers(1, 25)),
+                theta_max=float(rng.choice([1e-3, 0.1, 2.0, 50.0])),
+            )
+            yield z, d, cfg, int(rng.integers(2**32))
+
+    def test_bit_identical_u_and_rng_consumption(self):
+        for z, d, cfg, seed in self._cases():
+            fast_rng = np.random.default_rng(seed)
+            ref_rng = np.random.default_rng(seed)
+            got = estimate_u(z, d, cfg, fast_rng)
+            assert got.u == reference_estimate_u(z, d, cfg, ref_rng), (z, d, cfg, seed)
+            assert got.m == cfg.m
+            assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_large_vocabulary(self):
+        rng = np.random.default_rng(42)
+        z = -4.0 * np.log(np.arange(1, 32_001)) + rng.normal(size=32_000)
+        z = rng.permutation(z)
+        cfg = UncertaintyConfig()
+        for d in (int(np.argmax(z)), 0, 31_999, int(rng.integers(32_000))):
+            got = estimate_u(z, d, cfg, np.random.default_rng(d))
+            assert got.u == reference_estimate_u(z, d, cfg, np.random.default_rng(d))
+
+
+class TestEstimateUInputs:
+    @pytest.mark.parametrize("d", [-1, 4, 100])
+    def test_draft_outside_vocabulary_rejected(self, d):
+        with pytest.raises(ValueError, match="outside vocabulary"):
+            estimate_u(np.zeros(4), d, UncertaintyConfig(), np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "logits", [np.array([0.0, np.inf]), np.array([0.0, np.nan]), np.zeros(0), np.zeros((2, 2))]
+    )
+    def test_bad_logits_rejected(self, logits):
+        with pytest.raises(ValueError):
+            estimate_u(logits, 0, UncertaintyConfig(), np.random.default_rng(0))
 
 
 class TestFitLinear:
