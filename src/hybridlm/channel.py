@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -105,40 +105,38 @@ def token_throughput(lat: LatencySpec, tau_comm_s: float, skipped: bool) -> floa
     return 1.0 / (lat.tau_slm_s + tau_comm_s + lat.tau_llm_s)
 
 
-def quantize_prob(p: float, b_prob: int) -> int:
-    """Linear fixed-point code: round(p * (2^b - 1))."""
-    return int(round(p * ((1 << b_prob) - 1)))
+def quantize_prob(p, b_prob: int):
+    """Linear fixed-point code round(p * (2^b - 1)), elementwise."""
+    return np.round(np.multiply(p, (1 << b_prob) - 1)).astype(np.int64)
 
 
-def dequantize_prob(code: int, b_prob: int) -> float:
-    return code / ((1 << b_prob) - 1)
+def dequantize_prob(code, b_prob: int):
+    """The probability a code stands for, elementwise."""
+    return np.divide(code, (1 << b_prob) - 1)
+
+
+def _draft_prob(code, b_prob: int) -> float:
+    """The draft's wire value, floored at one code step: the acceptance test divides by it."""
+    return float(dequantize_prob(max(code, 1), b_prob))
 
 
 def quantize_vocab(c: CompressedVocab, spec: PayloadSpec) -> CompressedVocab:
-    """Wire-quantized payload with dequantized values.
-
-    The draft entry is floored at one code step so it keeps a positive
-    probability; the server-side acceptance test divides by it.
-    """
-    scale = (1 << spec.b_prob) - 1
-    codes = np.round(c.entry_probs * scale)
-    draft_code = max(quantize_prob(c.draft_prob, spec.b_prob), 1)
-    return CompressedVocab(
-        k=c.k,
-        entry_ids=c.entry_ids,
-        entry_probs=codes / scale,
-        draft_id=c.draft_id,
-        draft_prob=draft_code / scale,
-        vocab_size=c.vocab_size,
+    """Wire-quantized payload with dequantized values and a floored draft entry."""
+    b = spec.b_prob
+    return replace(
+        c,
+        entry_probs=dequantize_prob(quantize_prob(c.entry_probs, b), b),
+        draft_prob=_draft_prob(quantize_prob(c.draft_prob, b), b),
     )
 
 
 # Byte-exact transcript format: little-endian header
 # {round: u32, draft_index: u16, k: u16, n_entries: u16} followed by
-# n_entries records of {index: u16, prob_q: u8}. Payload *accounting* always
+# n_entries records of {index: u16, prob_q: u8}: the top-k entries, then the
+# draft's entry when it sits outside the top-k. Payload *accounting* always
 # uses the bit formula above, never this byte-aligned size.
 _HEADER = struct.Struct("<IHHH")
-_RECORD = struct.Struct("<HB")
+_RECORD = np.dtype([("index", "<u2"), ("prob_q", "u1")])
 
 
 def check_transcript_payload(spec: PayloadSpec) -> None:
@@ -150,36 +148,33 @@ def check_transcript_payload(spec: PayloadSpec) -> None:
 
 
 def encode_round(round_idx: int, c: CompressedVocab, spec: PayloadSpec) -> bytes:
+    """One round's transcript bytes, every value coded with ``quantize_prob``.
+
+    An out-of-top-k draft of an unquantized payload is written without the
+    one-step floor, so its code can be 0; ``decode_round`` applies the floor.
+    """
     check_transcript_payload(spec)
-    ids = list(c.entry_ids)
-    probs = list(c.entry_probs)
+    rec = np.empty(c.n_transmitted, dtype=_RECORD)
+    rec["index"][: c.k] = c.entry_ids
+    rec["prob_q"][: c.k] = quantize_prob(c.entry_probs, spec.b_prob)
     if not c.draft_in_topk:
-        ids.append(c.draft_id)
-        probs.append(c.draft_prob)
-    out = bytearray(_HEADER.pack(round_idx, c.draft_id, c.k, len(ids)))
-    for i, p in zip(ids, probs):
-        out += _RECORD.pack(int(i), quantize_prob(float(p), spec.b_prob))
-    return bytes(out)
+        rec[-1] = (c.draft_id, quantize_prob(c.draft_prob, spec.b_prob))
+    return _HEADER.pack(round_idx, c.draft_id, c.k, rec.size) + rec.tobytes()
 
 
-def decode_round(blob: bytes, spec: PayloadSpec, vocab_size: int) -> tuple[int, CompressedVocab]:
+def decode_round(blob: bytes, spec: PayloadSpec) -> tuple[int, CompressedVocab]:
+    """Inverse of ``encode_round``, with the draft floored as in ``quantize_vocab``."""
     round_idx, draft_id, k, n_entries = _HEADER.unpack_from(blob, 0)
-    ids = []
-    probs = []
-    off = _HEADER.size
-    for _ in range(n_entries):
-        idx, code = _RECORD.unpack_from(blob, off)
-        ids.append(idx)
-        probs.append(dequantize_prob(code, spec.b_prob))
-        off += _RECORD.size
-    draft_in_topk = draft_id in ids[:k]
-    draft_prob = probs[ids.index(draft_id)] if draft_in_topk else probs[-1]
+    rec = np.frombuffer(blob, dtype=_RECORD, count=n_entries, offset=_HEADER.size)
+    ids, codes = rec["index"].astype(int), rec["prob_q"]
+    # The draft's code is its top-k entry's, or else the last record's.
+    draft_code = np.append(codes[:k][ids[:k] == draft_id], codes[-1])[0]
     c = CompressedVocab(
         k=k,
-        entry_ids=np.array(ids[:k], dtype=int),
-        entry_probs=np.array(probs[:k]),
+        entry_ids=ids[:k],
+        entry_probs=dequantize_prob(codes[:k], spec.b_prob),
         draft_id=draft_id,
-        draft_prob=max(draft_prob, dequantize_prob(1, spec.b_prob)),
-        vocab_size=vocab_size,
+        draft_prob=_draft_prob(draft_code, spec.b_prob),
+        vocab_size=spec.vocab_size,
     )
     return round_idx, c

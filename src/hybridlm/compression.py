@@ -19,14 +19,12 @@ sums for a whole array of k without materializing any reconstruction.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .dist import ProbVec, SortedProbVec, TokenId, tvd
+from .dist import ProbVec, SortedProbVec, TokenId, sort_desc, tvd
 from .uncertainty import LinearRejectionModel, predict_beta
 
 # Softplus argument above which exp() underflow makes the asymptote exact.
@@ -149,23 +147,13 @@ def smoothed_tvd(x: ProbVec, y: ProbVec, cfg: SoftplusConfig) -> float:
     xs = x.probs
     if np.any(xs <= 0.0):
         raise ValueError("smoothed TVD requires strictly positive device probabilities")
-    z = y.probs / xs - 1.0
-    w = cfg.eta * z
-    out = np.empty_like(w)
-    hi = w > _SOFTPLUS_CUTOFF
-    lo = w < -_SOFTPLUS_CUTOFF
-    mid = ~(hi | lo)
-    out[hi] = z[hi] + np.exp(-w[hi]) / cfg.eta
-    out[lo] = np.exp(w[lo]) / cfg.eta
-    out[mid] = np.log1p(np.exp(w[mid])) / cfg.eta
+    out = np.array([softplus(z, cfg) for z in y.probs / xs - 1.0])
     return float((xs * out).sum())
 
 
-def _tail_l1_ranks(x: ProbVec, x_hat: ProbVec, k: int) -> float:
-    """l1 gap between x and its reconstruction over ranks k+1..|V| of x."""
-    order = np.argsort(-x.probs, kind="stable")
-    tail = order[k:]
-    return float(np.abs(x.probs[tail] - x_hat.probs[tail]).sum())
+def _tail_l1(x_sorted: SortedProbVec, x_hat: ProbVec, k: int) -> float:
+    """The bounds' numerator: l1 gap between x and x_hat over ranks k+1..|V| of x."""
+    return float(np.abs(x_sorted.probs[k:] - x_hat.probs[x_sorted.perm[k:]]).sum())
 
 
 def utv_bound(x: ProbVec, x_hat: ProbVec, y: ProbVec, k: int) -> float:
@@ -173,7 +161,7 @@ def utv_bound(x: ProbVec, x_hat: ProbVec, y: ProbVec, k: int) -> float:
     denom = tvd(x, y)
     if denom <= 0.0:
         raise ValueError("bound undefined when device and server distributions match")
-    return _tail_l1_ranks(x, x_hat, k) / denom
+    return _tail_l1(sort_desc(x), x_hat, k) / denom
 
 
 def online_denominator(x_d: float, beta_hat: float, cfg: SoftplusConfig) -> float:
@@ -198,8 +186,7 @@ def utv_bound_online(
     Same tail numerator as the exact bound; the denominator uses only the
     draft probability and the predicted rejection probability.
     """
-    tail = float(np.abs(x_sorted.probs[k:] - x_hat.probs[x_sorted.perm[k:]]).sum())
-    return tail / online_denominator(x_d, beta_hat, cfg)
+    return _tail_l1(x_sorted, x_hat, k) / online_denominator(x_d, beta_hat, cfg)
 
 
 def tail_gap_after_fill(
@@ -318,30 +305,9 @@ def select_k_online(
     return KSelection(int(ks[j]), float(bounds[j]), "online", theta, cfg.eta)
 
 
-def default_k_grid(vocab_size: int, points: int = 64) -> np.ndarray:
-    """Logarithmic k grid over [1, vocab_size] for the calibration table."""
-    grid = np.unique(
-        np.round(np.logspace(0.0, math.log10(vocab_size), points)).astype(int)
-    )
+def default_k_grid(vocab_size: int) -> np.ndarray:
+    """Logarithmic k grid of at most 64 points over [1, vocab_size] for the calibration table."""
+    grid = np.unique(np.round(np.logspace(0.0, math.log10(vocab_size), 64)).astype(int))
     grid[-1] = vocab_size
     return np.unique(grid)
 
-
-def save_utv_table(path: str | Path, k_grid: np.ndarray, values: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "mean_utv"])
-        for k, v in zip(k_grid, values):
-            writer.writerow([int(k), f"{v:.9g}"])
-
-
-def load_utv_table(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["k", "mean_utv"]:
-            raise ValueError(f"unexpected table header: {header}")
-        rows = [(int(r[0]), float(r[1])) for r in reader]
-    ks = np.array([r[0] for r in rows], dtype=int)
-    vs = np.array([r[1] for r in rows], dtype=float)
-    return ks, vs

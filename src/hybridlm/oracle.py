@@ -11,6 +11,7 @@ bound per candidate k.
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import seeding
-from .compression import default_k_grid, load_utv_table, save_utv_table, tail_gap_after_fill
+from .compression import default_k_grid, tail_gap_after_fill
 from .dist import ProbVec, sample, softmax, sort_desc, tvd
 from .specdec import rejection_prob, resample_dist, verify
 from .uncertainty import (
@@ -27,8 +28,6 @@ from .uncertainty import (
     estimate_delta,
     estimate_u,
     fit_linear,
-    load_calibration_pairs,
-    save_calibration_pairs,
 )
 
 EOS_TOKEN = 0
@@ -168,19 +167,22 @@ def write_trace(path: str | Path, records: list[dict]) -> None:
 class CalibrationSet:
     """Fitted statistics a simulation run needs before deploying skip/compress policies."""
 
-    pairs: list[tuple[float, float]]
     rows: list[tuple[float, float, float, float]]  # (u, beta, x_d, y_d) audit rows
     delta_hat: float
     utv_k_grid: np.ndarray
     utv_values: np.ndarray
     model: LinearRejectionModel
 
+    @property
+    def pairs(self) -> list[tuple[float, float]]:
+        """The (u, beta) pairs the linear model is fitted to."""
+        return [(r[0], r[1]) for r in self.rows]
+
 
 def calibrate(
     spec: OracleSpec,
     n_rounds: int,
     ucfg: UncertaintyConfig,
-    k_grid: np.ndarray | None = None,
     seed: int | None = None,
     delta_u_gate: float | None = None,
 ) -> CalibrationSet:
@@ -194,9 +196,7 @@ def calibrate(
         raise ValueError("calibration needs at least two rounds")
     if seed is None:
         seed = spec.seed
-    if k_grid is None:
-        k_grid = default_k_grid(spec.vocab_size)
-    k_grid = np.asarray(k_grid, dtype=int)
+    k_grid = default_k_grid(spec.vocab_size)
 
     oracle = make_oracle(spec)
     rows: list[tuple[float, float, float, float]] = []
@@ -223,8 +223,6 @@ def calibrate(
             x_sorted = sort_desc(x)
             utv_acc += tail_gap_after_fill(x_sorted, k_grid, x_sorted.rank_of(d)) / divergence_tvd
             utv_count += 1
-
-        if divergence_tvd > 0.0:
             verdict = verify(
                 d, x, y, resample_dist(x, y), seeding.round_rng(seed, t, seeding.VERIFY)
             )
@@ -239,47 +237,67 @@ def calibrate(
     if len(rows) < 2:
         raise ValueError("calibration produced fewer than two usable rounds")
 
-    pairs = [(r[0], r[1]) for r in rows]
-    if delta_u_gate is None:
-        delta_rows = rows
-    else:
-        delta_rows = [r for r in rows if r[0] > delta_u_gate]
+    delta_rows = rows if delta_u_gate is None else [r for r in rows if r[0] > delta_u_gate]
     delta_hat = estimate_delta([(r[2], r[3]) for r in delta_rows]) if delta_rows else 0.0
     utv_values = utv_acc / utv_count if utv_count > 0 else np.full(k_grid.size, np.nan)
-    model = fit_linear(pairs)
     return CalibrationSet(
-        pairs=pairs,
         rows=rows,
         delta_hat=delta_hat,
         utv_k_grid=k_grid,
         utv_values=utv_values,
-        model=model,
+        model=fit_linear([(r[0], r[1]) for r in rows]),
     )
 
 
+# The calibration directory: each file's name, and each CSV table's header.
+PAIRS_FILE, PAIRS_HEADER = "calibration_pairs.csv", ("u", "beta", "x_d", "y_d")
+TABLE_FILE, TABLE_HEADER = "utv_table.csv", ("k", "mean_utv")
+MODEL_FILE = "model.json"
+
+
+def _save_table(path: Path, header: tuple[str, ...], rows) -> None:
+    """One CSV table: the header, then integers as is and floats to 9 digits."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([v if isinstance(v, int) else f"{v:.9g}" for v in row])
+
+
+def _load_table(path: Path, header: tuple[str, ...]) -> list[list[str]]:
+    """The rows of a table written by ``_save_table``, one cell per column."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        found, rows = next(reader, []), list(reader)
+    if found != list(header):
+        raise ValueError(f"{path.name}: unexpected header {found}")
+    if any(len(row) != len(header) for row in rows):
+        raise ValueError(f"{path.name}: every row needs {len(header)} values")
+    return rows
+
+
 def save_calibration(out: Path, cal: CalibrationSet) -> None:
-    """Write calibration_pairs.csv, utv_table.csv and model.json under ``out``."""
+    """Write the pairs table, the bound table and the model under ``out``."""
     out.mkdir(parents=True, exist_ok=True)
-    save_calibration_pairs(out / "calibration_pairs.csv", cal.rows)
-    save_utv_table(out / "utv_table.csv", cal.utv_k_grid, cal.utv_values)
+    _save_table(out / PAIRS_FILE, PAIRS_HEADER, cal.rows)
+    _save_table(out / TABLE_FILE, TABLE_HEADER, zip(cal.utv_k_grid.tolist(), cal.utv_values))
     model = {**asdict(cal.model), "delta_hat": cal.delta_hat}
-    with open(out / "model.json", "w") as fh:
+    with open(out / MODEL_FILE, "w") as fh:
         json.dump(model, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def load_calibration(path: Path) -> CalibrationSet:
-    """Read a directory written by ``save_calibration``; the pairs file is optional."""
-    with open(path / "model.json") as fh:
+    """Read a directory written by ``save_calibration``; the pairs table is optional."""
+    with open(path / MODEL_FILE) as fh:
         m = json.load(fh)
-    k_grid, values = load_utv_table(path / "utv_table.csv")
-    pairs_path = path / "calibration_pairs.csv"
-    rows = load_calibration_pairs(pairs_path) if pairs_path.exists() else []
+    table = _load_table(path / TABLE_FILE, TABLE_HEADER)
+    pairs_path = path / PAIRS_FILE
+    rows = _load_table(pairs_path, PAIRS_HEADER) if pairs_path.exists() else []
     return CalibrationSet(
-        pairs=[(r[0], r[1]) for r in rows],
-        rows=rows,
+        rows=[tuple(map(float, row)) for row in rows],
         delta_hat=m["delta_hat"],
-        utv_k_grid=k_grid,
-        utv_values=values,
+        utv_k_grid=np.array([int(k) for k, _ in table], dtype=int),
+        utv_values=np.array([float(v) for _, v in table]),
         model=LinearRejectionModel(**{f.name: m[f.name] for f in fields(LinearRejectionModel)}),
     )

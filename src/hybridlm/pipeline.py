@@ -94,6 +94,8 @@ class SimReport:
     mean_k: float | None
     mean_payload_bits: float
     acceptance_rate_given_tx: float | None
+    # Rounds with tvd_pq > bound_at_selection; None when no round records a bound.
+    bound_violations: int | None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -335,6 +337,8 @@ def metrics(records: list[RoundRecord]) -> SimReport:
         if tx
         else None
     )
+    bounded = [r for r in records if r.bound_at_selection is not None]
+    violations = sum(r.tvd_pq is not None and r.tvd_pq > r.bound_at_selection for r in bounded)
     return SimReport(
         n_rounds=n,
         tr=tr,
@@ -344,4 +348,5 @@ def metrics(records: list[RoundRecord]) -> SimReport:
         mean_k=mean_k,
         mean_payload_bits=mean_payload,
         acceptance_rate_given_tx=acc,
+        bound_violations=violations if bounded else None,
     )

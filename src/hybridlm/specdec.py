@@ -120,7 +120,4 @@ def hybrid_output_dist(x: ProbVec, y: ProbVec, q: ProbVec) -> ProbVec:
 
 def round_bias(x: ProbVec, y: ProbVec, q: ProbVec) -> float:
     """l1 deviation of the hybrid output law from y under resampling dist q."""
-    beta = rejection_probs(x, y)
-    reject_mass = float((x.probs * beta).sum())
-    out = x.probs * (1.0 - beta) + reject_mass * q.probs
-    return float(np.abs(out - y.probs).sum())
+    return float(np.abs(hybrid_output_dist(x, y, q).probs - y.probs).sum())

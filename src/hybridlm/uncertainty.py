@@ -10,9 +10,7 @@ closed-form expression in the threshold and the density of u.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -120,9 +118,9 @@ def fit_linear(pairs: list[tuple[float, float]]) -> LinearRejectionModel:
     return LinearRejectionModel(a=float(a), b=float(b), mse=mse, r2=r2)
 
 
-def predict_beta(model: LinearRejectionModel, u: float) -> float:
-    """Predicted rejection probability, clamped to [0, 1]."""
-    return float(np.clip(model.a * u + model.b, 0.0, 1.0))
+def predict_beta(model: LinearRejectionModel, u):
+    """Predicted rejection probability a*u + b clamped to [0, 1], elementwise."""
+    return np.clip(model.a * u + model.b, 0.0, 1.0)
 
 
 def thresholds(model: LinearRejectionModel, delta: float) -> ThresholdPair:
@@ -146,9 +144,7 @@ class GaussianKdeEstimator:
     """Gaussian kernel density estimate with Silverman bandwidth."""
 
     name = "gaussian_kde"
-
-    def __init__(self, grid_points: int = 2048):
-        self.grid_points = grid_points
+    GRID_POINTS = 2048
 
     def density_l2_integral(self, samples: np.ndarray, lo: float, hi: float) -> float:
         if hi <= lo:
@@ -158,7 +154,7 @@ class GaussianKdeEstimator:
         from scipy.stats import gaussian_kde  # ~1 s and ~60 MB to import; only used here
 
         kde = gaussian_kde(samples, bw_method="silverman")
-        grid = np.linspace(lo, hi, self.grid_points)
+        grid = np.linspace(lo, hi, self.GRID_POINTS)
         f = kde(grid)
         return float(np.trapezoid(f**2, grid))
 
@@ -217,7 +213,7 @@ def rejection_risk(
         raise ValueError("empty uncertainty sample set")
     lo = -model.b / model.a
     in_risk_zone = (u > lo) & (u <= u_th)
-    betas = np.clip(model.a * u + model.b, 0.0, 1.0)
+    betas = predict_beta(model, u)
     empirical = float(np.mean(np.where(in_risk_zone, betas, 0.0)))
     delta = model.a * u_th + model.b
     if delta <= 0.0:
@@ -227,22 +223,3 @@ def rejection_risk(
         bound = delta**1.5 / np.sqrt(3.0 * model.a) * np.sqrt(l2)
     return RiskReport(empirical_r=empirical, bound=float(bound), pdf_estimator=estimator.name)
 
-
-def save_calibration_pairs(
-    path: str | Path, rows: list[tuple[float, float, float, float]]
-) -> None:
-    """Write (u, beta, x_d, y_d) calibration rows for audit."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["u", "beta", "x_d", "y_d"])
-        for row in rows:
-            writer.writerow([f"{v:.9g}" for v in row])
-
-
-def load_calibration_pairs(path: str | Path) -> list[tuple[float, float, float, float]]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["u", "beta", "x_d", "y_d"]:
-            raise ValueError(f"unexpected calibration header: {header}")
-        return [tuple(float(v) for v in row) for row in reader]

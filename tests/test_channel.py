@@ -20,7 +20,7 @@ from hybridlm.channel import (
     uplink_latency,
 )
 from hybridlm.compression import compress, reconstruct
-from hybridlm.dist import ProbVec, sort_desc
+from hybridlm.dist import ProbVec, softmax, sort_desc
 
 
 class TestPayload:
@@ -175,7 +175,7 @@ class TestWireTranscript:
         blob = encode_round(17, c, spec)
         # header 10 bytes + 3 records (draft outside top-2) of 3 bytes
         assert len(blob) == 10 + 3 * 3
-        round_idx, back = decode_round(blob, spec, vocab_size=4)
+        round_idx, back = decode_round(blob, spec)
         assert round_idx == 17
         assert back.k == c.k
         np.testing.assert_array_equal(back.entry_ids, c.entry_ids)
@@ -190,6 +190,16 @@ class TestWireTranscript:
         blob = encode_round(0, c, spec)
         assert len(blob) == 10 + 2 * 3
 
+    def test_unquantized_draft_code_zero_decodes_floored(self):
+        # encode_round writes an unquantized out-of-top-k draft without the
+        # one-step floor; decode_round applies it.
+        p = ProbVec(np.array([0.9995, 0.0003, 0.0002]))
+        spec = PayloadSpec(vocab_size=3, b_prob=8)
+        blob = encode_round(0, compress(sort_desc(p), 1, d=2), spec)
+        assert blob[-3:] == bytes([2, 0, 0])  # index 2 as u16 LE, code 0
+        _, back = decode_round(blob, spec)
+        assert back.draft_prob == 1 / 255
+
     def test_accounting_uses_bit_formula(self):
         spec = PayloadSpec(vocab_size=4, b_prob=8)
         p = ProbVec(np.array([0.5, 0.25, 0.15, 0.1]))
@@ -198,3 +208,41 @@ class TestWireTranscript:
         assert bits == 3 * (8 + 2)
         blob = encode_round(0, quantize_vocab(c, spec), spec)
         assert bits != len(blob) * 8  # byte-aligned transcript differs
+
+
+class TestWireCodec:
+    """decode_round(encode_round(c)) is quantize_vocab(c), field by field."""
+
+    V = 32_000
+    SPEC = PayloadSpec(vocab_size=V, b_prob=8)
+
+    @staticmethod
+    def _assert_same(a, b):
+        assert (a.k, a.draft_id, a.vocab_size) == (b.k, b.draft_id, b.vocab_size)
+        np.testing.assert_array_equal(a.entry_ids, b.entry_ids)
+        np.testing.assert_array_equal(a.entry_probs, b.entry_probs)
+        assert a.draft_prob == b.draft_prob
+
+    @pytest.mark.parametrize(
+        "k, draft_rank",
+        [(1, 0), (1, 5_000), (12, 3), (12, 20_000), (V, 0), (V, V - 1)],
+        ids=["k1_inside", "k1_outside", "k12_inside", "k12_outside", "kV_top", "kV_last"],
+    )
+    def test_decode_of_encode_is_quantize_vocab(self, k, draft_rank):
+        rng = np.random.default_rng(k + draft_rank)
+        logits = -1.2 * np.log(np.arange(1, self.V + 1)) + rng.normal(0.0, 0.5, self.V)
+        s = sort_desc(softmax(rng.permutation(logits)))
+        c = compress(s, k, d=int(s.perm[draft_rank]))
+        assert c.draft_in_topk == (draft_rank < k)
+        q = quantize_vocab(c, self.SPEC)
+        for payload in (c, q):
+            round_idx, back = decode_round(encode_round(9, payload, self.SPEC), self.SPEC)
+            assert round_idx == 9
+            self._assert_same(back, q)
+
+    def test_codes_elementwise(self):
+        p = np.random.default_rng(3).random(200)
+        codes = quantize_prob(p, 8)
+        assert codes.tolist() == [int(round(v * 255)) for v in p]
+        assert dequantize_prob(codes, 8).tolist() == [c / 255 for c in codes.tolist()]
+        assert quantize_prob(float(p[0]), 8) == codes[0]

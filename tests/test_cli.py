@@ -125,6 +125,22 @@ class TestSimulate:
                 else:
                     assert vc == vj and type(vc) is type(vj)
 
+    def test_bound_violations_agree_with_records_and_report(self, tmp_path):
+        cfg = write_cfg(tmp_path, policy={"u_th": 0.0}, r_max=60)
+        out, rep_out = tmp_path / "sim", tmp_path / "rep"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["report", "--records", str(out / "records.jsonl"), "--out", str(rep_out)]) == 0
+        lines = (out / "records.jsonl").read_text().splitlines()
+        checked = [
+            r for r in map(json.loads, lines)
+            if r["tvd_pq"] is not None and r["bound_at_selection"] is not None
+        ]
+        assert checked
+        direct = sum(r["tvd_pq"] > r["bound_at_selection"] for r in checked)
+        simulated = json.loads((out / "report.json").read_text())["report"]
+        reported = json.loads((rep_out / "report.json").read_text())["report"]
+        assert simulated["bound_violations"] == reported["bound_violations"] == direct
+
     def test_online_payload_below_hlm(self, cfg_path, tmp_path):
         out_cu = tmp_path / "cu"
         main(["simulate", "--config", cfg_path, "--out", str(out_cu)])
@@ -279,6 +295,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert not list(out.glob("records.*"))
+
+    @pytest.mark.parametrize(
+        "name, bad_row, n_values",
+        [
+            ("utv_table.csv", "5", 2),
+            ("calibration_pairs.csv", "0.5", 4),
+            ("calibration_pairs.csv", "", 4),
+        ],
+        ids=["table_one_cell", "pairs_one_cell", "pairs_blank_row"],
+    )
+    def test_malformed_calibration_row(
+        self, cfg_path, tmp_path, capsys, monkeypatch, name, bad_row, n_values
+    ):
+        cal = tmp_path / "cal"
+        assert main(["calibrate", "--config", cfg_path, "--out", str(cal)]) == 0
+        lines = (cal / name).read_text().splitlines()
+        lines.insert(2, bad_row)
+        (cal / name).write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(cli, "run_many", lambda *a, **k: pytest.fail("the run started"))
+        capsys.readouterr()
+        argv = ["simulate", "--config", cfg_path, "--calib", str(cal), "--out", str(tmp_path / "x")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: {name}: every row needs {n_values} values\n"
 
     def test_missing_records_file_is_io_error(self, tmp_path):
         rc = main(["report", "--records", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path)])

@@ -11,11 +11,9 @@ from hybridlm.compression import (
     SoftplusConfig,
     compress,
     default_k_grid,
-    load_utv_table,
     online_denominator,
     reconstruct,
     residual_mass,
-    save_utv_table,
     select_k_offline,
     select_k_online,
     smoothed_tvd,
@@ -405,12 +403,3 @@ class TestTableIo:
         assert grid[0] == 1 and grid[-1] == 32_000
         assert np.all(np.diff(grid) > 0)
         assert len(grid) <= 64
-
-    def test_round_trip(self, tmp_path):
-        grid = default_k_grid(100, points=10)
-        vals = np.linspace(0.5, 0.0, grid.size)
-        path = tmp_path / "utv.csv"
-        save_utv_table(path, grid, vals)
-        ks, vs = load_utv_table(path)
-        np.testing.assert_array_equal(ks, grid)
-        np.testing.assert_allclose(vs, vals, rtol=1e-8)

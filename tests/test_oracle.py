@@ -11,7 +11,9 @@ from hybridlm.oracle import (
     TraceExhausted,
     TraceOracle,
     calibrate,
+    load_calibration,
     make_oracle,
+    save_calibration,
     write_trace,
 )
 from hybridlm.uncertainty import UncertaintyConfig
@@ -192,3 +194,22 @@ class TestCalibrate:
     def test_too_few_rounds(self):
         with pytest.raises(ValueError):
             calibrate(synth(), 1, UncertaintyConfig())
+
+
+class TestCalibrationDirectory:
+    def test_save_load_round_trip(self, tmp_path):
+        cal = calibrate(synth(vocab=128, seed=5), 60, UncertaintyConfig(m=5))
+        save_calibration(tmp_path, cal)
+        back = load_calibration(tmp_path)
+        # CSV cells keep 9 significant digits; model.json is exact.
+        assert len(back.rows) == len(cal.rows) == 60
+        np.testing.assert_allclose(np.array(back.rows), np.array(cal.rows), rtol=1e-8)
+        assert back.pairs == [(r[0], r[1]) for r in back.rows]
+        np.testing.assert_array_equal(back.utv_k_grid, cal.utv_k_grid)
+        assert back.utv_k_grid.dtype.kind == "i"
+        np.testing.assert_allclose(back.utv_values, cal.utv_values, rtol=1e-8)
+        assert back.model == cal.model
+        assert back.delta_hat == cal.delta_hat
+        # The pairs table is optional.
+        (tmp_path / "calibration_pairs.csv").unlink()
+        assert load_calibration(tmp_path).rows == []

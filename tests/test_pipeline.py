@@ -1,5 +1,6 @@
 """Tests for round orchestration, policies, and aggregate metrics."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -261,8 +262,29 @@ class TestMetrics:
         d = rep.to_dict()
         assert set(d) == {
             "n_rounds", "tr", "tsr", "mean_bias", "mean_throughput_tokens_per_s",
-            "mean_k", "mean_payload_bits", "acceptance_rate_given_tx",
+            "mean_k", "mean_payload_bits", "acceptance_rate_given_tx", "bound_violations",
         }
+
+    def test_bound_violations_counted_from_records(self):
+        cfg = make_cfg(
+            "cu_hlm_online", u_th=0.0, r_max=60, calibration=CalibrationConfig(n_rounds=150)
+        )
+        rep, recs = run_many(cfg)
+        checked = [r for r in recs if r.tvd_pq is not None and r.bound_at_selection is not None]
+        assert checked
+        assert rep.bound_violations == sum(r.tvd_pq > r.bound_at_selection for r in checked)
+
+    def test_bound_violations_rule(self):
+        # Strictly above the bound counts; a round without tvd_pq does not.
+        _, recs = run_many(make_cfg("hlm", r_max=4))
+        recs = [
+            dataclasses.replace(recs[0], tvd_pq=0.2, bound_at_selection=0.1),
+            dataclasses.replace(recs[1], tvd_pq=0.1, bound_at_selection=0.1),
+            dataclasses.replace(recs[2], tvd_pq=None, bound_at_selection=0.1),
+            recs[3],
+        ]
+        assert metrics(recs).bound_violations == 1
+        assert metrics(recs[3:]).bound_violations is None
 
 
 class TestTelemetryReplay:

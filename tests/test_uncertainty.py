@@ -12,10 +12,8 @@ from hybridlm.uncertainty import (
     estimate_delta,
     estimate_u,
     fit_linear,
-    load_calibration_pairs,
     predict_beta,
     rejection_risk,
-    save_calibration_pairs,
     thresholds,
 )
 
@@ -287,12 +285,3 @@ class TestRejectionRisk:
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError):
             rejection_risk(REF_MODEL, [], 0.5, GaussianKdeEstimator())
-
-
-class TestCalibrationCsv:
-    def test_round_trip(self, tmp_path):
-        rows = [(0.1, 0.05, 0.9, 0.8), (0.55, 0.4, 0.3, 0.2)]
-        path = tmp_path / "pairs.csv"
-        save_calibration_pairs(path, rows)
-        back = load_calibration_pairs(path)
-        np.testing.assert_allclose(np.array(back), np.array(rows), rtol=1e-8)

@@ -1,0 +1,54 @@
+#!/usr/bin/env bash
+# Byte-identity check for refactors: run a fixed set of hybridlm commands
+# from the source tree SRC, write their outputs under OUT, and print one
+# "sha256  path" line per output (paths relative to OUT).
+#
+#   tools/digests.sh . /tmp/after > after.txt
+#   tools/digests.sh ../parent /tmp/before > before.txt
+#   diff before.txt after.txt
+#
+# The wall-clock "generated_at" line is removed from report.json and
+# sweep.csv before hashing; every other byte counts.
+set -euo pipefail
+
+if [ $# -ne 2 ]; then
+    echo "usage: $0 SRC OUT" >&2
+    exit 2
+fi
+SRC=$(cd "$1" && pwd)
+mkdir -p "$2"
+OUT=$(cd "$2" && pwd)
+export PYTHONPATH="$SRC/src" PYTHONDONTWRITEBYTECODE=1
+cd "$OUT"
+
+hybridlm() { python3 -m hybridlm.cli "$@" >>"$OUT/commands.log"; }
+: >"$OUT/commands.log"
+
+# V=32000 transmitting every round (u_th=0), with and without the 8-bit wire.
+echo '{"policy": {"u_th": 0.0}, "r_max": 128}' >tx.json
+echo '{"policy": {"u_th": 0.0}, "r_max": 128, "quantize_wire": false}' >tx_raw.json
+# V=2048 with end-of-sequence tokens, calibrated on the fly.
+echo '{"oracle": {"vocab_size": 2048, "eos_prob": 0.05}, "calibration": {"n_rounds": 300},
+       "r_max": 128, "n_sequences": 3}' >eos.json
+# Offline policy: k from the calibration table, swept over theta.
+echo '{"oracle": {"vocab_size": 2048}, "policy": {"variant": "cu_hlm_offline"},
+       "calibration": {"n_rounds": 300}, "r_max": 64}' >sweep.json
+
+hybridlm calibrate --rounds 400 --seed 1 --out cal
+hybridlm simulate --config tx.json --calib cal --transcript --out tx
+hybridlm report --records tx/records.jsonl --out tx_report
+hybridlm simulate --config tx_raw.json --calib cal --transcript --format csv --out tx_raw
+hybridlm report --records tx_raw/records.csv --out tx_raw_report
+hybridlm simulate --config eos.json --transcript --out eos
+hybridlm sweep --config sweep.json --axis theta --values 0.05,0.2 --fading fixed,rayleigh --out sweep
+python3 -m hybridlm.cli verify --cases 200 >verify.txt
+
+sed -i '/generated_at/d' tx/report.json tx_report/report.json tx_raw/report.json \
+    tx_raw_report/report.json eos/report.json sweep/sweep.csv
+
+sha256sum \
+    cal/calibration_pairs.csv cal/utv_table.csv cal/model.json \
+    tx/records.jsonl tx/transcript.bin tx/report.json tx_report/report.json \
+    tx_raw/records.csv tx_raw/transcript.bin tx_raw/report.json tx_raw_report/report.json \
+    eos/records.jsonl eos/transcript.bin eos/report.json \
+    sweep/sweep.csv verify.txt
