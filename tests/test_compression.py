@@ -23,6 +23,7 @@ from hybridlm.compression import (
     utv_bound_online,
 )
 from hybridlm.dist import ProbVec, sort_desc, tvd
+from hybridlm.oracle import CalibrationSet, load_calibration, save_calibration
 from hybridlm.specdec import distorted_resample_dist, resample_dist
 from hybridlm.uncertainty import LinearRejectionModel
 
@@ -403,3 +404,14 @@ class TestTableIo:
         assert grid[0] == 1 and grid[-1] == 32_000
         assert np.all(np.diff(grid) > 0)
         assert len(grid) <= 64
+
+    def test_round_trip(self, tmp_path):
+        grid = default_k_grid(100)
+        vals = np.linspace(0.5, 0.0, grid.size)
+        cal = CalibrationSet(
+            rows=[], delta_hat=0.0, utv_k_grid=grid, utv_values=vals, model=MODEL
+        )
+        save_calibration(tmp_path, cal)
+        back = load_calibration(tmp_path)
+        np.testing.assert_array_equal(back.utv_k_grid, grid)
+        np.testing.assert_allclose(back.utv_values, vals, rtol=1e-8)

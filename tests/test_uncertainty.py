@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hybridlm.dist import MIN_TEMPERATURE, ProbVec, sample
+from hybridlm.oracle import CalibrationSet, load_calibration, save_calibration
 from hybridlm.uncertainty import (
     DiscretePmfEstimator,
     GaussianKdeEstimator,
@@ -231,6 +232,21 @@ class TestEstimateDelta:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             estimate_delta([])
+
+
+class TestCalibrationCsv:
+    def test_round_trip(self, tmp_path):
+        rows = [(0.1, 0.05, 0.9, 0.8), (0.55, 0.4, 0.3, 0.2)]
+        cal = CalibrationSet(
+            rows=rows,
+            delta_hat=0.5,
+            utv_k_grid=np.array([1, 2]),
+            utv_values=np.array([0.2, 0.1]),
+            model=REF_MODEL,
+        )
+        save_calibration(tmp_path, cal)
+        back = load_calibration(tmp_path).rows
+        np.testing.assert_allclose(np.array(back), np.array(rows), rtol=1e-8)
 
 
 class TestRejectionRisk:
