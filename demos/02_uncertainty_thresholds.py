@@ -42,6 +42,6 @@ print("\nskip risk at the risk-prone threshold:")
 for est in (GaussianKdeEstimator(), DiscretePmfEstimator(m=ucfg.m)):
     rep = rejection_risk(m, u, pair.risk_prone, est)
     print(
-        f"  {rep.pdf_estimator:12s}: empirical R = {rep.empirical_r:.3e}"
+        f"  {type(est).__name__:20s}: empirical R = {rep.empirical_r:.3e}"
         f"  <=  bound = {rep.bound:.3e}"
     )

@@ -23,7 +23,6 @@ from .compression import (
     SoftplusConfig,
     compress,
     reconstruct,
-    residual_mass,
     select_k_offline,
     select_k_online,
     softplus,
@@ -59,7 +58,6 @@ from .uncertainty import (
     RiskReport,
     ThresholdPair,
     UncertaintyConfig,
-    UncertaintySample,
     estimate_delta,
     estimate_u,
     fit_linear,
@@ -96,7 +94,6 @@ __all__ = [
     "TokenId",
     "TraceExhausted",
     "UncertaintyConfig",
-    "UncertaintySample",
     "Verdict",
     "calibrate",
     "compress",
@@ -112,7 +109,6 @@ __all__ = [
     "rejection_prob",
     "rejection_risk",
     "resample_dist",
-    "residual_mass",
     "round_bias",
     "run_many",
     "run_sequence",

@@ -45,8 +45,8 @@ class LatencySpec:
     tau_llm_s: float = 104.6e-3
 
     def __post_init__(self) -> None:
-        if self.tau_slm_s < 0.0 or self.tau_llm_s < 0.0:
-            raise ValueError("compute latencies must be non-negative")
+        if not (self.tau_slm_s > 0.0 and self.tau_llm_s > 0.0):
+            raise ValueError("compute latencies must be positive")
 
 
 @dataclass(frozen=True)

@@ -41,10 +41,6 @@ class SoftplusConfig:
         if not self.eta > 0.0:
             raise ValueError("eta must be positive")
 
-    @property
-    def max_error(self) -> float:
-        return math.log(2.0) / self.eta
-
 
 @dataclass(frozen=True, eq=False)
 class CompressedVocab:
@@ -119,13 +115,6 @@ def reconstruct(c: CompressedVocab) -> ProbVec:
     else:
         x_hat = x_hat / x_hat.sum()
     return ProbVec(x_hat)
-
-
-def residual_mass(x_sorted: SortedProbVec, k: int) -> float:
-    """Probability mass beyond the top-k ranks."""
-    if not 1 <= k <= len(x_sorted):
-        raise ValueError(f"k={k} out of range [1, {len(x_sorted)}]")
-    return max(0.0, 1.0 - float(x_sorted.prefix[k]))
 
 
 def softplus(z: float, cfg: SoftplusConfig) -> float:
@@ -229,9 +218,6 @@ class KSelection:
 
     k_star: int
     bound_value_at_k: float
-    policy: str  # "offline" or "online"
-    theta: float
-    eta: float | None = None
     saturated: bool = False
 
 
@@ -250,24 +236,18 @@ def select_k_offline(
         raise ValueError("table grid and values must be non-empty and equal length")
     ok = np.nonzero(vals <= theta)[0]
     if ok.size == 0:
-        return KSelection(
-            k_star=vocab_size,
-            bound_value_at_k=float(vals[-1]),
-            policy="offline",
-            theta=theta,
-            saturated=True,
-        )
+        return KSelection(vocab_size, float(vals[-1]), saturated=True)
     j = int(ok[0])
     if j == 0:
-        return KSelection(int(k_grid[0]), float(vals[0]), "offline", theta)
+        return KSelection(int(k_grid[0]), float(vals[0]))
     k_lo, k_hi = int(k_grid[j - 1]), int(k_grid[j])
     v_lo, v_hi = float(vals[j - 1]), float(vals[j])
     for k in range(k_lo + 1, k_hi + 1):
         frac = (k - k_lo) / (k_hi - k_lo)
         v = v_lo + frac * (v_hi - v_lo)
         if v <= theta:
-            return KSelection(k, v, "offline", theta)
-    return KSelection(k_hi, v_hi, "offline", theta)
+            return KSelection(k, v)
+    return KSelection(k_hi, v_hi)
 
 
 def select_k_online(
@@ -293,7 +273,7 @@ def select_k_online(
     x_d = float(x_sorted.probs[draft_rank])
     denom = online_denominator(x_d, predict_beta(model, u), cfg)
     if not theta > 0.0:
-        return KSelection(vocab, 0.0, "online", theta, cfg.eta, saturated=True)
+        return KSelection(vocab, 0.0, saturated=True)
 
     probes = np.append(2 ** np.arange((vocab - 1).bit_length()), vocab)
     within = tail_gap_after_fill(x_sorted, probes, draft_rank) / denom <= theta
@@ -302,7 +282,7 @@ def select_k_online(
     ks = np.arange(lo, int(probes[hit]) + 1)
     bounds = tail_gap_after_fill(x_sorted, ks, draft_rank) / denom
     j = int(np.argmax(bounds <= theta))
-    return KSelection(int(ks[j]), float(bounds[j]), "online", theta, cfg.eta)
+    return KSelection(int(ks[j]), float(bounds[j]))
 
 
 def default_k_grid(vocab_size: int) -> np.ndarray:

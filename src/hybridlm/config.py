@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import get_args, get_type_hints
 
 from .channel import ChannelSpec, LatencySpec, PayloadSpec
+from .compression import SoftplusConfig
 from .oracle import OracleSpec
 from .uncertainty import UncertaintyConfig
 
@@ -48,6 +49,7 @@ class PolicySpec:
             raise ValueError("skip_prob must be in [0, 1]")
         if self.k_star is not None and self.k_star < 1:
             raise ValueError("k_star must be >= 1")
+        SoftplusConfig(eta=self.eta)  # raises unless eta > 0
 
     @property
     def uses_uncertainty(self) -> bool:
@@ -82,6 +84,7 @@ class RunConfig:
             raise ValueError("r_max must be >= 1")
         if self.n_sequences < 1:
             raise ValueError("n_sequences must be >= 1")
+        self.payload  # raises unless vocab_size >= 2 and b_prob >= 1
 
     @property
     def payload(self) -> PayloadSpec:

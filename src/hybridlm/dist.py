@@ -67,12 +67,6 @@ class ProbVec:
     def uniform(cls, n: int) -> "ProbVec":
         return cls(np.full(n, 1.0 / n))
 
-    @classmethod
-    def one_hot(cls, index: TokenId, n: int) -> "ProbVec":
-        p = np.zeros(n)
-        p[index] = 1.0
-        return cls(p)
-
     def __len__(self) -> int:
         return self.probs.size
 
@@ -104,12 +98,6 @@ class SortedProbVec:
         if hits.size == 0:
             raise ValueError(f"token {token} not in vocabulary of size {len(self)}")
         return int(hits[0])
-
-    def to_probvec(self) -> ProbVec:
-        """Undo the sort, recovering the original index-ordered distribution."""
-        orig = np.empty_like(self.probs)
-        orig[self.perm] = self.probs
-        return ProbVec(orig)
 
 
 def check_logits(logits: np.ndarray) -> np.ndarray:

@@ -65,7 +65,6 @@ class OracleSpec:
 class RoundInputs:
     slm_logits: np.ndarray
     llm_logits: np.ndarray
-    context_fingerprint: int
     eos: bool = False
 
 
@@ -96,7 +95,7 @@ class SyntheticOracle:
         if spec.eos_prob > 0.0:
             slm = self._inject_eos(slm)
             llm = self._inject_eos(llm)
-        return RoundInputs(slm_logits=slm, llm_logits=llm, context_fingerprint=fp)
+        return RoundInputs(slm_logits=slm, llm_logits=llm)
 
     def _inject_eos(self, logits: np.ndarray) -> np.ndarray:
         # Mix a point mass at the EOS token into the softmax output, then
@@ -129,7 +128,6 @@ class TraceOracle:
         return RoundInputs(
             slm_logits=np.asarray(rec["slm_logits"], dtype=np.float64),
             llm_logits=np.asarray(rec["llm_logits"], dtype=np.float64),
-            context_fingerprint=seeding.sequence_fingerprint(sequence),
             eos=bool(rec.get("eos", False)),
         )
 
@@ -214,7 +212,7 @@ def calibrate(
         d = sample(x, seeding.round_rng(seed, t, seeding.DRAFT))
         u = estimate_u(
             inputs.slm_logits, d, ucfg, seeding.round_rng(seed, t, seeding.UNCERTAINTY)
-        ).u
+        )
         beta_d = rejection_prob(float(x.probs[d]), float(y.probs[d]))
         rows.append((u, beta_d, float(x.probs[d]), float(y.probs[d])))
 

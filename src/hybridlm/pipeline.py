@@ -166,7 +166,7 @@ def run_round(
             d,
             cfg.uncertainty,
             seeding.round_rng(seed, t, seeding.UNCERTAINTY),
-        ).u
+        )
 
     if not _should_transmit(policy, u, seed, t):
         beta = rejection_prob(x_d, y_d)

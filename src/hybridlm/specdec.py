@@ -21,12 +21,10 @@ class Verdict:
     """Outcome of one verification round.
 
     ``token`` is the draft when accepted, the resampled replacement otherwise.
-    ``accept_prob`` is the probability the acceptance test used, min(1, y_d/x_d).
     """
 
     accepted: bool
     token: TokenId
-    accept_prob: float
 
 
 def rejection_prob(x_d: float, y_d: float) -> float:
@@ -55,16 +53,9 @@ def verify_draft(
 ) -> Verdict:
     """Scalar-level acceptance test; lets the caller supply the wire-observed x_d."""
     beta = rejection_prob(x_d, y_d)
-    accept_prob = 1.0 - beta
-    if beta == 0.0:
-        return Verdict(accepted=True, token=d, accept_prob=1.0)
-    if rng.random() < accept_prob:
-        return Verdict(accepted=True, token=d, accept_prob=accept_prob)
-    return Verdict(
-        accepted=False,
-        token=sample(resample_from, rng),
-        accept_prob=accept_prob,
-    )
+    if beta == 0.0 or rng.random() < 1.0 - beta:
+        return Verdict(accepted=True, token=d)
+    return Verdict(accepted=False, token=sample(resample_from, rng))
 
 
 def verify(

@@ -32,14 +32,6 @@ class UncertaintyConfig:
 
 
 @dataclass(frozen=True)
-class UncertaintySample:
-    """Disagreement fraction u, quantized to multiples of 1/m."""
-
-    u: float
-    m: int
-
-
-@dataclass(frozen=True)
 class LinearRejectionModel:
     """Least-squares line mapping uncertainty to rejection probability."""
 
@@ -68,7 +60,6 @@ class RiskReport:
 
     empirical_r: float
     bound: float
-    pdf_estimator: str
 
 
 def estimate_u(
@@ -76,18 +67,19 @@ def estimate_u(
     d: TokenId,
     cfg: UncertaintyConfig,
     rng: np.random.Generator,
-) -> UncertaintySample:
-    """Mean disagreement of m temperature-perturbed redraws with the draft d.
+) -> float:
+    """Fraction of m temperature-perturbed redraws that disagree with the draft d.
 
-    Temperatures are drawn uniformly from [0, theta_max]; an exact-zero draw
-    is remapped to the smallest legal temperature, where the redraw collapses
-    to the argmax.
+    The fraction u is a multiple of 1/m. Temperatures are drawn uniformly
+    from [0, theta_max]; an exact-zero draw is remapped to the smallest legal
+    temperature, where the redraw collapses to the argmax.
 
     Each redraw is ``sample(softmax(logits, theta), rng)``, but only whether
     it equals d matters. ``draws_token`` decides that from the CDF prefix
     up to d, and ``tempered_probs`` gives softmax's probabilities without
-    re-validating the logits or building a ``ProbVec``. The rng is consumed as before (one ``uniform``, then
-    one ``random`` per redraw) and the probabilities are the same floats, so
+    re-validating the logits or building a ``ProbVec``. The rng is consumed
+    as the full samples would consume it (one ``uniform``, then one
+    ``random`` per redraw) and the probabilities are the same floats, so
     every redraw agrees with d exactly when the full sample would, and u is
     unchanged bit for bit.
     """
@@ -99,7 +91,7 @@ def estimate_u(
         theta = max(float(rng.uniform(0.0, cfg.theta_max)), MIN_TEMPERATURE)
         if not draws_token(tempered_probs(z, theta), d, rng.random()):
             disagree += 1
-    return UncertaintySample(u=disagree / cfg.m, m=cfg.m)
+    return disagree / cfg.m
 
 
 def fit_linear(pairs: list[tuple[float, float]]) -> LinearRejectionModel:
@@ -143,7 +135,6 @@ def estimate_delta(calib: list[tuple[float, float]]) -> float:
 class GaussianKdeEstimator:
     """Gaussian kernel density estimate with Silverman bandwidth."""
 
-    name = "gaussian_kde"
     GRID_POINTS = 2048
 
     def density_l2_integral(self, samples: np.ndarray, lo: float, hi: float) -> float:
@@ -166,8 +157,6 @@ class DiscretePmfEstimator:
     density integrates as a Riemann sum over the cells' overlap with the
     integration interval.
     """
-
-    name = "discrete_pmf"
 
     def __init__(self, m: int):
         if m < 1:
@@ -195,7 +184,7 @@ class DiscretePmfEstimator:
 
 def rejection_risk(
     model: LinearRejectionModel,
-    u_samples: list[UncertaintySample] | np.ndarray,
+    u_samples: np.ndarray,
     u_th: float,
     estimator,
 ) -> RiskReport:
@@ -206,9 +195,7 @@ def rejection_risk(
     delta^(3/2)/sqrt(3a) by the L2 norm of the uncertainty density over the
     same interval, with delta = a*u_th + b.
     """
-    u = np.array(
-        [s.u if isinstance(s, UncertaintySample) else float(s) for s in u_samples]
-    )
+    u = np.asarray(u_samples, dtype=np.float64)
     if u.size == 0:
         raise ValueError("empty uncertainty sample set")
     lo = -model.b / model.a
@@ -221,5 +208,5 @@ def rejection_risk(
     else:
         l2 = estimator.density_l2_integral(u, lo, u_th)
         bound = delta**1.5 / np.sqrt(3.0 * model.a) * np.sqrt(l2)
-    return RiskReport(empirical_r=empirical, bound=float(bound), pdf_estimator=estimator.name)
+    return RiskReport(empirical_r=empirical, bound=float(bound))
 

@@ -5,7 +5,6 @@ criterion. Tolerances are pinned here, not tuned at runtime.
 """
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -25,29 +24,22 @@ from hybridlm.compression import (
     compress,
     reconstruct,
     select_k_online,
-    smoothed_tvd,
     utv_bound,
-    utv_bound_online,
 )
-from hybridlm.config import CalibrationConfig, PolicySpec, RunConfig
+from hybridlm.config import PolicySpec, RunConfig
 from hybridlm.dist import ProbVec, sample, sort_desc, tvd
 from hybridlm.oracle import OracleSpec, calibrate
 from hybridlm.pipeline import run_many
-from hybridlm.specdec import (
-    distorted_resample_dist,
-    hybrid_output_dist,
-    resample_dist,
-    verify,
+from hybridlm.specdec import resample_dist, verify
+from hybridlm.uncertainty import LinearRejectionModel, UncertaintyConfig, thresholds
+from hybridlm.verification import (
+    SuiteResult,
+    check_online_bound_dominance,
+    check_risk_bound,
+    check_tvd_bound_dominance,
+    check_unbiasedness,
+    correlated_pair,
 )
-from hybridlm.uncertainty import (
-    DiscretePmfEstimator,
-    GaussianKdeEstimator,
-    LinearRejectionModel,
-    UncertaintyConfig,
-    rejection_risk,
-    thresholds,
-)
-from hybridlm.verification import correlated_pair
 
 REF_MODEL = LinearRejectionModel(a=0.815, b=-0.066, mse=0.0, r2=1.0)
 
@@ -57,20 +49,18 @@ def report(criterion: str, ok: bool, detail: str) -> None:
     assert ok, f"{criterion}: {detail}"
 
 
+def suite(res: SuiteResult, n_cases: int) -> None:
+    """Print a verification suite's line; it must pass over exactly n_cases cases."""
+    print(res.line())
+    assert res.passed and res.n_cases == n_cases, res.line()
+
+
 def test_criterion_01_exact_unbiasedness():
-    rng = np.random.default_rng(101)
-    worst = 0.0
-    for vocab in (2, 8, 64):
-        for _ in range(1000):
-            x = ProbVec(rng.dirichlet(np.ones(vocab)))
-            y = ProbVec(rng.dirichlet(np.ones(vocab)))
-            out = hybrid_output_dist(x, y, resample_dist(x, y))
-            worst = max(worst, float(np.max(np.abs(out.probs - y.probs))))
-    report(
-        "criterion 1 exact unbiasedness",
-        worst < 1e-10,
-        f"3000 pairs, worst elementwise deviation {worst:.3e} (tol 1e-10)",
-    )
+    # 1000 Dirichlet pairs at each of |V| = 2, 8, 64; the margin is 1e-10 minus
+    # the worst elementwise deviation of the output law from the server law.
+    res = check_unbiasedness(1000, seed=101)
+    suite(res, 3000)
+    print(f"worst elementwise deviation {1e-10 - res.worst_margin:.3e}")
 
 
 def test_criterion_02_monte_carlo_unbiasedness():
@@ -93,72 +83,21 @@ def test_criterion_02_monte_carlo_unbiasedness():
 
 
 def test_criterion_03_exact_bound_dominance():
-    rng = np.random.default_rng(303)
-    violations = 0
-    total = 0
-    worst = math.inf
-    for vocab in (8, 64, 1024):
-        done = 0
-        while done < 1000:
-            x, y = correlated_pair(rng, vocab)
-            if tvd(x, y) <= 1e-12:
-                continue
-            k = int(rng.integers(1, vocab + 1))
-            d = int(np.argmax(x.probs))
-            x_hat = reconstruct(compress(sort_desc(x), k, d))
-            q, fallback = distorted_resample_dist(x_hat, y)
-            if fallback:
-                continue
-            margin = utv_bound(x, x_hat, y, k) - tvd(resample_dist(x, y), q)
-            worst = min(worst, margin)
-            violations += margin < -1e-12
-            done += 1
-            total += 1
+    suite(check_tvd_bound_dominance(1000, seed=303), 3000)
     # Bound vanishes identically with nothing truncated.
-    x, y = correlated_pair(rng, 64)
+    x, y = correlated_pair(np.random.default_rng(303), 64)
     full = reconstruct(compress(sort_desc(x), 64, int(np.argmax(x.probs))))
     bound_at_full = utv_bound(x, full, y, 64)
     report(
-        "criterion 3 exact-denominator bound dominance",
-        violations == 0 and bound_at_full <= 1e-12,
-        f"{total} cases, {violations} violations, worst margin {worst:.3e}, "
+        "criterion 3 exact-denominator bound at k=|V|",
+        bound_at_full <= 1e-12,
         f"bound at k=|V| {bound_at_full:.3e} (tol 1e-12)",
     )
 
 
 def test_criterion_04_online_bound_strict_dominance_and_softplus_error():
-    rng = np.random.default_rng(404)
-    total = 0
-    failures = 0
-    worst = math.inf
-    for eta in (5.0, 10.0, 50.0):
-        cfg = SoftplusConfig(eta=eta)
-        done = 0
-        while done < 1000:
-            n = int(rng.integers(3, 128))
-            x, y = correlated_pair(rng, n)
-            s = sort_desc(x)
-            d = int(np.argmax(x.probs))
-            k = int(rng.integers(1, n))
-            x_hat = reconstruct(compress(s, k, d))
-            tail = float(np.abs(s.probs[k:] - x_hat.probs[s.perm[k:]]).sum())
-            if tail <= 0.0:
-                continue
-            smoothed = smoothed_tvd(x, y, cfg)
-            beta_d = max(0.0, 1.0 - float(y.probs[d]) / float(x.probs[d]))
-            online = utv_bound_online(s, x_hat, float(x.probs[d]), beta_d, k, cfg)
-            dominance = online - tail / smoothed
-            err = smoothed - tvd(x, y)
-            err_margin = math.log(2.0) / eta - err
-            worst = min(worst, dominance, err_margin)
-            failures += (dominance <= 0.0) or (err < -1e-12) or (err_margin < -1e-12)
-            done += 1
-            total += 1
-    report(
-        "criterion 4 device-only bound strict dominance + softplus error",
-        failures == 0,
-        f"{total} cases over eta in (5, 10, 50), {failures} failures, worst margin {worst:.3e}",
-    )
+    # eta in (5, 10, 50): strict dominance, and softplus error within ln2/eta.
+    suite(check_online_bound_dominance(1000, seed=404), 3000)
 
 
 def test_criterion_05_threshold_constants():
@@ -173,24 +112,8 @@ def test_criterion_05_threshold_constants():
 
 
 def test_criterion_06_risk_bound_both_estimators():
-    rng = np.random.default_rng(606)
-    u = rng.uniform(0.0, 1.0, 8000)
-    lo = -REF_MODEL.b / REF_MODEL.a
-    hi = (1.0 - REF_MODEL.b) / REF_MODEL.a
-    worst = math.inf
-    failures = 0
-    for estimator in (GaussianKdeEstimator(), DiscretePmfEstimator(m=20)):
-        for u_th in np.linspace(lo, hi, 20):
-            rep = rejection_risk(REF_MODEL, u, float(u_th), estimator)
-            margin = rep.bound - rep.empirical_r
-            worst = min(worst, margin)
-            failures += margin < -1e-12
-    report(
-        "criterion 6 skip-risk bound sweep",
-        failures == 0,
-        f"20-point threshold grid x 2 estimators, {failures} violations, "
-        f"worst margin {worst:.3e}",
-    )
+    # A 20-point threshold grid for each of the two density estimators.
+    suite(check_risk_bound(seed=606), 40)
 
 
 def test_criterion_07_payload_constant():

@@ -297,6 +297,25 @@ class TestExitCodes:
         assert not list(out.glob("records.*"))
 
     @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"policy": {"eta": 0.0}},
+            {"b_prob": 0},
+            {"oracle": {"vocab_size": 1}},
+            {"policy": {"variant": "slm_only"}, "latency": {"tau_slm_s": 0.0}},
+            {"policy": {"variant": "llm_only"}, "latency": {"tau_llm_s": 0.0}},
+        ],
+        ids=["eta", "b_prob", "vocab_size", "slm_only_zero_latency", "llm_only_zero_latency"],
+    )
+    def test_error_before_calibration(self, tmp_path, capsys, monkeypatch, overrides):
+        # Without --transcript, nothing else reads these values before a round runs.
+        monkeypatch.setattr(pipeline, "calibrate", lambda *a, **k: pytest.fail("calibrated"))
+        cfg = write_cfg(tmp_path, **overrides)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "name, bad_row, n_values",
         [
             ("utv_table.csv", "5", 2),

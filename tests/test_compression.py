@@ -13,7 +13,6 @@ from hybridlm.compression import (
     default_k_grid,
     online_denominator,
     reconstruct,
-    residual_mass,
     select_k_offline,
     select_k_online,
     smoothed_tvd,
@@ -90,7 +89,7 @@ class TestReconstruct:
         np.testing.assert_allclose(reconstruct(c).probs, p.probs, atol=1e-15)
 
     def test_one_hot_zero_residual(self):
-        p = ProbVec.one_hot(2, 5)
+        p = ProbVec(np.eye(5)[2])
         with pytest.raises(ValueError):
             compress(sort_desc(p), 1, d=0)  # zero-prob draft
         c = compress(sort_desc(p), 1, d=2)
@@ -129,25 +128,6 @@ class TestReconstruct:
             r = reconstruct(compress(s, k, d))
             assert abs(r.probs.sum() - 1.0) < 1e-9
             assert np.all(r.probs >= 0)
-
-
-class TestResidualMass:
-    def test_full_k(self):
-        assert residual_mass(sort_desc(ProbVec.uniform(6)), 6) == pytest.approx(
-            0.0, abs=1e-12
-        )
-
-    def test_one_hot(self):
-        assert residual_mass(sort_desc(ProbVec.one_hot(0, 5)), 1) == 0.0
-
-    def test_uniform(self):
-        assert residual_mass(sort_desc(ProbVec.uniform(10)), 3) == pytest.approx(0.7)
-
-    def test_decreasing_in_k(self):
-        rng = np.random.default_rng(2)
-        s = sort_desc(ProbVec(rng.dirichlet(np.ones(30))))
-        masses = [residual_mass(s, k) for k in range(1, 31)]
-        assert all(b <= a + 1e-15 for a, b in zip(masses, masses[1:]))
 
 
 class TestUtvBound:
@@ -219,7 +199,7 @@ class TestSmoothedTvd:
             n = int(rng.integers(2, 64))
             x, y = random_pair(rng, n)
             err = smoothed_tvd(x, y, cfg) - tvd(x, y)
-            assert 0.0 < err <= cfg.max_error + 1e-12
+            assert 0.0 < err <= math.log(2.0) / eta + 1e-12
 
 
 class TestUtvBoundOnline:

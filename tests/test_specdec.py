@@ -94,13 +94,13 @@ class TestVerify:
         x = ProbVec(np.array([0.2, 0.8]))
         y = ProbVec(np.array([0.5, 0.5]))
         v = verify(0, x, y, y, FixedRng([0.999]))
-        assert v == Verdict(accepted=True, token=0, accept_prob=1.0)
+        assert v == Verdict(accepted=True, token=0)
 
     def test_identical_distributions_always_accept(self):
         x = ProbVec(np.array([0.3, 0.7]))
         for d in (0, 1):
             v = verify(d, x, x, x, FixedRng([0.0]))
-            assert v.accepted and v.token == d and v.accept_prob == 1.0
+            assert v.accepted and v.token == d
 
     def test_probabilistic_rejection_path(self):
         x = ProbVec(np.array([0.8, 0.2]))
@@ -111,7 +111,6 @@ class TestVerify:
         v = verify(0, x, y, resample_from, FixedRng([0.7, 0.1]))
         assert not v.accepted
         assert v.token == 1
-        assert v.accept_prob == pytest.approx(0.5)
 
     def test_probabilistic_acceptance_path(self):
         x = ProbVec(np.array([0.8, 0.2]))
@@ -191,8 +190,8 @@ class TestHybridOutputDist:
             np.testing.assert_allclose(out.probs, y.probs, atol=1e-12)
 
     def test_degenerate_one_hot(self):
-        x = ProbVec.one_hot(2, 4)
-        y = ProbVec.one_hot(2, 4)
+        x = ProbVec(np.eye(4)[2])
+        y = ProbVec(np.eye(4)[2])
         out = hybrid_output_dist(x, y, ProbVec.uniform(4))
         np.testing.assert_allclose(out.probs, y.probs, atol=1e-15)
 

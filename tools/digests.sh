@@ -33,6 +33,12 @@ echo '{"oracle": {"vocab_size": 2048, "eos_prob": 0.05}, "calibration": {"n_roun
 # Offline policy: k from the calibration table, swept over theta.
 echo '{"oracle": {"vocab_size": 2048}, "policy": {"variant": "cu_hlm_offline"},
        "calibration": {"n_rounds": 300}, "r_max": 64}' >sweep.json
+# The five policies that need no calibration, two sequences each.
+POLICIES="llm_only slm_only hlm rand_hlm u_hlm"
+for p in $POLICIES; do
+    echo "{\"oracle\": {\"vocab_size\": 2048}, \"policy\": {\"variant\": \"$p\"},
+           \"r_max\": 64, \"n_sequences\": 2}" >"$p.json"
+done
 
 hybridlm calibrate --rounds 400 --seed 1 --out cal
 hybridlm simulate --config tx.json --calib cal --transcript --out tx
@@ -41,14 +47,19 @@ hybridlm simulate --config tx_raw.json --calib cal --transcript --format csv --o
 hybridlm report --records tx_raw/records.csv --out tx_raw_report
 hybridlm simulate --config eos.json --transcript --out eos
 hybridlm sweep --config sweep.json --axis theta --values 0.05,0.2 --fading fixed,rayleigh --out sweep
+for p in $POLICIES; do
+    hybridlm simulate --config "$p.json" --transcript --out "$p"
+done
 python3 -m hybridlm.cli verify --cases 200 >verify.txt
 
 sed -i '/generated_at/d' tx/report.json tx_report/report.json tx_raw/report.json \
-    tx_raw_report/report.json eos/report.json sweep/sweep.csv
+    tx_raw_report/report.json eos/report.json sweep/sweep.csv \
+    $(for p in $POLICIES; do echo "$p/report.json"; done)
 
 sha256sum \
     cal/calibration_pairs.csv cal/utv_table.csv cal/model.json \
     tx/records.jsonl tx/transcript.bin tx/report.json tx_report/report.json \
     tx_raw/records.csv tx_raw/transcript.bin tx_raw/report.json tx_raw_report/report.json \
     eos/records.jsonl eos/transcript.bin eos/report.json \
-    sweep/sweep.csv verify.txt
+    sweep/sweep.csv verify.txt \
+    $(for p in $POLICIES; do echo "$p/records.jsonl $p/transcript.bin $p/report.json"; done)
