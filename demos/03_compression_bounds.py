@@ -47,12 +47,12 @@ print(f"one round at |V|={vocab}: draft rank {rank_d + 1}, "
 print(f"device/server divergence tvd(x, y) = {tvd(x, y):.4f}\n")
 
 print(f"{'k':>6} {'tvd(p,q)':>10} {'exact bound':>12} {'online bound':>13}")
-for k in (1, 2, 4, 8, 16, 32, 64, 256, 1024, 2048):
-    x_hat = reconstruct(compress(s, k, d))
-    q, _ = distorted_resample_dist(x_hat, y)
-    exact = utv_bound(x, x_hat, y, k)
-    online = utv_bound_online(s, x_hat, float(x.probs[d]), beta_d, k, cfg)
-    print(f"{k:>6} {tvd(p, q):>10.5f} {exact:>12.5f} {online:>13.5f}")
+rows = np.array([1, 2, 4, 8, 16, 32, 64, 256, 1024, 2048])
+exact = utv_bound(s, rank_d, rows, tvd(x, y))
+online = utv_bound_online(s, rank_d, rows, beta_d, cfg)
+for k, e, o in zip(rows, exact, online):
+    q, _ = distorted_resample_dist(reconstruct(compress(s, int(k), d)), y)
+    print(f"{k:>6} {tvd(p, q):>10.5f} {e:>12.5f} {o:>13.5f}")
 
 theta = 0.1
 payload = PayloadSpec(vocab_size=vocab, b_prob=8)
@@ -60,9 +60,7 @@ model = LinearRejectionModel(a=0.5, b=0.0, mse=0.0, r2=1.0)
 
 # Offline: pretend this round's exact bound is the long-run average.
 ks = np.arange(1, vocab + 1, 8)
-vals = np.array([
-    utv_bound(x, reconstruct(compress(s, int(k), d)), y, int(k)) for k in ks
-])
+vals = utv_bound(s, rank_d, ks, tvd(x, y))
 off = select_k_offline(ks, vals, theta, vocab)
 print(f"\noffline selection at theta={theta}: k*={off.k_star} "
       f"(bound {off.bound_value_at_k:.4f})")

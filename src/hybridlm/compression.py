@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import ProbVec, SortedProbVec, TokenId, sort_desc, tvd
+from .dist import ProbVec, SortedProbVec, TokenId
 from .uncertainty import LinearRejectionModel, predict_beta
 
 # Softplus argument above which exp() underflow makes the asymptote exact.
@@ -140,19 +140,6 @@ def smoothed_tvd(x: ProbVec, y: ProbVec, cfg: SoftplusConfig) -> float:
     return float((xs * out).sum())
 
 
-def _tail_l1(x_sorted: SortedProbVec, x_hat: ProbVec, k: int) -> float:
-    """The bounds' numerator: l1 gap between x and x_hat over ranks k+1..|V| of x."""
-    return float(np.abs(x_sorted.probs[k:] - x_hat.probs[x_sorted.perm[k:]]).sum())
-
-
-def utv_bound(x: ProbVec, x_hat: ProbVec, y: ProbVec, k: int) -> float:
-    """Exact-denominator upper bound on tvd of the resampling distributions."""
-    denom = tvd(x, y)
-    if denom <= 0.0:
-        raise ValueError("bound undefined when device and server distributions match")
-    return _tail_l1(sort_desc(x), x_hat, k) / denom
-
-
 def online_denominator(x_d: float, beta_hat: float, cfg: SoftplusConfig) -> float:
     """Device-only lower bound on the smoothed cross-distribution TVD."""
     if not 0.0 < x_d <= 1.0:
@@ -162,26 +149,10 @@ def online_denominator(x_d: float, beta_hat: float, cfg: SoftplusConfig) -> floa
     return (1.0 - x_d) * softplus(-1.0, cfg) + x_d * softplus(-beta_hat, cfg)
 
 
-def utv_bound_online(
-    x_sorted: SortedProbVec,
-    x_hat: ProbVec,
-    x_d: float,
-    beta_hat: float,
-    k: int,
-    cfg: SoftplusConfig,
-) -> float:
-    """Device-computable upper bound on the resampling distortion.
-
-    Same tail numerator as the exact bound; the denominator uses only the
-    draft probability and the predicted rejection probability.
-    """
-    return _tail_l1(x_sorted, x_hat, k) / online_denominator(x_d, beta_hat, cfg)
-
-
 def tail_gap_after_fill(
     x_sorted: SortedProbVec, k: np.ndarray, draft_rank: int
 ) -> np.ndarray:
-    """Closed-form tail numerator sum(|x_i - x_hat_i|, ranks > k) for each k.
+    """Both bounds' closed-form numerator sum(|x_i - x_hat_i|, ranks > k) for each k.
 
     Equivalent to compressing at k (draft entry included), reconstructing,
     and summing the tail l1 gap, but computed from prefix sums: with the
@@ -210,6 +181,24 @@ def tail_gap_after_fill(
     # makes the identity hold for any construction drift within tolerance.
     gap = np.maximum(2.0 * (above - c * fill) + (m * fill - range_sum), 0.0)
     return np.where(m > 0, gap, 0.0)
+
+
+def utv_bound(x_sorted: SortedProbVec, draft_rank: int, k: np.ndarray, tvd_xy: float) -> np.ndarray:
+    """Exact-denominator upper bound on tvd of the resampling distributions
+    for each k, given tvd_xy = tvd(x, y) of the device and server laws."""
+    if not tvd_xy > 0.0:
+        raise ValueError("bound undefined when device and server distributions match")
+    return tail_gap_after_fill(x_sorted, k, draft_rank) / tvd_xy
+
+
+def utv_bound_online(
+    x_sorted: SortedProbVec, draft_rank: int, k: np.ndarray, beta_hat: float, cfg: SoftplusConfig
+) -> np.ndarray:
+    """Device-computable upper bound on the resampling distortion for each k: the
+    exact bound's numerator over a denominator that uses only the draft
+    probability and the predicted rejection probability."""
+    denom = online_denominator(float(x_sorted.probs[draft_rank]), beta_hat, cfg)
+    return tail_gap_after_fill(x_sorted, k, draft_rank) / denom
 
 
 @dataclass(frozen=True)
@@ -242,12 +231,12 @@ def select_k_offline(
         return KSelection(int(k_grid[0]), float(vals[0]))
     k_lo, k_hi = int(k_grid[j - 1]), int(k_grid[j])
     v_lo, v_hi = float(vals[j - 1]), float(vals[j])
-    for k in range(k_lo + 1, k_hi + 1):
-        frac = (k - k_lo) / (k_hi - k_lo)
-        v = v_lo + frac * (v_hi - v_lo)
-        if v <= theta:
-            return KSelection(k, v)
-    return KSelection(k_hi, v_hi)
+    ks = np.arange(k_lo + 1, k_hi + 1)
+    v = v_lo + (ks - k_lo) / (k_hi - k_lo) * (v_hi - v_lo)
+    i = int(np.argmax(v <= theta))
+    if not v[i] <= theta:  # rounding can leave v at k_hi just above v_hi
+        return KSelection(k_hi, v_hi)
+    return KSelection(int(ks[i]), float(v[i]))
 
 
 def select_k_online(
@@ -270,17 +259,16 @@ def select_k_online(
     was. At k = |V| the numerator is zero, so any theta > 0 is met.
     """
     vocab = len(x_sorted)
-    x_d = float(x_sorted.probs[draft_rank])
-    denom = online_denominator(x_d, predict_beta(model, u), cfg)
+    beta_hat = predict_beta(model, u)
     if not theta > 0.0:
         return KSelection(vocab, 0.0, saturated=True)
 
     probes = np.append(2 ** np.arange((vocab - 1).bit_length()), vocab)
-    within = tail_gap_after_fill(x_sorted, probes, draft_rank) / denom <= theta
+    within = utv_bound_online(x_sorted, draft_rank, probes, beta_hat, cfg) <= theta
     hit = int(np.argmax(within))  # the last probe, k = |V|, is always within
     lo = 1 if hit == 0 else int(probes[hit - 1]) + 1
     ks = np.arange(lo, int(probes[hit]) + 1)
-    bounds = tail_gap_after_fill(x_sorted, ks, draft_rank) / denom
+    bounds = utv_bound_online(x_sorted, draft_rank, ks, beta_hat, cfg)
     j = int(np.argmax(bounds <= theta))
     return KSelection(int(ks[j]), float(bounds[j]))
 

@@ -9,6 +9,7 @@ threshold 0.8, distortion tolerance 0.1, and softplus sharpness 10.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -49,6 +50,8 @@ class PolicySpec:
             raise ValueError("skip_prob must be in [0, 1]")
         if self.k_star is not None and self.k_star < 1:
             raise ValueError("k_star must be >= 1")
+        if not self.theta > 0.0:
+            raise ValueError("theta must be positive")
         SoftplusConfig(eta=self.eta)  # raises unless eta > 0
 
     @property
@@ -119,9 +122,12 @@ def field_types(cls) -> dict[str, tuple[type, bool]]:
 
 
 def _json_scalar_fits(value, tp: type) -> bool:
-    # An integer literal is a valid float; true/false are booleans only.
+    # An integer literal is a valid float; true/false are booleans only; json
+    # reads NaN, Infinity and overflowing literals as floats that no field takes.
     if isinstance(value, bool):
         return tp is bool
+    if isinstance(value, float) and not math.isfinite(value):
+        return False
     return isinstance(value, {int: int, float: (int, float), str: str}.get(tp, ()))
 
 
@@ -138,7 +144,8 @@ def _from_dict(cls, d, path: str):
         if is_dataclass(tp):
             value = _from_dict(tp, value, where + ".")
         elif not ((value is None and optional) or _json_scalar_fits(value, tp)):
-            expected = tp.__name__ + (" or null" if optional else "")
+            expected = ("finite " if tp is float else "") + tp.__name__
+            expected += " or null" if optional else ""
             raise ValueError(f"{where}: expected {expected}, got {value!r}")
         kwargs[key] = value
     return cls(**kwargs)

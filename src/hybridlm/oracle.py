@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import seeding
-from .compression import default_k_grid, tail_gap_after_fill
+from .compression import default_k_grid, utv_bound
 from .dist import ProbVec, sample, softmax, sort_desc, tvd
 from .specdec import rejection_prob, resample_dist, verify
 from .uncertainty import (
@@ -219,7 +219,7 @@ def calibrate(
         divergence_tvd = tvd(x, y)
         if divergence_tvd > 0.0:
             x_sorted = sort_desc(x)
-            utv_acc += tail_gap_after_fill(x_sorted, k_grid, x_sorted.rank_of(d)) / divergence_tvd
+            utv_acc += utv_bound(x_sorted, x_sorted.rank_of(d), k_grid, divergence_tvd)
             utv_count += 1
             verdict = verify(
                 d, x, y, resample_dist(x, y), seeding.round_rng(seed, t, seeding.VERIFY)

@@ -19,13 +19,7 @@ from hybridlm.channel import (
     uplink_latency,
 )
 from hybridlm.cli import main
-from hybridlm.compression import (
-    SoftplusConfig,
-    compress,
-    reconstruct,
-    select_k_online,
-    utv_bound,
-)
+from hybridlm.compression import SoftplusConfig, select_k_online, utv_bound
 from hybridlm.config import PolicySpec, RunConfig
 from hybridlm.dist import ProbVec, sample, sort_desc, tvd
 from hybridlm.oracle import OracleSpec, calibrate
@@ -86,8 +80,8 @@ def test_criterion_03_exact_bound_dominance():
     suite(check_tvd_bound_dominance(1000, seed=303), 3000)
     # Bound vanishes identically with nothing truncated.
     x, y = correlated_pair(np.random.default_rng(303), 64)
-    full = reconstruct(compress(sort_desc(x), 64, int(np.argmax(x.probs))))
-    bound_at_full = utv_bound(x, full, y, 64)
+    s = sort_desc(x)
+    bound_at_full = float(utv_bound(s, s.rank_of(int(np.argmax(x.probs))), 64, tvd(x, y)))
     report(
         "criterion 3 exact-denominator bound at k=|V|",
         bound_at_full <= 1e-12,

@@ -224,8 +224,9 @@ class TestSweep:
             ["--axis", "k", "--values", "0"],
             ["--axis", "k", "--values", "4,1.5"],
             ["--axis", "snr_db", "--values", "0", "--fading", "fixed,foo"],
+            ["--axis", "theta", "--values", "0.1,0"],
         ],
-        ids=["not_a_float", "k_below_one", "k_not_an_int", "unknown_fading"],
+        ids=["not_a_float", "k_below_one", "k_not_an_int", "unknown_fading", "theta_zero"],
     )
     def test_bad_grid_point_fails_before_calibration(
         self, cfg_path, tmp_path, capsys, monkeypatch, extra
@@ -304,8 +305,16 @@ class TestExitCodes:
             {"oracle": {"vocab_size": 1}},
             {"policy": {"variant": "slm_only"}, "latency": {"tau_slm_s": 0.0}},
             {"policy": {"variant": "llm_only"}, "latency": {"tau_llm_s": 0.0}},
+            {"policy": {"theta": 0.0}},
+            {"policy": {"theta": float("nan")}},
+            {"channel": {"mean_snr_db": float("nan")}},
+            {"channel": {"fading": "rician", "rician_k_db": float("nan")}},
+            {"calibration": {"delta_u_gate": float("nan")}},
         ],
-        ids=["eta", "b_prob", "vocab_size", "slm_only_zero_latency", "llm_only_zero_latency"],
+        ids=[
+            "eta", "b_prob", "vocab_size", "slm_only_zero_latency", "llm_only_zero_latency",
+            "theta_zero", "theta_nan", "mean_snr_db_nan", "rician_k_db_nan", "delta_u_gate_nan",
+        ],
     )
     def test_error_before_calibration(self, tmp_path, capsys, monkeypatch, overrides):
         # Without --transcript, nothing else reads these values before a round runs.

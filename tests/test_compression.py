@@ -134,20 +134,20 @@ class TestUtvBound:
     def test_zero_at_full_k(self):
         rng = np.random.default_rng(3)
         x, y = random_pair(rng, 16)
-        c = compress(sort_desc(x), 16, d=0)
-        assert utv_bound(x, reconstruct(c), y, 16) == pytest.approx(0.0, abs=1e-12)
+        s = sort_desc(x)
+        assert utv_bound(s, s.rank_of(0), 16, tvd(x, y)) == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_worked_example(self):
         x = ProbVec(np.array([0.7, 0.2, 0.06, 0.04]))
         y = ProbVec(np.array([0.1, 0.3, 0.3, 0.3]))
-        c = compress(sort_desc(x), 2, d=0)
-        b = utv_bound(x, reconstruct(c), y, 2)
+        s = sort_desc(x)
+        b = utv_bound(s, s.rank_of(0), 2, tvd(x, y))
         assert b == pytest.approx(0.02 / 0.6)
 
     def test_undefined_when_distributions_match(self):
         x = ProbVec(np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
-            utv_bound(x, x, x, 1)
+            utv_bound(sort_desc(x), 0, 1, tvd(x, x))
 
     @pytest.mark.parametrize("vocab", [8, 64])
     def test_dominates_exact_tvd(self, vocab):
@@ -157,12 +157,13 @@ class TestUtvBound:
             x, y = random_pair(rng, vocab)
             k = int(rng.integers(1, vocab + 1))
             d = int(np.argmax(x.probs))
-            x_hat = reconstruct(compress(sort_desc(x), k, d))
+            s = sort_desc(x)
+            x_hat = reconstruct(compress(s, k, d))
             q, fallback = distorted_resample_dist(x_hat, y)
             if fallback:
                 continue
             p = resample_dist(x, y)
-            assert tvd(p, q) <= utv_bound(x, x_hat, y, k) + 1e-12
+            assert tvd(p, q) <= utv_bound(s, s.rank_of(d), k, tvd(x, y)) + 1e-12
             checked += 1
 
 
@@ -209,8 +210,7 @@ class TestUtvBoundOnline:
         rng = np.random.default_rng(5)
         x, _ = random_pair(rng, 16)
         s = sort_desc(x)
-        c = compress(s, 16, d=0)
-        b = utv_bound_online(s, reconstruct(c), float(x.probs[0]), 0.5, 16, self.CFG)
+        b = utv_bound_online(s, s.rank_of(0), 16, 0.5, self.CFG)
         assert b == pytest.approx(0.0, abs=1e-12)
 
     def test_strictly_increasing_in_beta(self):
@@ -218,10 +218,8 @@ class TestUtvBoundOnline:
         x, _ = random_pair(rng, 32)
         s = sort_desc(x)
         d = int(np.argmax(x.probs))
-        x_hat = reconstruct(compress(s, 4, d))
-        x_d = float(x.probs[d])
-        lo = utv_bound_online(s, x_hat, x_d, 0.2, 4, self.CFG)
-        hi = utv_bound_online(s, x_hat, x_d, 0.8, 4, self.CFG)
+        lo = utv_bound_online(s, s.rank_of(d), 4, 0.2, self.CFG)
+        hi = utv_bound_online(s, s.rank_of(d), 4, 0.8, self.CFG)
         assert hi > lo
 
     def test_dominates_smoothed_ratio(self):
@@ -236,27 +234,24 @@ class TestUtvBoundOnline:
             s = sort_desc(x)
             d = int(np.argmax(x.probs))
             k = int(rng.integers(1, n))
-            x_hat = reconstruct(compress(s, k, d))
             beta_d = max(0.0, 1.0 - float(y.probs[d]) / float(x.probs[d]))
-            tail = float(
-                np.abs(s.probs[k:] - x_hat.probs[s.perm[k:]]).sum()
-            )
+            # The production numerator on both sides (TestTailGapClosedForm
+            # checks it against the explicit reconstruction).
+            tail = float(tail_gap_after_fill(s, k, s.rank_of(d)))
             smoothed_ratio = tail / smoothed_tvd(x, y, cfg)
-            online = utv_bound_online(s, x_hat, float(x.probs[d]), beta_d, k, cfg)
+            online = utv_bound_online(s, s.rank_of(d), k, beta_d, cfg)
             if tail > 0:
                 assert online > smoothed_ratio
             else:
                 assert online == smoothed_ratio == 0.0
 
     def test_input_validation(self):
-        rng = np.random.default_rng(8)
-        x, _ = random_pair(rng, 8)
-        s = sort_desc(x)
-        x_hat = reconstruct(compress(s, 2, 0))
+        # A zero-probability draft, then a predicted rejection probability above 1.
+        s = sort_desc(ProbVec(np.array([0.5, 0.5, 0.0])))
         with pytest.raises(ValueError):
-            utv_bound_online(s, x_hat, 0.0, 0.5, 2, self.CFG)
+            utv_bound_online(s, 2, 2, 0.5, self.CFG)
         with pytest.raises(ValueError):
-            utv_bound_online(s, x_hat, 0.5, 1.5, 2, self.CFG)
+            utv_bound_online(s, 0, 2, 1.5, self.CFG)
 
 
 class TestTailGapClosedForm:

@@ -40,6 +40,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             PolicySpec(k_star=0)
 
+    def test_theta_positive(self):
+        for theta in (0.0, -0.1, float("nan")):
+            with pytest.raises(ValueError, match="theta must be positive"):
+                PolicySpec(theta=theta)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_float_names_its_key(self, literal):
+        # json reads these literals as floats; an int-typed field rejects them too.
+        for doc, key in (
+            ('{"channel": {"mean_snr_db": %s}}', "channel.mean_snr_db"),
+            ('{"calibration": {"delta_u_gate": %s}}', "calibration.delta_u_gate"),
+            ('{"r_max": %s}', "r_max"),
+        ):
+            with pytest.raises(ValueError, match=rf"^{key}: expected "):
+                RunConfig.from_json(doc % literal)
+
     def test_run_ranges(self):
         with pytest.raises(ValueError):
             RunConfig(r_max=0)

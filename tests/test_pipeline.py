@@ -329,7 +329,7 @@ class TestTelemetryReplay:
             if tvd(x, y) > 0:
                 p = resample_dist(x, y)
                 assert rec.tvd_pq == pytest.approx(tvd(p, q), abs=1e-12)
-                middle = utv_bound(x, x_hat, y, rec.k_used)
+                middle = utv_bound(s, s.rank_of(d), rec.k_used, tvd(x, y))
                 assert rec.tvd_pq <= middle + 1e-12
                 assert middle <= rec.bound_at_selection + 1e-12
                 checked += 1

@@ -2,6 +2,7 @@
 
 import pytest
 
+from hybridlm import compression, verification
 from hybridlm.verification import (
     check_online_bound_dominance,
     check_risk_bound,
@@ -22,6 +23,23 @@ class TestSuites:
         # bound on tight instances, so a 0.5 scale only grazes equality;
         # 0.4 is decisively violated.
         res = check_tvd_bound_dominance(60, seed=2, vocabs=(8, 64), bound_scale=0.4)
+        assert not res.passed
+        assert res.worst_margin < 0
+
+    @pytest.mark.parametrize(
+        "suite", [check_tvd_bound_dominance, check_online_bound_dominance], ids=["exact", "online"]
+    )
+    def test_numerator_ignoring_out_of_top_k_draft_caught(self, monkeypatch, suite):
+        # Mutant closed form that always treats the draft as one of the top k,
+        # installed wherever the suites reach the production numerator.
+        original = compression.tail_gap_after_fill
+
+        def mutant(x_sorted, k, draft_rank):
+            return original(x_sorted, k, 0)
+
+        monkeypatch.setattr(compression, "tail_gap_after_fill", mutant)
+        monkeypatch.setattr(verification, "tail_gap_after_fill", mutant)
+        res = suite(100, seed=7)
         assert not res.passed
         assert res.worst_margin < 0
 

@@ -8,7 +8,9 @@
 #   diff before.txt after.txt
 #
 # The wall-clock "generated_at" line is removed from report.json and
-# sweep.csv before hashing; every other byte counts.
+# sweep.csv before hashing; every other byte counts. verify.txt ends with
+# the command's exit status, so a failing suite shows in the diff without
+# stopping the script; each demo's stdout is digested as demos/<name>.txt.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -50,7 +52,13 @@ hybridlm sweep --config sweep.json --axis theta --values 0.05,0.2 --fading fixed
 for p in $POLICIES; do
     hybridlm simulate --config "$p.json" --transcript --out "$p"
 done
-python3 -m hybridlm.cli verify --cases 200 >verify.txt
+status=0
+python3 -m hybridlm.cli verify --cases 200 >verify.txt || status=$?
+echo "exit status $status" >>verify.txt
+mkdir -p demos
+for demo in "$SRC"/demos/*.py; do
+    python3 "$demo" >"demos/$(basename "$demo" .py).txt"
+done
 
 sed -i '/generated_at/d' tx/report.json tx_report/report.json tx_raw/report.json \
     tx_raw_report/report.json eos/report.json sweep/sweep.csv \
@@ -61,5 +69,5 @@ sha256sum \
     tx/records.jsonl tx/transcript.bin tx/report.json tx_report/report.json \
     tx_raw/records.csv tx_raw/transcript.bin tx_raw/report.json tx_raw_report/report.json \
     eos/records.jsonl eos/transcript.bin eos/report.json \
-    sweep/sweep.csv verify.txt \
+    sweep/sweep.csv verify.txt demos/*.txt \
     $(for p in $POLICIES; do echo "$p/records.jsonl $p/transcript.bin $p/report.json"; done)
