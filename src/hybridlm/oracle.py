@@ -20,7 +20,7 @@ import numpy as np
 
 from . import seeding
 from .compression import default_k_grid, utv_bound
-from .dist import ProbVec, sample, softmax, sort_desc, tvd
+from .dist import sample, softmax, sort_desc, tvd
 from .specdec import rejection_prob, resample_dist, verify
 from .uncertainty import (
     LinearRejectionModel,
@@ -210,15 +210,19 @@ def calibrate(
         x = softmax(inputs.slm_logits)
         y = softmax(inputs.llm_logits)
         d = sample(x, seeding.round_rng(seed, t, seeding.DRAFT))
+        x_sorted = sort_desc(x)
         u = estimate_u(
-            inputs.slm_logits, d, ucfg, seeding.round_rng(seed, t, seeding.UNCERTAINTY)
+            inputs.slm_logits,
+            d,
+            ucfg,
+            seeding.round_rng(seed, t, seeding.UNCERTAINTY),
+            order=x_sorted.perm,
         )
         beta_d = rejection_prob(float(x.probs[d]), float(y.probs[d]))
         rows.append((u, beta_d, float(x.probs[d]), float(y.probs[d])))
 
         divergence_tvd = tvd(x, y)
         if divergence_tvd > 0.0:
-            x_sorted = sort_desc(x)
             utv_acc += utv_bound(x_sorted, x_sorted.rank_of(d), k_grid, divergence_tvd)
             utv_count += 1
             verdict = verify(

@@ -160,12 +160,15 @@ def run_round(
     y_d = float(y.probs[d])
 
     u = None
+    x_sorted = None
     if policy.uses_uncertainty:
+        x_sorted = sort_desc(x)
         u = estimate_u(
             inputs.slm_logits,
             d,
             cfg.uncertainty,
             seeding.round_rng(seed, t, seeding.UNCERTAINTY),
+            order=x_sorted.perm,
         )
 
     if not _should_transmit(policy, u, seed, t):
@@ -184,7 +187,8 @@ def run_round(
         )
 
     # Transmitted round: choose k, build the payload, cross the channel.
-    x_sorted = sort_desc(x)
+    if x_sorted is None:
+        x_sorted = sort_desc(x)
     rank_d = x_sorted.rank_of(d)
     bound_at_selection = None
     if policy.variant in ("hlm", "u_hlm", "rand_hlm"):

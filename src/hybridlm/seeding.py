@@ -9,6 +9,7 @@ another. Stream ids name the decision they feed.
 from __future__ import annotations
 
 import hashlib
+import struct
 
 import numpy as np
 
@@ -34,8 +35,10 @@ def context_rng(seed: int, fingerprint: int, stream: int) -> np.random.Generator
 
 
 def sequence_fingerprint(tokens: list[int]) -> int:
-    """Stable 64-bit hash of a token sequence, identical across processes."""
-    h = hashlib.blake2b(digest_size=8)
-    for t in tokens:
-        h.update(int(t).to_bytes(4, "little", signed=False))
-    return int.from_bytes(h.digest(), "little")
+    """Stable 64-bit hash of a token sequence, identical across processes.
+
+    The tokens are hashed as one buffer of little-endian uint32s, which
+    gives the same digest as hashing them one 4-byte update at a time.
+    """
+    packed = struct.pack(f"<{len(tokens)}I", *tokens)
+    return int.from_bytes(hashlib.blake2b(packed, digest_size=8).digest(), "little")

@@ -62,11 +62,79 @@ class RiskReport:
     bound: float
 
 
+# Sizes and margin of the bounded redraws (redraw_brackets, estimate_u).
+# Geometric block sizes span similar log-rank ranges, which keeps the block
+# bounds tight on Zipf-like logits. Above BOUNDED_MAX_VOCAB, more tokens
+# than the wire's 16-bit index names, every redraw takes the exact path.
+EXACT_RANKS = 256
+RANK_BLOCKS = 64
+REDRAW_MARGIN = 1e-9
+BOUNDED_MAX_VOCAB = 65535
+
+
+def redraw_brackets(
+    z: np.ndarray, d: TokenId, order: np.ndarray, thetas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Intervals around cdf[d-1] and cdf[d] of softmax(z / theta), one entry per theta.
+
+    Returns (lower_lo, lower_hi, upper_lo, upper_hi). For every theta the
+    real cdf[d-1] = A/S lies in [lower_lo, lower_hi] and the real
+    cdf[d] = (A + e_d)/S in [upper_lo, upper_hi], up to a few ulps of the
+    arithmetic here. A, e_d and B sum the terms exp(w_i) below d, at d and
+    above d, S = A + e_d + B, and w = z/theta - max(z/theta) is computed
+    with the same floats as ``tempered_probs``. A bound is -inf (d = 0) or
+    +inf (d = |V| - 1) where ``draws_token`` reads no limit, and NaN where a
+    denominator underflows to 0.
+
+    ``order`` is a permutation of the token ids. Its first ``EXACT_RANKS``
+    ids contribute exact terms; the rest are cut into blocks by position,
+    and each block contributes its count of ids below and above d times
+    exp of its smallest and largest w. The bounds hold for any permutation;
+    a descending one keeps them tight.
+    """
+    top, rest = order[:EXACT_RANKS], order[EXACT_RANKS:]
+    if rest.size:
+        starts = np.geomspace(top.size, z.size, RANK_BLOCKS + 1)[:-1].astype(np.intp) - top.size
+        # Starts never decrease, so this drops the repeats reduceat cannot
+        # take; np.unique would import numpy.ma, about 1 MB more peak RSS.
+        starts = starts[np.diff(starts, prepend=-1) > 0]
+        z_rest = z[rest]
+        block_min = np.minimum.reduceat(z_rest, starts)
+        block_max = np.maximum.reduceat(z_rest, starts)
+        n_below = np.add.reduceat((rest < d).astype(np.float64), starts)
+        n_above = np.add.reduceat((rest > d).astype(np.float64), starts)
+    else:
+        block_min = block_max = n_below = n_above = np.zeros(0)
+
+    col = thetas[:, None]
+    w_max = z.max() / thetas
+    e_top = np.exp(z[top] / col - w_max[:, None])
+    e_min = np.exp(block_min / col - w_max[:, None])
+    e_max = np.exp(block_max / col - w_max[:, None])
+    e_d = np.exp(z[d] / thetas - w_max)
+    a_top = e_top @ (top < d).astype(np.float64)
+    b_top = e_top @ (top > d).astype(np.float64)
+    a_lo, a_hi = a_top + e_min @ n_below, a_top + e_max @ n_below
+    b_lo, b_hi = b_top + e_min @ n_above, b_top + e_max @ n_above
+
+    with np.errstate(invalid="ignore"):
+        lower_lo = a_lo / (a_lo + e_d + b_hi)
+        lower_hi = a_hi / (a_hi + e_d + b_lo)
+        upper_lo = (a_lo + e_d) / (a_lo + e_d + b_hi)
+        upper_hi = (a_hi + e_d) / (a_hi + e_d + b_lo)
+    if d == 0:
+        lower_lo = lower_hi = np.full_like(thetas, -np.inf)
+    if d == z.size - 1:
+        upper_lo = upper_hi = np.full_like(thetas, np.inf)
+    return lower_lo, lower_hi, upper_lo, upper_hi
+
+
 def estimate_u(
     logits: np.ndarray,
     d: TokenId,
     cfg: UncertaintyConfig,
     rng: np.random.Generator,
+    order: np.ndarray | None = None,
 ) -> float:
     """Fraction of m temperature-perturbed redraws that disagree with the draft d.
 
@@ -75,21 +143,54 @@ def estimate_u(
     temperature, where the redraw collapses to the argmax.
 
     Each redraw is ``sample(softmax(logits, theta), rng)``, but only whether
-    it equals d matters. ``draws_token`` decides that from the CDF prefix
-    up to d, and ``tempered_probs`` gives softmax's probabilities without
-    re-validating the logits or building a ``ProbVec``. The rng is consumed
-    as the full samples would consume it (one ``uniform``, then one
-    ``random`` per redraw) and the probabilities are the same floats, so
-    every redraw agrees with d exactly when the full sample would, and u is
-    unchanged bit for bit.
+    it equals d matters: with r the redraw's ``rng.random()``, it does
+    exactly when cdf[d-1] <= r < cdf[d] (``draws_token``). The rng is
+    consumed as the full samples would consume it (one ``uniform``, then
+    one ``random`` per redraw), and every redraw is decided as the full
+    sample decides it, so u is unchanged bit for bit.
+
+    ``order`` is the descending token order, e.g. ``sort_desc(softmax(
+    logits)).perm``, which callers that sort anyway pass in; without it
+    the logits are argsorted. ``redraw_brackets`` bounds both CDF values
+    from ~EXACT_RANKS + 2*RANK_BLOCKS exps instead of |V|. A redraw with
+    r below lower_lo - REDRAW_MARGIN, or at or above upper_hi +
+    REDRAW_MARGIN, disagrees; one with lower_hi + REDRAW_MARGIN <= r <
+    upper_lo - REDRAW_MARGIN agrees; any other (a NaN bound included)
+    takes the exact path, ``draws_token(tempered_probs(z, theta), d, r)``.
+
+    Why the margin suffices: the exact path compares r with floats, and at
+    |V| <= BOUNDED_MAX_VOCAB these are within 1e-11 of the real values the
+    brackets hold. ``np.exp`` is within a few ulps; the division by the
+    pairwise sum adds a relative error of about log2|V| ulps; the
+    sequential ``cumsum`` adds at most |V| ulps of its total, which is at
+    most 1. So |cdf - real| <= (|V| + 32) * 2**-53 < 1e-11, far below
+    1e-9, and the brackets' own rounding is smaller still. The same
+    estimate puts the drift of the probabilities' sum near 1e-14, far below
+    ``SUM_TOL``, so ``apply_sum_rule`` never renormalizes on this path and
+    the exact path's floats are the ones above. Above BOUNDED_MAX_VOCAB
+    every redraw takes the exact path.
     """
     z = check_logits(logits)
     if not 0 <= d < z.size:
         raise ValueError(f"draft token {d} outside vocabulary of size {z.size}")
+    thetas = np.empty(cfg.m)
+    draws = np.empty(cfg.m)
+    for i in range(cfg.m):
+        thetas[i] = max(float(rng.uniform(0.0, cfg.theta_max)), MIN_TEMPERATURE)
+        draws[i] = rng.random()
+
     disagree = 0
-    for _ in range(cfg.m):
-        theta = max(float(rng.uniform(0.0, cfg.theta_max)), MIN_TEMPERATURE)
-        if not draws_token(tempered_probs(z, theta), d, rng.random()):
+    unsettled = np.arange(cfg.m)
+    if z.size <= BOUNDED_MAX_VOCAB:
+        if order is None:
+            order = np.argsort(-z)
+        lower_lo, lower_hi, upper_lo, upper_hi = redraw_brackets(z, d, order, thetas)
+        outside = (draws < lower_lo - REDRAW_MARGIN) | (draws >= upper_hi + REDRAW_MARGIN)
+        inside = (draws >= lower_hi + REDRAW_MARGIN) & (draws < upper_lo - REDRAW_MARGIN)
+        disagree = int(np.count_nonzero(outside))
+        unsettled = np.flatnonzero(~(outside | inside))
+    for i in unsettled:
+        if not draws_token(tempered_probs(z, float(thetas[i])), d, float(draws[i])):
             disagree += 1
     return disagree / cfg.m
 

@@ -7,7 +7,6 @@ import pytest
 
 from hybridlm.compression import (
     CompressedVocab,
-    KSelection,
     SoftplusConfig,
     compress,
     default_k_grid,

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from hybridlm.channel import ChannelSpec, LatencySpec
+from hybridlm.channel import ChannelSpec
 from hybridlm.config import CalibrationConfig, PolicySpec, RunConfig
 from hybridlm.oracle import OracleSpec, calibrate, write_trace
 from hybridlm.pipeline import metrics, run_many, run_sequence

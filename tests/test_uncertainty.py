@@ -1,11 +1,33 @@
 """Tests for uncertainty estimation, the linear fit, and the risk bound."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from hybridlm.dist import MIN_TEMPERATURE, ProbVec, sample
-from hybridlm.oracle import CalibrationSet, load_calibration, save_calibration
+from hybridlm import uncertainty
+from hybridlm.dist import (
+    MIN_TEMPERATURE,
+    ProbVec,
+    draws_token,
+    sample,
+    softmax,
+    sort_desc,
+    tempered_probs,
+)
+from hybridlm.oracle import (
+    CalibrationSet,
+    OracleSpec,
+    SyntheticOracle,
+    load_calibration,
+    save_calibration,
+)
 from hybridlm.uncertainty import (
+    BOUNDED_MAX_VOCAB,
+    REDRAW_MARGIN,
     DiscretePmfEstimator,
     GaussianKdeEstimator,
     LinearRejectionModel,
@@ -14,6 +36,7 @@ from hybridlm.uncertainty import (
     estimate_u,
     fit_linear,
     predict_beta,
+    redraw_brackets,
     rejection_risk,
     thresholds,
 )
@@ -132,6 +155,178 @@ class TestEstimateUMatchesReference:
         for d in (int(np.argmax(z)), 0, 31_999, int(rng.integers(32_000))):
             got = estimate_u(z, d, cfg, np.random.default_rng(d))
             assert got == reference_estimate_u(z, d, cfg, np.random.default_rng(d))
+
+
+class ScriptedRng:
+    """Stands in for a Generator whose uniform() and random() return given values."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def uniform(self, low, high):
+        return next(self._values)
+
+    def random(self):
+        return next(self._values)
+
+
+@pytest.fixture(scope="module")
+def oracle_rounds():
+    """Default-oracle (V=32000) SLM logits and their descending order, three rounds."""
+    oracle = SyntheticOracle(OracleSpec())
+    rounds = []
+    for sequence in ([], [5], [5, 17]):
+        z = oracle.next_round(sequence).slm_logits
+        rounds.append((z, sort_desc(softmax(z)).perm))
+    return rounds
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """Temperatures of the redraws estimate_u decides on the exact path."""
+    calls = []
+
+    def counting(z, theta):
+        calls.append(theta)
+        return tempered_probs(z, theta)
+
+    monkeypatch.setattr(uncertainty, "tempered_probs", counting)
+    return calls
+
+
+def one_redraw(z, d, order, theta, r):
+    """u of one redraw at temperature theta whose rng.random() yields r."""
+    return estimate_u(z, d, UncertaintyConfig(m=1), ScriptedRng([theta, r]), order=order)
+
+
+def exact_redraw(z, d, theta, r):
+    return 0.0 if draws_token(tempered_probs(z, theta), d, r) else 1.0
+
+
+class TestBoundedRedraws:
+    @pytest.mark.parametrize("theta", [1.0, 2.0])
+    def test_each_outcome_on_and_beside_the_bracket_ends(self, oracle_rounds, exact_calls, theta):
+        z, order = oracle_rounds[0]
+        d = int(order[0])
+        lower_lo, lower_hi, upper_lo, upper_hi = (
+            float(b[0]) for b in redraw_brackets(z, d, order, np.array([theta]))
+        )
+        m = REDRAW_MARGIN
+        assert 0.0 < lower_lo - m and lower_hi + m < upper_lo - m and upper_hi + m < 1.0
+        below = np.nextafter(lower_lo - m, -1.0)
+        cases = [  # (r, u, settled without the exact path)
+            (below, 1.0, True),  # reject below
+            (lower_lo - m, 1.0, False),
+            (np.nextafter(lower_hi + m, -1.0), 0.0, False),
+            (lower_hi + m, 0.0, True),  # accept
+            (np.nextafter(upper_lo - m, -1.0), 0.0, True),
+            (upper_lo - m, 0.0, False),
+            (np.nextafter(upper_hi + m, -1.0), 1.0, False),
+            (upper_hi + m, 1.0, True),  # reject above
+        ]
+        for r, u, settled in cases:
+            exact_calls.clear()
+            assert one_redraw(z, d, order, theta, float(r)) == u == exact_redraw(z, d, theta, r)
+            assert exact_calls == ([] if settled else [theta]), (r, u)
+
+    @pytest.mark.parametrize("rank", [0, 16_000, 31_999])
+    def test_draws_on_and_beside_the_exact_cdf(self, oracle_rounds, rank):
+        # r within a few ulps, 1e-12 or twice the margin of the floats the
+        # exact path compares against: a too-small margin or a missing block
+        # decides one of these differently.
+        for z, order in oracle_rounds:
+            d = int(order[rank])
+            for theta in (MIN_TEMPERATURE, 0.05, 0.3, 1.0, 2.0):
+                cdf = np.cumsum(tempered_probs(z, theta))
+                ends = [cdf[d]] + ([cdf[d - 1]] if d > 0 else [])
+                for c in ends:
+                    for r in (
+                        c, np.nextafter(c, -1.0), np.nextafter(c, 2.0),
+                        c - 1e-12, c + 1e-12, c - 2e-9, c + 2e-9,
+                    ):
+                        if 0.0 <= r < 1.0:
+                            got = one_redraw(z, d, order, theta, float(r))
+                            assert got == exact_redraw(z, d, theta, r), (rank, theta, c, r)
+
+    def test_all_exact_terms_draws_on_the_cdf(self):
+        # Below EXACT_RANKS tokens the brackets hold no block terms, so they
+        # meet the exact floats to within rounding: only the margin tells an
+        # r on the CDF value from one an ulp away.
+        rng = np.random.default_rng(9)
+        for _ in range(300):
+            z = rng.normal(scale=float(rng.choice([0.5, 3.0])), size=int(rng.integers(2, 200)))
+            d = int(rng.integers(1, z.size))
+            theta = float(rng.choice([0.3, 1.0, 2.0]))
+            cdf = np.cumsum(tempered_probs(z, theta))
+            for c in (cdf[d - 1], cdf[d]):
+                for r in (c, np.nextafter(c, -1.0), np.nextafter(c, 2.0)):
+                    if r < 1.0:
+                        got = one_redraw(z, d, np.argsort(-z), theta, float(r))
+                        assert got == exact_redraw(z, d, theta, r), (z.size, d, theta, r)
+
+    @pytest.mark.parametrize("rank", [0, 16_000, 31_999])
+    def test_oracle_rounds_match_reference(self, oracle_rounds, rank):
+        cfg = UncertaintyConfig()
+        for i, (z, order) in enumerate(oracle_rounds):
+            d = int(order[rank])
+            for kw in ({"order": order}, {}):
+                rng, ref_rng = np.random.default_rng(i), np.random.default_rng(i)
+                got = estimate_u(z, d, cfg, rng, **kw)
+                assert got == reference_estimate_u(z, d, cfg, ref_rng), (i, rank)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_oracle_redraws_rarely_take_the_exact_path(self, oracle_rounds, exact_calls):
+        cfg = UncertaintyConfig()
+        n = 0
+        for i, (z, order) in enumerate(oracle_rounds):
+            for rank in (0, 1, 2, 5, 300):
+                estimate_u(z, int(order[rank]), cfg, np.random.default_rng(i), order=order)
+                n += cfg.m
+        assert len(exact_calls) <= n // 20
+
+    def test_brackets_hold_for_any_permutation(self):
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            z = rng.normal(scale=float(rng.choice([1.0, 5.0])), size=int(rng.integers(300, 3000)))
+            d = int(rng.integers(z.size))
+            thetas = np.array([MIN_TEMPERATURE, 0.1, 0.7, 2.0, 50.0])
+            for order in (np.argsort(-z), rng.permutation(z.size)):
+                lower_lo, lower_hi, upper_lo, upper_hi = redraw_brackets(z, d, order, thetas)
+                for i, theta in enumerate(thetas):
+                    cdf = np.cumsum(tempered_probs(z, theta))
+                    lower = cdf[d - 1] if d > 0 else -np.inf
+                    upper = cdf[d] if d < z.size - 1 else np.inf
+                    # A NaN bound claims nothing; estimate_u takes the exact path.
+                    for lo, exact, hi in (
+                        (lower_lo[i], lower, lower_hi[i]),
+                        (upper_lo[i], upper, upper_hi[i]),
+                    ):
+                        assert not lo - 1e-11 > exact and not exact > hi + 1e-11
+
+    def test_leaves_numpy_ma_unloaded(self):
+        # numpy.ma costs about 1 MB of peak RSS; np.unique would load it.
+        code = (
+            "import sys, numpy as np; from hybridlm.uncertainty import *; "
+            "estimate_u(np.linspace(0, 9, 4000), 7, UncertaintyConfig(), "
+            "np.random.default_rng(0)); print('numpy.ma' in sys.modules)"
+        )
+        src = str(Path(uncertainty.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_large_vocabulary_takes_the_exact_path(self, exact_calls):
+        rng = np.random.default_rng(6)
+        z = rng.normal(scale=3.0, size=BOUNDED_MAX_VOCAB + 1)
+        cfg = UncertaintyConfig(m=3)
+        got = estimate_u(z, int(np.argmax(z)), cfg, np.random.default_rng(1))
+        assert len(exact_calls) == cfg.m
+        assert got == reference_estimate_u(z, int(np.argmax(z)), cfg, np.random.default_rng(1))
 
 
 class TestEstimateUInputs:
