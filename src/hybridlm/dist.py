@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,27 +24,6 @@ class DistributionError(ValueError):
     """Raised when a vector cannot be interpreted as a probability distribution."""
 
 
-def apply_sum_rule(p: np.ndarray, total: float) -> np.ndarray:
-    """The drift rule of ``ProbVec`` for a non-negative vector p summing to total.
-
-    A drift |total - 1| above ``RENORM_TOL`` is rejected, one above
-    ``SUM_TOL`` is repaired by dividing by the total (with a warning), and a
-    smaller one is accepted as is. A NaN total means a NaN entry.
-    """
-    if np.isnan(total):
-        raise DistributionError("probability vector has non-finite entries")
-    drift = abs(total - 1.0)
-    if drift > RENORM_TOL:
-        raise DistributionError(f"probabilities sum to {total!r}, expected 1")
-    if drift > SUM_TOL:
-        warnings.warn(
-            f"renormalizing probability vector with drift {drift:.3e}",
-            stacklevel=3,
-        )
-        return p / total
-    return p
-
-
 @dataclass(frozen=True, eq=False)
 class ProbVec:
     """Normalized distribution over the vocabulary. Immutable after construction."""
@@ -59,7 +39,16 @@ class ProbVec:
         if np.any(p < -NEG_TOL):
             raise DistributionError(f"negative probability entry: min={p.min():.3e}")
         p = np.maximum(p, 0.0)
-        p = apply_sum_rule(p, p.sum())
+        total = p.sum()
+        drift = abs(total - 1.0)
+        if drift > RENORM_TOL:
+            raise DistributionError(f"probabilities sum to {total!r}, expected 1")
+        if drift > SUM_TOL:
+            warnings.warn(
+                f"renormalizing probability vector with drift {drift:.3e}",
+                stacklevel=2,
+            )
+            p = p / total
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
 
@@ -81,13 +70,11 @@ class SortedProbVec:
 
     probs: np.ndarray
     perm: np.ndarray
-    prefix: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        # Prefix sums of the sorted probabilities; prefix[k] is the mass of the
-        # top-k ranks, used heavily by the compression policies.
-        pref = np.concatenate([[0.0], np.cumsum(self.probs)])
-        object.__setattr__(self, "prefix", pref)
+    @cached_property
+    def prefix(self) -> np.ndarray:
+        """Prefix sums of the sorted probabilities: prefix[k] is the mass of the top-k ranks."""
+        return np.concatenate([[0.0], np.cumsum(self.probs)])
 
     def __len__(self) -> int:
         return self.probs.size
@@ -120,43 +107,27 @@ def softmax(logits: np.ndarray, temperature: float = 1.0) -> ProbVec:
     z = check_logits(logits)
     if not (temperature >= MIN_TEMPERATURE):
         raise ValueError(f"temperature must be >= {MIN_TEMPERATURE}, got {temperature}")
-    return ProbVec(tempered_probs(z, temperature))
-
-
-def tempered_probs(z: np.ndarray, temperature: float) -> np.ndarray:
-    """``softmax(z, temperature).probs``, without building a ``ProbVec``.
-
-    For logits that passed ``check_logits`` and a temperature >=
-    ``MIN_TEMPERATURE``. The result has been through ``apply_sum_rule``, so
-    the ``ProbVec`` that softmax builds from it holds the same floats.
-    """
     w = z / temperature
     w = w - w.max()
     e = np.exp(w)
-    p = e / e.sum()
-    return apply_sum_rule(p, p.sum())
+    return ProbVec(e / e.sum())
 
 
 def sample(p: ProbVec, rng: np.random.Generator) -> TokenId:
     """Inverse-CDF draw in ascending index order; deterministic given the rng state."""
-    cdf = np.cumsum(p.probs)
-    u = rng.random()
-    idx = int(np.searchsorted(cdf, u, side="right"))
-    return min(idx, len(p) - 1)
+    return sample_at(p, rng.random())
 
 
-def draws_token(p: np.ndarray, d: TokenId, r: float) -> bool:
-    """Whether ``sample`` returns d when its rng yields r, reading only p[:d+1].
+def sample_at(p: ProbVec, r: float) -> TokenId:
+    """The token ``sample`` returns when its rng yields r.
 
-    ``sample`` returns the number of CDF entries <= r, clamped to |V| - 1, so
-    it returns d exactly when cdf[d-1] <= r < cdf[d] (no lower limit for
-    d = 0, no upper one for d = |V| - 1). A cumulative sum is sequential,
-    so the prefix's entries equal the full CDF's bit for bit.
+    That is the number of CDF entries <= r, clamped to |V| - 1: token d
+    exactly when cdf[d-1] <= r < cdf[d] (no lower limit for d = 0, no
+    upper one for d = |V| - 1).
     """
-    cdf = np.cumsum(p[: d + 1])
-    if d > 0 and cdf[d - 1] > r:
-        return False
-    return d == p.size - 1 or r < cdf[d]
+    cdf = np.cumsum(p.probs)
+    idx = int(np.searchsorted(cdf, r, side="right"))
+    return min(idx, len(p) - 1)
 
 
 def tvd(p: ProbVec, q: ProbVec) -> float:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import seeding
 from .compression import default_k_grid, utv_bound
-from .dist import sample, softmax, sort_desc, tvd
+from .dist import check_logits, sample, softmax, sort_desc, tvd
 from .specdec import rejection_prob, resample_dist, verify
 from .uncertainty import (
     LinearRejectionModel,
@@ -139,12 +140,24 @@ def make_oracle(spec: OracleSpec):
 
 
 def read_trace(path: str | Path) -> list[dict]:
+    """The trace's records, each one's logit vectors checked by ``check_logits``."""
     records = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
-                records.append(json.loads(line))
+            if not line:
+                continue
+            rec = json.loads(line)
+            if not isinstance(rec, dict) or not {"slm_logits", "llm_logits"} <= rec.keys():
+                raise ValueError(
+                    f"trace {path} line {lineno}: expected an object with slm_logits and llm_logits"
+                )
+            for key in ("slm_logits", "llm_logits"):
+                try:
+                    check_logits(rec[key])
+                except (TypeError, ValueError) as e:
+                    raise ValueError(f"trace {path} line {lineno}: {key}: {e}") from None
+            records.append(rec)
     if not records:
         raise ValueError(f"trace {path} contains no records")
     lengths = {len(r["slm_logits"]) for r in records} | {
@@ -293,6 +306,12 @@ def load_calibration(path: Path) -> CalibrationSet:
     """Read a directory written by ``save_calibration``; the pairs table is optional."""
     with open(path / MODEL_FILE) as fh:
         m = json.load(fh)
+    if not isinstance(m, dict):
+        raise ValueError(f"{MODEL_FILE}: expected a JSON object")
+    for name in (*(f.name for f in fields(LinearRejectionModel)), "delta_hat"):
+        v = m.get(name)
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+            raise ValueError(f"{MODEL_FILE}: {name} must be a finite number, got {v!r}")
     table = _load_table(path / TABLE_FILE, TABLE_HEADER)
     pairs_path = path / PAIRS_FILE
     rows = _load_table(pairs_path, PAIRS_HEADER) if pairs_path.exists() else []

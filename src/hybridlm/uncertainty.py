@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import MIN_TEMPERATURE, TokenId, check_logits, draws_token, tempered_probs
+from .dist import MIN_TEMPERATURE, TokenId, check_logits, sample_at, softmax
 
 
 @dataclass(frozen=True)
@@ -62,14 +62,12 @@ class RiskReport:
     bound: float
 
 
-# Sizes and margin of the bounded redraws (redraw_brackets, estimate_u).
-# Geometric block sizes span similar log-rank ranges, which keeps the block
-# bounds tight on Zipf-like logits. Above BOUNDED_MAX_VOCAB, more tokens
-# than the wire's 16-bit index names, every redraw takes the exact path.
+# Sizes and least margin of the bounded redraws (redraw_brackets,
+# estimate_u). Geometric block sizes span similar log-rank ranges, which
+# keeps the block bounds tight on Zipf-like logits.
 EXACT_RANKS = 256
 RANK_BLOCKS = 64
 REDRAW_MARGIN = 1e-9
-BOUNDED_MAX_VOCAB = 65535
 
 
 def redraw_brackets(
@@ -82,8 +80,8 @@ def redraw_brackets(
     cdf[d] = (A + e_d)/S in [upper_lo, upper_hi], up to a few ulps of the
     arithmetic here. A, e_d and B sum the terms exp(w_i) below d, at d and
     above d, S = A + e_d + B, and w = z/theta - max(z/theta) is computed
-    with the same floats as ``tempered_probs``. A bound is -inf (d = 0) or
-    +inf (d = |V| - 1) where ``draws_token`` reads no limit, and NaN where a
+    with the same floats as ``softmax``. A bound is -inf (d = 0) or +inf
+    (d = |V| - 1) where ``sample_at`` has no limit, and NaN where a
     denominator underflows to 0.
 
     ``order`` is a permutation of the token ids. Its first ``EXACT_RANKS``
@@ -144,7 +142,7 @@ def estimate_u(
 
     Each redraw is ``sample(softmax(logits, theta), rng)``, but only whether
     it equals d matters: with r the redraw's ``rng.random()``, it does
-    exactly when cdf[d-1] <= r < cdf[d] (``draws_token``). The rng is
+    exactly when cdf[d-1] <= r < cdf[d] (``sample_at``). The rng is
     consumed as the full samples would consume it (one ``uniform``, then
     one ``random`` per redraw), and every redraw is decided as the full
     sample decides it, so u is unchanged bit for bit.
@@ -152,23 +150,22 @@ def estimate_u(
     ``order`` is the descending token order, e.g. ``sort_desc(softmax(
     logits)).perm``, which callers that sort anyway pass in; without it
     the logits are argsorted. ``redraw_brackets`` bounds both CDF values
-    from ~EXACT_RANKS + 2*RANK_BLOCKS exps instead of |V|. A redraw with
-    r below lower_lo - REDRAW_MARGIN, or at or above upper_hi +
-    REDRAW_MARGIN, disagrees; one with lower_hi + REDRAW_MARGIN <= r <
-    upper_lo - REDRAW_MARGIN agrees; any other (a NaN bound included)
-    takes the exact path, ``draws_token(tempered_probs(z, theta), d, r)``.
+    from ~EXACT_RANKS + 2*RANK_BLOCKS exps instead of |V|. With the margin
+    M = max(REDRAW_MARGIN, 2 * (|V| + 32) * 2**-53), a redraw with r below
+    lower_lo - M, or at or above upper_hi + M, disagrees; one with
+    lower_hi + M <= r < upper_lo - M agrees; any other (a NaN bound
+    included) takes the exact path, ``sample_at(softmax(z, theta), r) != d``.
 
-    Why the margin suffices: the exact path compares r with floats, and at
-    |V| <= BOUNDED_MAX_VOCAB these are within 1e-11 of the real values the
-    brackets hold. ``np.exp`` is within a few ulps; the division by the
-    pairwise sum adds a relative error of about log2|V| ulps; the
-    sequential ``cumsum`` adds at most |V| ulps of its total, which is at
-    most 1. So |cdf - real| <= (|V| + 32) * 2**-53 < 1e-11, far below
-    1e-9, and the brackets' own rounding is smaller still. The same
-    estimate puts the drift of the probabilities' sum near 1e-14, far below
-    ``SUM_TOL``, so ``apply_sum_rule`` never renormalizes on this path and
-    the exact path's floats are the ones above. Above BOUNDED_MAX_VOCAB
-    every redraw takes the exact path.
+    Why the margin suffices: the exact path compares r with floats within
+    (|V| + 32) * 2**-53 of the real values the brackets hold. ``np.exp`` is
+    within a few ulps; the division by the pairwise sum adds a relative
+    error of about log2|V| ulps; the sequential ``cumsum`` adds at most |V|
+    ulps of its total, which is at most 1. M is at least twice that bound
+    (it is exactly REDRAW_MARGIN below about 4.5 million tokens), and the
+    brackets' own rounding is smaller still. The probabilities' sum drifts
+    from 1 by only about 2*log2|V| ulps, far below ``SUM_TOL``, so
+    ``ProbVec`` never renormalizes on this path and the exact path's
+    floats are the ones above.
     """
     z = check_logits(logits)
     if not 0 <= d < z.size:
@@ -179,18 +176,15 @@ def estimate_u(
         thetas[i] = max(float(rng.uniform(0.0, cfg.theta_max)), MIN_TEMPERATURE)
         draws[i] = rng.random()
 
-    disagree = 0
-    unsettled = np.arange(cfg.m)
-    if z.size <= BOUNDED_MAX_VOCAB:
-        if order is None:
-            order = np.argsort(-z)
-        lower_lo, lower_hi, upper_lo, upper_hi = redraw_brackets(z, d, order, thetas)
-        outside = (draws < lower_lo - REDRAW_MARGIN) | (draws >= upper_hi + REDRAW_MARGIN)
-        inside = (draws >= lower_hi + REDRAW_MARGIN) & (draws < upper_lo - REDRAW_MARGIN)
-        disagree = int(np.count_nonzero(outside))
-        unsettled = np.flatnonzero(~(outside | inside))
-    for i in unsettled:
-        if not draws_token(tempered_probs(z, float(thetas[i])), d, float(draws[i])):
+    if order is None:
+        order = np.argsort(-z)
+    lower_lo, lower_hi, upper_lo, upper_hi = redraw_brackets(z, d, order, thetas)
+    margin = max(REDRAW_MARGIN, 2 * (z.size + 32) * 2.0**-53)
+    outside = (draws < lower_lo - margin) | (draws >= upper_hi + margin)
+    inside = (draws >= lower_hi + margin) & (draws < upper_lo - margin)
+    disagree = int(np.count_nonzero(outside))
+    for i in np.flatnonzero(~(outside | inside)):
+        if sample_at(softmax(z, float(thetas[i])), float(draws[i])) != d:
             disagree += 1
     return disagree / cfg.m
 

@@ -23,7 +23,7 @@ from .compression import (
     utv_bound,
     utv_bound_online,
 )
-from .dist import ProbVec, SortedProbVec, TokenId, sample, sort_desc, tvd
+from .dist import ProbVec, SortedProbVec, TokenId, sample, softmax, sort_desc, tvd
 from .specdec import distorted_resample_dist, hybrid_output_dist, resample_dist
 from .uncertainty import (
     DiscretePmfEstimator,
@@ -58,9 +58,7 @@ def correlated_pair(rng: np.random.Generator, n: int, zipf_s: float = 1.2) -> tu
     rng.shuffle(base)
     za = base + rng.normal(0, 1.0, n)
     zb = base + rng.normal(0, 1.0, n)
-    x = ProbVec(np.exp(za - za.max()) / np.exp(za - za.max()).sum())
-    y = ProbVec(np.exp(zb - zb.max()) / np.exp(zb - zb.max()).sum())
-    return x, y
+    return softmax(za), softmax(zb)
 
 
 def check_unbiasedness(

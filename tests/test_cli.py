@@ -348,6 +348,45 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"config error: {name}: every row needs {n_values} values\n"
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("a", "abc"),
+            ("a", None),
+            ("b", float("nan")),
+            ("mse", float("inf")),
+            ("r2", [0.5]),
+            ("delta_hat", float("nan")),
+            ("delta_hat", True),
+        ],
+        ids=[
+            "a_string", "a_null", "b_nan", "mse_inf", "r2_list", "delta_hat_nan", "delta_hat_bool",
+        ],
+    )
+    def test_malformed_calibration_model(
+        self, cfg_path, tmp_path, capsys, monkeypatch, name, value
+    ):
+        cal = tmp_path / "cal"
+        assert main(["calibrate", "--config", cfg_path, "--out", str(cal)]) == 0
+        model = json.loads((cal / "model.json").read_text())
+        (cal / "model.json").write_text(json.dumps({**model, name: value}))
+        monkeypatch.setattr(cli, "run_many", lambda *a, **k: pytest.fail("the run started"))
+        capsys.readouterr()
+        argv = ["simulate", "--config", cfg_path, "--calib", str(cal), "--out", str(tmp_path / "x")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: model.json: {name} must be a finite number, got {value!r}\n"
+
+    def test_calibration_model_not_an_object(self, cfg_path, tmp_path, capsys, monkeypatch):
+        cal = tmp_path / "cal"
+        assert main(["calibrate", "--config", cfg_path, "--out", str(cal)]) == 0
+        (cal / "model.json").write_text("[1, 2]\n")
+        monkeypatch.setattr(cli, "run_many", lambda *a, **k: pytest.fail("the run started"))
+        capsys.readouterr()
+        argv = ["simulate", "--config", cfg_path, "--calib", str(cal), "--out", str(tmp_path / "x")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "config error: model.json: expected a JSON object\n"
+
     def test_missing_records_file_is_io_error(self, tmp_path):
         rc = main(["report", "--records", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path)])
         assert rc == 3

@@ -143,6 +143,23 @@ class TestTraceOracle:
         with pytest.raises(ValueError, match="vocabulary size"):
             TraceOracle(OracleSpec(kind="trace", trace_path=str(path), vocab_size=8))
 
+    @pytest.mark.parametrize("key", ["slm_logits", "llm_logits"])
+    def test_nonfinite_logits_rejected_at_load(self, tmp_path, key):
+        path, records = self._write(tmp_path, n=40)
+        records[30][key][2] = float("nan")
+        write_trace(path, records)
+        spec = OracleSpec(kind="trace", trace_path=str(path), vocab_size=4)
+        with pytest.raises(ValueError, match=f"line 31: {key}: .*non-finite"):
+            make_oracle(spec)
+
+    @pytest.mark.parametrize("line", ["[1, 2]", '{"slm_logits": [0.0, 1.0, 2.0, 3.0]}'])
+    def test_record_without_both_logit_vectors_rejected(self, tmp_path, line):
+        path, _ = self._write(tmp_path)
+        path.write_text(path.read_text() + line + "\n")
+        spec = OracleSpec(kind="trace", trace_path=str(path), vocab_size=4)
+        with pytest.raises(ValueError, match="line 4: expected an object"):
+            make_oracle(spec)
+
 
 class TestCalibrate:
     def test_zero_divergence_degenerate(self):

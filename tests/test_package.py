@@ -1,4 +1,4 @@
-"""Tests for the package's re-export list."""
+"""Tests for the package's re-export list and its modules' imports."""
 
 import ast
 from pathlib import Path
@@ -17,3 +17,25 @@ def test_all_resolves_and_matches_imports():
     assert all(hasattr(hybridlm, name) for name in hybridlm.__all__)
     assert sorted(hybridlm.__all__) == sorted(imported)
     assert len(set(hybridlm.__all__)) == len(hybridlm.__all__)
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports and never reads, as "file:line name"."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
+
+
+def test_no_unused_imports():
+    package = Path(hybridlm.__file__).parent
+    modules = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    tests = sorted(Path(__file__).parent.glob("*.py"))
+    assert [hit for path in modules + tests for hit in _unused_imports(path)] == []

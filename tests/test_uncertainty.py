@@ -12,11 +12,10 @@ from hybridlm import uncertainty
 from hybridlm.dist import (
     MIN_TEMPERATURE,
     ProbVec,
-    draws_token,
     sample,
+    sample_at,
     softmax,
     sort_desc,
-    tempered_probs,
 )
 from hybridlm.oracle import (
     CalibrationSet,
@@ -26,7 +25,6 @@ from hybridlm.oracle import (
     save_calibration,
 )
 from hybridlm.uncertainty import (
-    BOUNDED_MAX_VOCAB,
     REDRAW_MARGIN,
     DiscretePmfEstimator,
     GaussianKdeEstimator,
@@ -181,6 +179,13 @@ def oracle_rounds():
     return rounds
 
 
+@pytest.fixture(scope="module")
+def large_round():
+    """A V=262144 synthetic-oracle round: SLM logits and their descending order."""
+    z = SyntheticOracle(OracleSpec(vocab_size=262_144)).next_round([]).slm_logits
+    return z, sort_desc(softmax(z)).perm
+
+
 @pytest.fixture
 def exact_calls(monkeypatch):
     """Temperatures of the redraws estimate_u decides on the exact path."""
@@ -188,9 +193,9 @@ def exact_calls(monkeypatch):
 
     def counting(z, theta):
         calls.append(theta)
-        return tempered_probs(z, theta)
+        return softmax(z, theta)
 
-    monkeypatch.setattr(uncertainty, "tempered_probs", counting)
+    monkeypatch.setattr(uncertainty, "softmax", counting)
     return calls
 
 
@@ -200,7 +205,7 @@ def one_redraw(z, d, order, theta, r):
 
 
 def exact_redraw(z, d, theta, r):
-    return 0.0 if draws_token(tempered_probs(z, theta), d, r) else 1.0
+    return 0.0 if sample_at(softmax(z, theta), r) == d else 1.0
 
 
 class TestBoundedRedraws:
@@ -230,14 +235,14 @@ class TestBoundedRedraws:
             assert exact_calls == ([] if settled else [theta]), (r, u)
 
     @pytest.mark.parametrize("rank", [0, 16_000, 31_999])
-    def test_draws_on_and_beside_the_exact_cdf(self, oracle_rounds, rank):
+    def test_draws_on_and_beside_the_exact_cdf(self, oracle_rounds, large_round, rank):
         # r within a few ulps, 1e-12 or twice the margin of the floats the
         # exact path compares against: a too-small margin or a missing block
         # decides one of these differently.
-        for z, order in oracle_rounds:
+        for z, order in [*oracle_rounds, large_round]:
             d = int(order[rank])
             for theta in (MIN_TEMPERATURE, 0.05, 0.3, 1.0, 2.0):
-                cdf = np.cumsum(tempered_probs(z, theta))
+                cdf = np.cumsum(softmax(z, theta).probs)
                 ends = [cdf[d]] + ([cdf[d - 1]] if d > 0 else [])
                 for c in ends:
                     for r in (
@@ -257,7 +262,7 @@ class TestBoundedRedraws:
             z = rng.normal(scale=float(rng.choice([0.5, 3.0])), size=int(rng.integers(2, 200)))
             d = int(rng.integers(1, z.size))
             theta = float(rng.choice([0.3, 1.0, 2.0]))
-            cdf = np.cumsum(tempered_probs(z, theta))
+            cdf = np.cumsum(softmax(z, theta).probs)
             for c in (cdf[d - 1], cdf[d]):
                 for r in (c, np.nextafter(c, -1.0), np.nextafter(c, 2.0)):
                     if r < 1.0:
@@ -293,7 +298,7 @@ class TestBoundedRedraws:
             for order in (np.argsort(-z), rng.permutation(z.size)):
                 lower_lo, lower_hi, upper_lo, upper_hi = redraw_brackets(z, d, order, thetas)
                 for i, theta in enumerate(thetas):
-                    cdf = np.cumsum(tempered_probs(z, theta))
+                    cdf = np.cumsum(softmax(z, theta).probs)
                     lower = cdf[d - 1] if d > 0 else -np.inf
                     upper = cdf[d] if d < z.size - 1 else np.inf
                     # A NaN bound claims nothing; estimate_u takes the exact path.
@@ -320,13 +325,21 @@ class TestBoundedRedraws:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
-    def test_large_vocabulary_takes_the_exact_path(self, exact_calls):
+    def test_large_vocabulary_takes_the_bracket_path(self, exact_calls):
+        # Above the wire's 16-bit token index the margin is still 1e-9, so
+        # these vocabularies are settled like any other.
         rng = np.random.default_rng(6)
-        z = rng.normal(scale=3.0, size=BOUNDED_MAX_VOCAB + 1)
-        cfg = UncertaintyConfig(m=3)
-        got = estimate_u(z, int(np.argmax(z)), cfg, np.random.default_rng(1))
-        assert len(exact_calls) == cfg.m
-        assert got == reference_estimate_u(z, int(np.argmax(z)), cfg, np.random.default_rng(1))
+        cfg = UncertaintyConfig()
+        n = 0
+        for vocab in (65_536, 131_072, 262_144):
+            z = rng.normal(scale=3.0, size=vocab)
+            for d in (int(np.argmax(z)), int(rng.integers(vocab))):
+                got_rng, ref_rng = np.random.default_rng(d), np.random.default_rng(d)
+                got = estimate_u(z, d, cfg, got_rng)
+                assert got == reference_estimate_u(z, d, cfg, ref_rng), (vocab, d)
+                assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+                n += cfg.m
+        assert len(exact_calls) <= n // 20
 
 
 class TestEstimateUInputs:

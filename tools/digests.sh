@@ -29,6 +29,8 @@ hybridlm() { python3 -m hybridlm.cli "$@" >>"$OUT/commands.log"; }
 # V=32000 transmitting every round (u_th=0), with and without the 8-bit wire.
 echo '{"policy": {"u_th": 0.0}, "r_max": 128}' >tx.json
 echo '{"policy": {"u_th": 0.0}, "r_max": 128, "quantize_wire": false}' >tx_raw.json
+# V=131072, above the wire's 16-bit token index: calibration only.
+echo '{"oracle": {"vocab_size": 131072}}' >big.json
 # V=2048 with end-of-sequence tokens, calibrated on the fly.
 echo '{"oracle": {"vocab_size": 2048, "eos_prob": 0.05}, "calibration": {"n_rounds": 300},
        "r_max": 128, "n_sequences": 3}' >eos.json
@@ -43,6 +45,7 @@ for p in $POLICIES; do
 done
 
 hybridlm calibrate --rounds 400 --seed 1 --out cal
+hybridlm calibrate --config big.json --rounds 40 --seed 1 --out cal_big
 hybridlm simulate --config tx.json --calib cal --transcript --out tx
 hybridlm report --records tx/records.jsonl --out tx_report
 hybridlm simulate --config tx_raw.json --calib cal --transcript --format csv --out tx_raw
@@ -66,6 +69,7 @@ sed -i '/generated_at/d' tx/report.json tx_report/report.json tx_raw/report.json
 
 sha256sum \
     cal/calibration_pairs.csv cal/utv_table.csv cal/model.json \
+    cal_big/calibration_pairs.csv cal_big/utv_table.csv cal_big/model.json \
     tx/records.jsonl tx/transcript.bin tx/report.json tx_report/report.json \
     tx_raw/records.csv tx_raw/transcript.bin tx_raw/report.json tx_raw_report/report.json \
     eos/records.jsonl eos/transcript.bin eos/report.json \
