@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .channel import check_transcript_payload
-from .config import RunConfig, field_types, load_config
+from .config import RunConfig, field_types, from_dict, load_config
 from .oracle import load_calibration, save_calibration
 from .pipeline import (
     RECORD_FIELDS,
@@ -32,14 +32,14 @@ from .pipeline import (
 )
 from .verification import run_all_suites
 
+# Each axis's (config section, field); a value takes the field's annotated type.
 SWEEP_AXES = {
-    "snr_db": ("channel", "mean_snr_db", float),
-    "u_th": ("policy", "u_th", float),
-    "theta": ("policy", "theta", float),
-    "k": ("policy", "k_star", int),
+    "snr_db": ("channel", "mean_snr_db"),
+    "u_th": ("policy", "u_th"),
+    "theta": ("policy", "theta"),
+    "k": ("policy", "k_star"),
 }
 
-# CSV columns parse by annotation: an empty cell is None where the field allows it.
 _RECORD_TYPES = field_types(RoundRecord)
 
 SWEEP_COLUMNS = ["fading", "axis", "value", *(f.name for f in dataclasses.fields(SimReport))]
@@ -80,35 +80,51 @@ def _write_records(records: list[RoundRecord], path: Path, fmt: str) -> None:
                 writer.writerow([_fmt(v) for v in r.to_dict().values()])
 
 
+def _write_report(out: Path, report: SimReport, **sections) -> None:
+    """``out/report.json``: the report, any further sections, and ``generated_at``."""
+    doc = {"generated_at": _timestamp(), **sections, "report": report.to_dict()}
+    with open(out / "report.json", "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _read_records(path: Path) -> list[RoundRecord]:
+    """A JSONL or CSV record stream; a malformed record raises ValueError naming its line."""
+    is_csv = path.suffix == ".csv"
     records = []
-    if path.suffix == ".csv":
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                records.append(_record_from_strings(row))
-    else:
-        with open(path) as fh:
-            for line in fh:
-                if line.strip():
-                    records.append(RoundRecord(**json.loads(line)))
+    with open(path, newline="") as fh:
+        for lineno, item in enumerate(csv.DictReader(fh), 2) if is_csv else enumerate(fh, 1):
+            if not is_csv and not item.strip():
+                continue
+            where = f"{path} line {lineno}: "
+            try:
+                values = _record_from_strings(item) if is_csv else json.loads(item)
+            except ValueError as e:
+                raise ValueError(f"{where}{e}") from None
+            records.append(from_dict(RoundRecord, values, where))
     return records
 
 
-def _record_from_strings(row: dict) -> RoundRecord:
+def _record_from_strings(row: dict) -> dict:
+    """A CSV row as JSON values: cells parse by annotation, empty is null where allowed."""
+    if None in row or None in row.values():
+        raise ValueError("row and header differ in length")
     values = {}
-    for name, (conv, optional) in _RECORD_TYPES.items():
-        text = row.get(name, "")
+    for name, text in row.items():
+        tp, optional = _RECORD_TYPES.get(name, (str, False))
         if optional and text == "":
             values[name] = None
-        else:
-            values[name] = bool(int(text)) if conv is bool else conv(text)
-    return RoundRecord(**values)
+            continue
+        try:
+            values[name] = bool(int(text)) if tp is bool else tp(text)
+        except ValueError:
+            raise ValueError(f"{name}: expected {tp.__name__}, got {text!r}") from None
+    return values
 
 
 def cmd_calibrate(args) -> int:
     cfg = _load(args)
-    n_rounds = args.rounds or cfg.calibration.n_rounds
+    n_rounds = cfg.calibration.n_rounds if args.rounds is None else args.rounds
     cal = calibrate_from_config(cfg, n_rounds)
     out = Path(args.out)
     save_calibration(out, cal)
@@ -129,18 +145,7 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_records(records, out / f"records.{args.format}", args.format)
-    with open(out / "report.json", "w") as fh:
-        json.dump(
-            {
-                "generated_at": _timestamp(),
-                "config": cfg.to_dict(),
-                "report": report.to_dict(),
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    _write_report(out, report, config=cfg.to_dict())
     if transcript is not None:
         with open(out / "transcript.bin", "wb") as fh:
             fh.write(b"".join(transcript))
@@ -153,12 +158,12 @@ def cmd_simulate(args) -> int:
 
 def _sweep_config(cfg: RunConfig, fading: str, axis: str, value: str) -> RunConfig:
     """One grid point's config; a value or fading the config rejects raises ValueError."""
-    cfg = dataclasses.replace(
-        cfg, channel=dataclasses.replace(cfg.channel, fading=fading)
-    )
-    section, field, conv = SWEEP_AXES[axis]
-    part = dataclasses.replace(getattr(cfg, section), **{field: conv(value)})
-    return dataclasses.replace(cfg, **{section: part})
+    section, field = SWEEP_AXES[axis]
+    tp, _ = field_types(type(getattr(cfg, section)))[field]
+    doc = cfg.to_dict()
+    doc["channel"]["fading"] = fading
+    doc[section][field] = tp(value)
+    return RunConfig.from_dict(doc)
 
 
 def _sweep_point(calib, point) -> dict:
@@ -176,6 +181,8 @@ def cmd_sweep(args) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ValueError("sweep needs at least one value")
+    if args.jobs < 1:
+        raise ValueError("sweep needs --jobs >= 1")
     fadings = [f.strip() for f in (args.fading or cfg.channel.fading).split(",")]
     # Every grid point is built (and so validated) before calibration starts.
     points = [
@@ -208,8 +215,6 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _load(args)  # validates the config even though suites are config-free
     del cfg
-    if args.cases < 1:
-        raise ValueError("verification needs --cases >= 1")
     results = run_all_suites(args.cases, seed=args.seed or 0, bound_scale=args.debug_scale_bound)
     for res in results:
         print(res.line())
@@ -223,14 +228,7 @@ def cmd_report(args) -> int:
     report = metrics(records)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "report.json", "w") as fh:
-        json.dump(
-            {"generated_at": _timestamp(), "report": report.to_dict()},
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    _write_report(out, report)
     print(f"aggregated {report.n_rounds} rounds -> {out / 'report.json'}")
     return 0
 

@@ -77,9 +77,6 @@ class CompressedVocab:
 
 def compress(x_sorted: SortedProbVec, k: int, d: TokenId) -> CompressedVocab:
     """Truncate to the top-k ranks, attaching the draft token's exact entry."""
-    vocab = len(x_sorted)
-    if not 1 <= k <= vocab:
-        raise ValueError(f"k={k} out of range [1, {vocab}]")
     rank = x_sorted.rank_of(d)
     c = CompressedVocab(
         k=k,
@@ -87,7 +84,7 @@ def compress(x_sorted: SortedProbVec, k: int, d: TokenId) -> CompressedVocab:
         entry_probs=x_sorted.probs[:k].copy(),
         draft_id=d,
         draft_prob=float(x_sorted.probs[rank]),
-        vocab_size=vocab,
+        vocab_size=len(x_sorted),
     )
     if c.entry_probs.sum() + (0.0 if c.draft_in_topk else c.draft_prob) > 1.0 + 1e-9:
         raise ValueError("transmitted mass exceeds 1")

@@ -8,9 +8,10 @@ threshold 0.8, distortion tolerance 0.1, and softplus sharpness 10.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -99,7 +100,7 @@ class RunConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
         """Build from a JSON document; unknown keys and mistyped values raise ValueError."""
-        return _from_dict(cls, d, "")
+        return from_dict(cls, d)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -109,8 +110,12 @@ class RunConfig:
         return cls.from_dict(json.loads(text))
 
 
+@functools.cache
 def field_types(cls) -> dict[str, tuple[type, bool]]:
-    """Each init field's type and whether it may be None, read from its annotation."""
+    """Each init field's type and whether it may be None, read from its annotation.
+
+    Cached per class, since a record stream decodes one object per line; do not mutate.
+    """
     hints = get_type_hints(cls)
     out = {}
     for f in fields(cls):
@@ -131,23 +136,33 @@ def _json_scalar_fits(value, tp: type) -> bool:
     return isinstance(value, {int: int, float: (int, float), str: str}.get(tp, ()))
 
 
-def _from_dict(cls, d, path: str):
+def from_dict(cls, d, prefix: str = "", path: str = ""):
+    """Build dataclass ``cls`` from a JSON object, checking each value against its annotation.
+
+    Unknown keys, mistyped values and missing required fields raise ValueError
+    messages that start with ``prefix``; ``path`` is ``d``'s dotted key path.
+    """
     if not isinstance(d, dict):
-        raise ValueError(f"{path.rstrip('.') or 'config'}: expected an object")
+        label = f"{path.rstrip('.')}: " if path else ""
+        raise ValueError(f"{prefix}{label}expected an object")
     types = field_types(cls)
     kwargs = {}
     for key, value in d.items():
         where = path + key
         if key not in types:
-            raise ValueError(f"unknown key {where!r}")
+            raise ValueError(f"{prefix}unknown key {where!r}")
         tp, optional = types[key]
         if is_dataclass(tp):
-            value = _from_dict(tp, value, where + ".")
+            value = from_dict(tp, value, prefix, where + ".")
         elif not ((value is None and optional) or _json_scalar_fits(value, tp)):
             expected = ("finite " if tp is float else "") + tp.__name__
             expected += " or null" if optional else ""
-            raise ValueError(f"{where}: expected {expected}, got {value!r}")
+            raise ValueError(f"{prefix}{where}: expected {expected}, got {value!r}")
         kwargs[key] = value
+    for f in fields(cls):
+        required = f.default is MISSING and f.default_factory is MISSING
+        if f.init and required and f.name not in d:
+            raise ValueError(f"{prefix}missing key {path + f.name!r}")
     return cls(**kwargs)
 
 

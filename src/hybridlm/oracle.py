@@ -133,6 +133,13 @@ class TraceOracle:
         )
 
 
+def is_eos(spec: OracleSpec, inputs: RoundInputs, token: int) -> bool:
+    """Whether ``token`` ends the sequence: a trace's own flag, else the synthetic EOS token."""
+    if spec.kind == "trace":
+        return inputs.eos
+    return spec.eos_prob > 0.0 and token == EOS_TOKEN
+
+
 def make_oracle(spec: OracleSpec):
     if spec.kind == "synthetic":
         return SyntheticOracle(spec)
@@ -244,7 +251,7 @@ def calibrate(
             token = verdict.token
         else:
             token = d
-        if spec.eos_prob > 0.0 and token == EOS_TOKEN:
+        if is_eos(spec, inputs, token):
             sequence = []
         else:
             sequence.append(token)

@@ -30,21 +30,8 @@ from .compression import (
 )
 from .config import PolicySpec, RunConfig
 from .dist import sample, softmax, sort_desc, tvd
-from .oracle import (
-    EOS_TOKEN,
-    CalibrationSet,
-    OracleSpec,
-    TraceExhausted,
-    calibrate,
-    make_oracle,
-)
-from .specdec import (
-    distorted_resample_dist,
-    rejection_prob,
-    resample_dist,
-    round_bias,
-    verify_draft,
-)
+from .oracle import CalibrationSet, TraceExhausted, calibrate, is_eos, make_oracle
+from .specdec import accepts, distorted_resample_dist, resample_dist, round_bias, verify_draft
 from .uncertainty import estimate_u
 
 
@@ -106,7 +93,7 @@ def _should_transmit(
 ) -> bool:
     if policy.variant == "hlm":
         return True
-    if policy.variant in ("slm_only", "llm_only"):
+    if policy.variant == "slm_only":
         return False
     if policy.variant == "rand_hlm":
         return seeding.round_rng(seed, t, seeding.SKIP).random() >= policy.skip_prob
@@ -120,8 +107,6 @@ def resolve_k_star(cfg: RunConfig, calib: CalibrationSet | None) -> int | None:
         return None
     if policy.k_star is not None:
         return policy.k_star
-    if calib is None:
-        raise ValueError("cu_hlm_offline without explicit k_star needs calibration")
     sel = select_k_offline(
         calib.utv_k_grid, calib.utv_values, policy.theta, cfg.oracle.vocab_size
     )
@@ -140,7 +125,6 @@ def run_round(
     transcript: list[bytes] | None = None,
 ) -> RoundRecord:
     policy = cfg.policy
-    vocab = cfg.oracle.vocab_size
     inputs = oracle_inst.next_round(sequence)
     y = softmax(inputs.llm_logits)
 
@@ -151,7 +135,7 @@ def run_round(
             round=t,
             token=token,
             latency_s=cfg.latency.tau_llm_s,
-            eos=_is_eos(token, cfg.oracle, inputs.eos),
+            eos=is_eos(cfg.oracle, inputs, token),
         )
 
     x = softmax(inputs.slm_logits)
@@ -172,35 +156,26 @@ def run_round(
         )
 
     if not _should_transmit(policy, u, seed, t):
-        beta = rejection_prob(x_d, y_d)
-        cf_accept = beta == 0.0 or (
-            seeding.round_rng(seed, t, seeding.COUNTERFACTUAL).random() < 1.0 - beta
-        )
         return RoundRecord(
             seq=seq_index,
             round=t,
             u=u,
             token=d,
             latency_s=cfg.latency.tau_slm_s,
-            counterfactual_accept=cf_accept,
-            eos=_is_eos(d, cfg.oracle, inputs.eos),
+            counterfactual_accept=accepts(
+                x_d, y_d, seeding.round_rng(seed, t, seeding.COUNTERFACTUAL)
+            ),
+            eos=is_eos(cfg.oracle, inputs, d),
         )
 
     # Transmitted round: choose k, build the payload, cross the channel.
     if x_sorted is None:
         x_sorted = sort_desc(x)
-    rank_d = x_sorted.rank_of(d)
     bound_at_selection = None
-    if policy.variant in ("hlm", "u_hlm", "rand_hlm"):
-        k = vocab
-    elif policy.variant == "cu_hlm_offline":
-        k = k_star if k_star is not None else vocab
-    else:  # cu_hlm_online
-        if calib is None:
-            raise ValueError("cu_hlm_online requires a calibration set")
+    if policy.variant == "cu_hlm_online":
         sel = select_k_online(
             x_sorted,
-            rank_d,
+            x_sorted.rank_of(d),
             u,
             calib.model,
             policy.theta,
@@ -208,6 +183,8 @@ def run_round(
         )
         k = sel.k_star
         bound_at_selection = sel.bound_value_at_k
+    else:
+        k = k_star if k_star is not None else cfg.oracle.vocab_size
 
     c = compress(x_sorted, k, d)
     c_wire = quantize_vocab(c, cfg.payload) if cfg.quantize_wire else c
@@ -244,14 +221,8 @@ def run_round(
         bound_at_selection=bound_at_selection,
         token=token,
         latency_s=cfg.latency.tau_slm_s + tau_comm + cfg.latency.tau_llm_s,
-        eos=_is_eos(token, cfg.oracle, inputs.eos),
+        eos=is_eos(cfg.oracle, inputs, token),
     )
-
-
-def _is_eos(token: int, oracle_spec: OracleSpec, trace_eos: bool) -> bool:
-    if oracle_spec.kind == "trace":
-        return trace_eos
-    return oracle_spec.eos_prob > 0.0 and token == EOS_TOKEN
 
 
 def calibrate_from_config(cfg: RunConfig, n_rounds: int) -> CalibrationSet:

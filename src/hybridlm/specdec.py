@@ -44,6 +44,12 @@ def rejection_probs(x: ProbVec, y: ProbVec) -> np.ndarray:
     return np.maximum(beta, 0.0)
 
 
+def accepts(x_d: float, y_d: float, rng: np.random.Generator) -> bool:
+    """Whether the server accepts a draft: always when y_d >= x_d, else with probability y_d/x_d."""
+    beta = rejection_prob(x_d, y_d)
+    return beta == 0.0 or rng.random() < 1.0 - beta
+
+
 def verify_draft(
     d: TokenId,
     x_d: float,
@@ -52,8 +58,7 @@ def verify_draft(
     rng: np.random.Generator,
 ) -> Verdict:
     """Scalar-level acceptance test; lets the caller supply the wire-observed x_d."""
-    beta = rejection_prob(x_d, y_d)
-    if beta == 0.0 or rng.random() < 1.0 - beta:
+    if accepts(x_d, y_d, rng):
         return Verdict(accepted=True, token=d)
     return Verdict(accepted=False, token=sample(resample_from, rng))
 
@@ -76,13 +81,12 @@ def verify(
 
 def resample_dist(x: ProbVec, y: ProbVec) -> ProbVec:
     """Replacement distribution on rejection: positive part of y - x, normalized."""
-    num = np.maximum(y.probs - x.probs, 0.0)
-    denom = num.sum()
-    if denom <= 0.0:
+    q, degenerate = distorted_resample_dist(x, y)
+    if degenerate:
         raise ValueError(
             "resampling distribution undefined: y never exceeds x, no rejection possible"
         )
-    return ProbVec(num / denom)
+    return q
 
 
 def distorted_resample_dist(x_hat: ProbVec, y: ProbVec) -> tuple[ProbVec, bool]:

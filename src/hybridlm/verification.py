@@ -24,12 +24,13 @@ from .compression import (
     utv_bound_online,
 )
 from .dist import ProbVec, SortedProbVec, TokenId, sample, softmax, sort_desc, tvd
-from .specdec import distorted_resample_dist, hybrid_output_dist, resample_dist
+from .specdec import distorted_resample_dist, hybrid_output_dist, rejection_prob, resample_dist
 from .uncertainty import (
     DiscretePmfEstimator,
     GaussianKdeEstimator,
     LinearRejectionModel,
     rejection_risk,
+    thresholds,
 )
 
 
@@ -154,7 +155,7 @@ def check_online_bound_dominance(
                 continue
             agreement = 1e-12 - abs(tail - tail_l1_reference(s, k, d))
             smoothed = smoothed_tvd(x, y, cfg)
-            beta_d = max(0.0, 1.0 - float(y.probs[d]) / float(x.probs[d]))
+            beta_d = rejection_prob(float(x.probs[d]), float(y.probs[d]))
             online = bound_scale * float(utv_bound_online(s, rank, k, beta_d, cfg))
             margin = online - tail / smoothed
             err_margin = math.log(2.0) / eta - (smoothed - tvd(x, y))
@@ -176,13 +177,12 @@ def check_risk_bound(
     rng = np.random.default_rng(seed)
     model = LinearRejectionModel(a=0.815, b=-0.066, mse=0.0, r2=1.0)
     u = rng.uniform(0.0, 1.0, n_samples)
-    lo = -model.b / model.a
-    hi = (1.0 - model.b) / model.a
+    span = thresholds(model, 1.0)
     failures = 0
     worst = math.inf
     total = 0
     for estimator in (GaussianKdeEstimator(), DiscretePmfEstimator(m=20)):
-        for u_th in np.linspace(lo, hi, grid_points):
+        for u_th in np.linspace(span.risk_averse, span.risk_prone, grid_points):
             rep = rejection_risk(model, u, float(u_th), estimator)
             margin = bound_scale * rep.bound - rep.empirical_r
             worst = min(worst, margin)

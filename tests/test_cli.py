@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hybridlm import cli, pipeline
+from hybridlm import cli, oracle, pipeline
 from hybridlm.cli import _read_records, load_calibration, main
+from hybridlm.config import RunConfig
 from hybridlm.pipeline import RoundRecord
 
 BASE_CFG = {
@@ -27,6 +28,8 @@ BASE_CFG = {
     "r_max": 25,
     "seed": 5,
 }
+
+GOOD_RECORD = RoundRecord(seq=0, round=0, token=3, latency_s=0.1, eos=False)
 
 
 @pytest.fixture
@@ -225,8 +228,13 @@ class TestSweep:
             ["--axis", "k", "--values", "4,1.5"],
             ["--axis", "snr_db", "--values", "0", "--fading", "fixed,foo"],
             ["--axis", "theta", "--values", "0.1,0"],
+            ["--axis", "snr_db", "--values", "1e400"],
+            ["--axis", "snr_db", "--values", "NaN"],
         ],
-        ids=["not_a_float", "k_below_one", "k_not_an_int", "unknown_fading", "theta_zero"],
+        ids=[
+            "not_a_float", "k_below_one", "k_not_an_int", "unknown_fading", "theta_zero",
+            "snr_overflow", "snr_nan",
+        ],
     )
     def test_bad_grid_point_fails_before_calibration(
         self, cfg_path, tmp_path, capsys, monkeypatch, extra
@@ -238,6 +246,13 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_values_take_the_field_type(self):
+        cfg = RunConfig()
+        assert cli._sweep_config(cfg, "fixed", "u_th", ".5").policy.u_th == 0.5
+        assert cli._sweep_config(cfg, "fixed", "snr_db", "-5").channel.mean_snr_db == -5.0
+        k_star = cli._sweep_config(cfg, "rayleigh", "k", "4").policy.k_star
+        assert k_star == 4 and type(k_star) is int
 
     def test_jobs_parallel_same_output(self, cfg_path, tmp_path):
         out1, out2 = tmp_path / "sj1", tmp_path / "sj2"
@@ -386,6 +401,57 @@ class TestExitCodes:
         argv = ["simulate", "--config", cfg_path, "--calib", str(cal), "--out", str(tmp_path / "x")]
         assert main(argv) == 1
         assert capsys.readouterr().err == "config error: model.json: expected a JSON object\n"
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "{}",
+            json.dumps({**GOOD_RECORD.to_dict(), "bogus": 1}),
+            json.dumps({**GOOD_RECORD.to_dict(), "latency_s": "x"}),
+            "[1, 2]",
+            "{not json",
+        ],
+        ids=["missing_fields", "extra_key", "mistyped_value", "not_an_object", "not_json"],
+    )
+    def test_malformed_jsonl_record(self, tmp_path, capsys, monkeypatch, line):
+        path = tmp_path / "records.jsonl"
+        path.write_text(GOOD_RECORD.to_json() + "\n" + line + "\n")
+        monkeypatch.setattr(cli, "metrics", lambda *a, **k: pytest.fail("aggregated"))
+        assert main(["report", "--records", str(path), "--out", str(tmp_path / "rep")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path} line 2: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("column, cell", [("latency_s", "nan"), ("eos", "")])
+    def test_malformed_csv_record(self, tmp_path, capsys, monkeypatch, column, cell):
+        path = tmp_path / "records.csv"
+        cli._write_records([GOOD_RECORD, GOOD_RECORD], path, "csv")
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[pipeline.RECORD_FIELDS.index(column)] = cell
+        path.write_text("\n".join([*lines[:2], ",".join(cells)]) + "\n")
+        monkeypatch.setattr(cli, "metrics", lambda *a, **k: pytest.fail("aggregated"))
+        assert main(["report", "--records", str(path), "--out", str(tmp_path / "rep")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path} line 3: {column}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["calibrate", "--rounds", "0"], "calibration needs at least two rounds"),
+            (["sweep", "--axis", "u_th", "--values", "0.5", "--jobs", "0"], "sweep needs --jobs"),
+            (["sweep", "--axis", "u_th", "--values", "0.5", "--jobs", "-2"], "sweep needs --jobs"),
+        ],
+        ids=["calibrate_zero_rounds", "sweep_zero_jobs", "sweep_negative_jobs"],
+    )
+    def test_nonpositive_count_flag(self, cfg_path, tmp_path, capsys, monkeypatch, argv, message):
+        # calibrate checks its round count before it builds the oracle.
+        monkeypatch.setattr(oracle, "make_oracle", lambda *a, **k: pytest.fail("calibrated"))
+        out = tmp_path / "x"
+        assert main([*argv, "--config", cfg_path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_missing_records_file_is_io_error(self, tmp_path):
         rc = main(["report", "--records", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path)])

@@ -1,6 +1,7 @@
-"""Tests for the package's re-export list and its modules' imports."""
+"""Tests for the package's re-export list, its modules' imports and the bench's span table."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import hybridlm
@@ -39,3 +40,18 @@ def test_no_unused_imports():
     modules = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
     tests = sorted(Path(__file__).parent.glob("*.py"))
     assert [hit for path in modules + tests for hit in _unused_imports(path)] == []
+
+
+def test_bench_spans_resolve():
+    # bench/run.py --trace 1 patches each TRACED entry through owner.__dict__[attr].
+    path = Path(__file__).parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    unresolved = []
+    for name, (module, attr) in spans.TRACED.items():
+        importlib.import_module(module)
+        owner, fn_name = spans._resolve(module, attr)
+        if not callable(owner.__dict__.get(fn_name)):
+            unresolved.append(name)
+    assert unresolved == []

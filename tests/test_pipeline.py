@@ -297,7 +297,12 @@ class TestTelemetryReplay:
         from hybridlm.compression import compress, reconstruct, utv_bound
         from hybridlm.dist import sample, softmax, sort_desc, tvd
         from hybridlm.oracle import make_oracle
-        from hybridlm.specdec import distorted_resample_dist, resample_dist, round_bias
+        from hybridlm.specdec import (
+            distorted_resample_dist,
+            resample_dist,
+            round_bias,
+            verify_draft,
+        )
 
         cfg = make_cfg(
             "cu_hlm_online",
@@ -320,6 +325,10 @@ class TestTelemetryReplay:
             d = sample(x, seeding.round_rng(cfg.seed, t, seeding.DRAFT))
             if rec.delta == 0:
                 assert rec.token == d  # skipped rounds keep the draft
+                # The counterfactual verdict is the server's own acceptance test.
+                cf_rng = seeding.round_rng(cfg.seed, t, seeding.COUNTERFACTUAL)
+                verdict = verify_draft(d, float(x.probs[d]), float(y.probs[d]), y, cf_rng)
+                assert rec.counterfactual_accept == verdict.accepted
                 continue
             s = sort_desc(x)
             x_hat = reconstruct(compress(s, rec.k_used, d))
