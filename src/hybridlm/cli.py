@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .channel import check_transcript_payload
 from .config import RunConfig, field_types, from_dict, load_config
-from .oracle import load_calibration, save_calibration
+from .oracle import csv_cell, load_calibration, save_calibration
 from .pipeline import (
     RECORD_FIELDS,
     RoundRecord,
@@ -53,16 +53,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(f"error: {message}")
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return str(int(v))
-    if isinstance(v, float):
-        return f"{v:.9g}"
-    return str(v)
-
-
 def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
 
@@ -77,7 +67,7 @@ def _write_records(records: list[RoundRecord], path: Path, fmt: str) -> None:
             writer = csv.writer(fh)
             writer.writerow(RECORD_FIELDS)
             for r in records:
-                writer.writerow([_fmt(v) for v in r.to_dict().values()])
+                writer.writerow([csv_cell(v) for v in r.to_dict().values()])
 
 
 def _write_report(out: Path, report: SimReport, **sections) -> None:
@@ -207,7 +197,7 @@ def cmd_sweep(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_COLUMNS)
         for row in rows:
-            writer.writerow([_fmt(row[c]) for c in SWEEP_COLUMNS])
+            writer.writerow([csv_cell(row[c]) for c in SWEEP_COLUMNS])
     print(f"swept {len(rows)} grid points -> {path}")
     return 0
 

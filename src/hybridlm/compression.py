@@ -77,13 +77,14 @@ class CompressedVocab:
 
 def compress(x_sorted: SortedProbVec, k: int, d: TokenId) -> CompressedVocab:
     """Truncate to the top-k ranks, attaching the draft token's exact entry."""
-    rank = x_sorted.rank_of(d)
+    if not 0 <= d < len(x_sorted):
+        raise ValueError(f"token {d} not in vocabulary of size {len(x_sorted)}")
     c = CompressedVocab(
         k=k,
-        entry_ids=x_sorted.perm[:k].copy(),
+        entry_ids=x_sorted.top_ids(k),
         entry_probs=x_sorted.probs[:k].copy(),
         draft_id=d,
-        draft_prob=float(x_sorted.probs[rank]),
+        draft_prob=float(x_sorted.source[d]),
         vocab_size=len(x_sorted),
     )
     if c.entry_probs.sum() + (0.0 if c.draft_in_topk else c.draft_prob) > 1.0 + 1e-9:

@@ -139,8 +139,9 @@ def _json_scalar_fits(value, tp: type) -> bool:
 def from_dict(cls, d, prefix: str = "", path: str = ""):
     """Build dataclass ``cls`` from a JSON object, checking each value against its annotation.
 
-    Unknown keys, mistyped values and missing required fields raise ValueError
-    messages that start with ``prefix``; ``path`` is ``d``'s dotted key path.
+    Unknown keys, mistyped values, missing required fields and values the
+    class itself rejects raise ValueError messages that start with
+    ``prefix``; ``path`` is ``d``'s dotted key path.
     """
     if not isinstance(d, dict):
         label = f"{path.rstrip('.')}: " if path else ""
@@ -163,7 +164,10 @@ def from_dict(cls, d, prefix: str = "", path: str = ""):
         required = f.default is MISSING and f.default_factory is MISSING
         if f.init and required and f.name not in d:
             raise ValueError(f"{prefix}missing key {path + f.name!r}")
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as e:
+        raise ValueError(f"{prefix}{e}") from None
 
 
 def load_config(path: str | Path | None) -> RunConfig:

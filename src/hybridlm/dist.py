@@ -64,27 +64,55 @@ class ProbVec:
 class SortedProbVec:
     """Distribution sorted by non-increasing probability.
 
-    ``perm[rank]`` is the token id occupying that rank; ties are broken by
-    ascending token id so the ordering is total and reproducible.
+    ``probs`` holds the sorted values and ``source`` the vector they came
+    from, indexed by token id. Ranks order ties by ascending token id, so
+    the ordering is total and reproducible. ``rank_of`` and ``top_ids``
+    read ranks off ``source`` without sorting the ids; ``perm``, the full
+    id order, is built only when read.
     """
 
     probs: np.ndarray
-    perm: np.ndarray
+    source: np.ndarray
 
     @cached_property
     def prefix(self) -> np.ndarray:
         """Prefix sums of the sorted probabilities: prefix[k] is the mass of the top-k ranks."""
-        return np.concatenate([[0.0], np.cumsum(self.probs)])
+        out = np.empty(self.probs.size + 1)
+        out[0] = 0.0
+        np.cumsum(self.probs, out=out[1:])
+        return out
+
+    @cached_property
+    def perm(self) -> np.ndarray:
+        """``perm[rank]`` is the token id at that rank: the stable descending argsort."""
+        return np.argsort(-self.source, kind="stable")
 
     def __len__(self) -> int:
         return self.probs.size
 
     def rank_of(self, token: TokenId) -> int:
-        """0-based rank of a token id."""
-        hits = np.nonzero(self.perm == token)[0]
-        if hits.size == 0:
+        """0-based rank of a token id: the entries above it, then its equals with lower ids."""
+        if not 0 <= token < len(self):
             raise ValueError(f"token {token} not in vocabulary of size {len(self)}")
-        return int(hits[0])
+        p = self.source[token]
+        return int(np.count_nonzero(self.source > p) + np.count_nonzero(self.source[:token] == p))
+
+    def top_ids(self, k: int) -> np.ndarray:
+        """The token ids of the top-k ranks, ``perm[:k]``, from a sort of the candidates only.
+
+        Every id at rank < k has a value >= the k-th largest; those ids, in
+        ascending order, stable-sorted by descending value, start with
+        perm[:k]. Their values are the top ranks' values, so ``probs`` shows
+        whether they tie; without a tie the faster default sort gives the
+        same order.
+        """
+        if not 1 <= k <= len(self):
+            raise ValueError(f"k={k} out of range [1, {len(self)}]")
+        candidates = np.flatnonzero(self.source >= self.probs[k - 1])
+        n = candidates.size
+        tied = np.any(self.probs[1:n] == self.probs[: n - 1])
+        order = np.argsort(-self.source[candidates], kind="stable" if tied else None)
+        return candidates[order[:k]]
 
 
 def check_logits(logits: np.ndarray) -> np.ndarray:
@@ -107,10 +135,11 @@ def softmax(logits: np.ndarray, temperature: float = 1.0) -> ProbVec:
     z = check_logits(logits)
     if not (temperature >= MIN_TEMPERATURE):
         raise ValueError(f"temperature must be >= {MIN_TEMPERATURE}, got {temperature}")
-    w = z / temperature
+    w = z if temperature == 1.0 else z / temperature  # z / 1.0 is z
     w = w - w.max()
-    e = np.exp(w)
-    return ProbVec(e / e.sum())
+    np.exp(w, out=w)
+    w /= w.sum()
+    return ProbVec(w)
 
 
 def sample(p: ProbVec, rng: np.random.Generator) -> TokenId:
@@ -138,17 +167,9 @@ def tvd(p: ProbVec, q: ProbVec) -> float:
 
 
 def sort_desc(p: ProbVec) -> SortedProbVec:
-    """Descending sort; equal probabilities keep ascending token id order.
+    """Descending sort of the values; the ids' order is left to ``SortedProbVec``.
 
-    The default argsort is faster than the stable one but orders ties
-    arbitrarily. Without ties the descending order is unique, so both give
-    the same permutation; a vector with two equal entries is sorted again
-    with the stable kind.
+    Equal values are interchangeable, so the sorted values are the same floats
+    in the same order whichever way ties are broken.
     """
-    neg = -p.probs
-    order = np.argsort(neg)
-    probs = p.probs[order]
-    if np.any(probs[1:] == probs[:-1]):
-        order = np.argsort(neg, kind="stable")
-        probs = p.probs[order]
-    return SortedProbVec(probs=probs, perm=order)
+    return SortedProbVec(probs=np.sort(p.probs)[::-1], source=p.probs)

@@ -85,14 +85,19 @@ class SyntheticOracle:
         )
         base = np.empty(spec.vocab_size)
         base[perm] = self._base_sorted
-        noise_a = seeding.context_rng(spec.seed, fp, seeding.ORACLE_NOISE_SLM).normal(
+        # Each model's noise, scaled and shifted by base in place; multiplying
+        # by a divergence of 1.0 would change no float, so it is skipped.
+        slm = seeding.context_rng(spec.seed, fp, seeding.ORACLE_NOISE_SLM).normal(
             size=spec.vocab_size
         )
-        noise_b = seeding.context_rng(spec.seed, fp, seeding.ORACLE_NOISE_LLM).normal(
+        llm = seeding.context_rng(spec.seed, fp, seeding.ORACLE_NOISE_LLM).normal(
             size=spec.vocab_size
         )
-        slm = base + spec.divergence * noise_a
-        llm = base + spec.divergence * noise_b
+        if spec.divergence != 1.0:
+            slm *= spec.divergence
+            llm *= spec.divergence
+        slm += base
+        llm += base
         if spec.eos_prob > 0.0:
             slm = self._inject_eos(slm)
             llm = self._inject_eos(llm)
@@ -230,23 +235,17 @@ def calibrate(
         x = softmax(inputs.slm_logits)
         y = softmax(inputs.llm_logits)
         d = sample(x, seeding.round_rng(seed, t, seeding.DRAFT))
-        x_sorted = sort_desc(x)
-        u = estimate_u(
-            inputs.slm_logits,
-            d,
-            ucfg,
-            seeding.round_rng(seed, t, seeding.UNCERTAINTY),
-            order=x_sorted.perm,
-        )
+        u = estimate_u(inputs.slm_logits, d, ucfg, seeding.round_rng(seed, t, seeding.UNCERTAINTY))
         beta_d = rejection_prob(float(x.probs[d]), float(y.probs[d]))
         rows.append((u, beta_d, float(x.probs[d]), float(y.probs[d])))
 
         divergence_tvd = tvd(x, y)
         if divergence_tvd > 0.0:
+            x_sorted = sort_desc(x)
             utv_acc += utv_bound(x_sorted, x_sorted.rank_of(d), k_grid, divergence_tvd)
             utv_count += 1
             verdict = verify(
-                d, x, y, resample_dist(x, y), seeding.round_rng(seed, t, seeding.VERIFY)
+                d, x, y, lambda: resample_dist(x, y), seeding.round_rng(seed, t, seeding.VERIFY)
             )
             token = verdict.token
         else:
@@ -277,13 +276,25 @@ TABLE_FILE, TABLE_HEADER = "utv_table.csv", ("k", "mean_utv")
 MODEL_FILE = "model.json"
 
 
+def csv_cell(v) -> str:
+    """One CSV cell of any table this package writes: empty for None, 0 or 1
+    for a bool, floats to 9 significant digits, anything else as ``str``."""
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return str(int(v))
+    if isinstance(v, float):
+        return f"{v:.9g}"
+    return str(v)
+
+
 def _save_table(path: Path, header: tuple[str, ...], rows) -> None:
-    """One CSV table: the header, then integers as is and floats to 9 digits."""
+    """One CSV table: the header, then one row of ``csv_cell`` cells per row."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([v if isinstance(v, int) else f"{v:.9g}" for v in row])
+            writer.writerow([csv_cell(v) for v in row])
 
 
 def _load_table(path: Path, header: tuple[str, ...]) -> list[list[str]]:

@@ -35,6 +35,9 @@ from .specdec import accepts, distorted_resample_dist, resample_dist, round_bias
 from .uncertainty import estimate_u
 
 
+VERDICTS = ("skipped", "accepted", "rejected")
+
+
 @dataclass(frozen=True, kw_only=True)
 class RoundRecord:
     """One round of a sequence; field order is the JSONL key and CSV column order.
@@ -51,7 +54,7 @@ class RoundRecord:
     payload_bits: int = 0
     snr_linear: float | None = None
     tau_comm_s: float = 0.0
-    verdict: str = "skipped"  # "skipped" | "accepted" | "rejected"
+    verdict: str = "skipped"  # one of VERDICTS
     fallback_used: bool = False
     bias: float | None = None
     tvd_pq: float | None = None
@@ -60,6 +63,15 @@ class RoundRecord:
     latency_s: float
     counterfactual_accept: bool | None = None
     eos: bool
+
+    def __post_init__(self) -> None:
+        for name in ("seq", "round", "token"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name}: must be >= 0, got {getattr(self, name)!r}")
+        if self.delta not in (0, 1):
+            raise ValueError(f"delta: must be 0 or 1, got {self.delta!r}")
+        if self.verdict not in VERDICTS:
+            raise ValueError(f"verdict: must be one of {', '.join(VERDICTS)}, got {self.verdict!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -144,15 +156,9 @@ def run_round(
     y_d = float(y.probs[d])
 
     u = None
-    x_sorted = None
     if policy.uses_uncertainty:
-        x_sorted = sort_desc(x)
         u = estimate_u(
-            inputs.slm_logits,
-            d,
-            cfg.uncertainty,
-            seeding.round_rng(seed, t, seeding.UNCERTAINTY),
-            order=x_sorted.perm,
+            inputs.slm_logits, d, cfg.uncertainty, seeding.round_rng(seed, t, seeding.UNCERTAINTY)
         )
 
     if not _should_transmit(policy, u, seed, t):
@@ -169,8 +175,7 @@ def run_round(
         )
 
     # Transmitted round: choose k, build the payload, cross the channel.
-    if x_sorted is None:
-        x_sorted = sort_desc(x)
+    x_sorted = sort_desc(x)
     bound_at_selection = None
     if policy.variant == "cu_hlm_online":
         sel = select_k_online(

@@ -9,6 +9,7 @@ and the per-round bias measures how far the combined law drifts from y.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,27 +55,33 @@ def verify_draft(
     d: TokenId,
     x_d: float,
     y_d: float,
-    resample_from: ProbVec,
+    resample_from: ProbVec | Callable[[], ProbVec],
     rng: np.random.Generator,
 ) -> Verdict:
-    """Scalar-level acceptance test; lets the caller supply the wire-observed x_d."""
+    """Scalar-level acceptance test; lets the caller supply the wire-observed x_d.
+
+    ``resample_from`` is the replacement distribution, or a function that
+    builds it, called only when the draft is rejected.
+    """
     if accepts(x_d, y_d, rng):
         return Verdict(accepted=True, token=d)
-    return Verdict(accepted=False, token=sample(resample_from, rng))
+    q = resample_from() if callable(resample_from) else resample_from
+    return Verdict(accepted=False, token=sample(q, rng))
 
 
 def verify(
     d: TokenId,
     x: ProbVec,
     y: ProbVec,
-    resample_from: ProbVec,
+    resample_from: ProbVec | Callable[[], ProbVec],
     rng: np.random.Generator,
 ) -> Verdict:
     """Accept the draft, or reject and resample from the supplied distribution.
 
     Deterministic acceptance when y_d >= x_d; otherwise accept with probability
-    y_d/x_d. The caller chooses ``resample_from``: the exact resampling
-    distribution gives an unbiased output law, a distorted one does not.
+    y_d/x_d. The caller chooses ``resample_from`` (or a function that builds
+    it): the exact resampling distribution gives an unbiased output law, a
+    distorted one does not.
     """
     return verify_draft(d, float(x.probs[d]), float(y.probs[d]), resample_from, rng)
 

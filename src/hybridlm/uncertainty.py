@@ -63,15 +63,14 @@ class RiskReport:
 
 
 # Sizes and least margin of the bounded redraws (redraw_brackets,
-# estimate_u). Geometric block sizes span similar log-rank ranges, which
-# keeps the block bounds tight on Zipf-like logits.
+# estimate_u).
 EXACT_RANKS = 256
-RANK_BLOCKS = 64
+VALUE_BUCKETS = 64
 REDRAW_MARGIN = 1e-9
 
 
 def redraw_brackets(
-    z: np.ndarray, d: TokenId, order: np.ndarray, thetas: np.ndarray
+    z: np.ndarray, d: TokenId, thetas: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Intervals around cdf[d-1] and cdf[d] of softmax(z / theta), one entry per theta.
 
@@ -84,36 +83,60 @@ def redraw_brackets(
     (d = |V| - 1) where ``sample_at`` has no limit, and NaN where a
     denominator underflows to 0.
 
-    ``order`` is a permutation of the token ids. Its first ``EXACT_RANKS``
-    ids contribute exact terms; the rest are cut into blocks by position,
-    and each block contributes its count of ids below and above d times
-    exp of its smallest and largest w. The bounds hold for any permutation;
-    a descending one keeps them tight.
+    The ids with z >= cut, the EXACT_RANKS-th largest logit (every id when
+    |V| <= EXACT_RANKS), contribute exact terms. The rest fall into
+    VALUE_BUCKETS equal-width buckets of z between min(z) and cut, and each
+    bucket contributes its count of ids below and above d times exp of its
+    lower and upper edge. No id order is needed.
+
+    The bucket of a logit is floor((z - min) * (VALUE_BUCKETS / span)) with
+    span = cut - min, and its edges are min + j * (span / VALUE_BUCKETS).
+    Each of those steps rounds once, so a logit can sit outside its
+    computed bucket, but by at most about 9 ulps of |min| + |cut|: four
+    roundings of the index scale the distance to min by at most 1 + 4u,
+    three roundings of an edge move it by at most 3u*span + u*|edge|, and
+    span <= |min| + |cut| (u = 2**-53). Widening each edge by
+    2**-48 * (|min| + |cut|), 32 ulps, covers that with room to spare; no
+    edge needs to pass min or cut, which hold every bucketed logit. Then
+    exp of an edge bounds exp of every logit in the bucket, since
+    z/theta - max and exp never reverse the order of two floats.
     """
-    top, rest = order[:EXACT_RANKS], order[EXACT_RANKS:]
-    if rest.size:
-        starts = np.geomspace(top.size, z.size, RANK_BLOCKS + 1)[:-1].astype(np.intp) - top.size
-        # Starts never decrease, so this drops the repeats reduceat cannot
-        # take; np.unique would import numpy.ma, about 1 MB more peak RSS.
-        starts = starts[np.diff(starts, prepend=-1) > 0]
-        z_rest = z[rest]
-        block_min = np.minimum.reduceat(z_rest, starts)
-        block_max = np.maximum.reduceat(z_rest, starts)
-        n_below = np.add.reduceat((rest < d).astype(np.float64), starts)
-        n_above = np.add.reduceat((rest > d).astype(np.float64), starts)
+    n = z.size
+    if n <= EXACT_RANKS:
+        top = np.arange(n)
+        n_below = n_above = lo = hi = np.zeros(0)
     else:
-        block_min = block_max = n_below = n_above = np.zeros(0)
+        cut = np.partition(z, n - EXACT_RANKS)[n - EXACT_RANKS]
+        top = np.flatnonzero(z >= cut)
+        z_min = z.min()
+        with np.errstate(over="ignore", divide="ignore"):
+            span = cut - z_min
+            scale = VALUE_BUCKETS / span
+            if 0.0 < scale < np.inf:
+                buckets = VALUE_BUCKETS
+                bucket = np.minimum((z - z_min) * scale, buckets - 1).astype(np.intp)
+                edges = z_min + np.arange(buckets + 1) * (span / buckets)
+            else:  # a span too wide, too narrow or 0 (no id below cut) to scale
+                buckets = 1
+                bucket = np.zeros(n, dtype=np.intp)
+                edges = np.array([z_min, cut])
+        bucket[top] = buckets  # exact terms: a bin of their own, dropped below
+        n_below = np.bincount(bucket[:d], minlength=buckets + 1)[:buckets].astype(np.float64)
+        n_above = np.bincount(bucket[d + 1 :], minlength=buckets + 1)[:buckets].astype(np.float64)
+        slack = 2.0**-48 * abs(z_min) + 2.0**-48 * abs(cut)
+        lo = np.maximum(edges[:-1] - slack, z_min)
+        hi = np.minimum(edges[1:] + slack, cut)
 
     col = thetas[:, None]
     w_max = z.max() / thetas
     e_top = np.exp(z[top] / col - w_max[:, None])
-    e_min = np.exp(block_min / col - w_max[:, None])
-    e_max = np.exp(block_max / col - w_max[:, None])
+    e_lo = np.exp(lo / col - w_max[:, None])
+    e_hi = np.exp(hi / col - w_max[:, None])
     e_d = np.exp(z[d] / thetas - w_max)
     a_top = e_top @ (top < d).astype(np.float64)
     b_top = e_top @ (top > d).astype(np.float64)
-    a_lo, a_hi = a_top + e_min @ n_below, a_top + e_max @ n_below
-    b_lo, b_hi = b_top + e_min @ n_above, b_top + e_max @ n_above
+    a_lo, a_hi = a_top + e_lo @ n_below, a_top + e_hi @ n_below
+    b_lo, b_hi = b_top + e_lo @ n_above, b_top + e_hi @ n_above
 
     with np.errstate(invalid="ignore"):
         lower_lo = a_lo / (a_lo + e_d + b_hi)
@@ -132,7 +155,6 @@ def estimate_u(
     d: TokenId,
     cfg: UncertaintyConfig,
     rng: np.random.Generator,
-    order: np.ndarray | None = None,
 ) -> float:
     """Fraction of m temperature-perturbed redraws that disagree with the draft d.
 
@@ -147,13 +169,11 @@ def estimate_u(
     one ``random`` per redraw), and every redraw is decided as the full
     sample decides it, so u is unchanged bit for bit.
 
-    ``order`` is the descending token order, e.g. ``sort_desc(softmax(
-    logits)).perm``, which callers that sort anyway pass in; without it
-    the logits are argsorted. ``redraw_brackets`` bounds both CDF values
-    from ~EXACT_RANKS + 2*RANK_BLOCKS exps instead of |V|. With the margin
-    M = max(REDRAW_MARGIN, 2 * (|V| + 32) * 2**-53), a redraw with r below
-    lower_lo - M, or at or above upper_hi + M, disagrees; one with
-    lower_hi + M <= r < upper_lo - M agrees; any other (a NaN bound
+    ``redraw_brackets`` bounds both CDF values from about EXACT_RANKS +
+    2*VALUE_BUCKETS exps instead of |V|, without sorting the logits. With
+    the margin M = max(REDRAW_MARGIN, 2 * (|V| + 32) * 2**-53), a redraw
+    with r below lower_lo - M, or at or above upper_hi + M, disagrees; one
+    with lower_hi + M <= r < upper_lo - M agrees; any other (a NaN bound
     included) takes the exact path, ``sample_at(softmax(z, theta), r) != d``.
 
     Why the margin suffices: the exact path compares r with floats within
@@ -162,10 +182,11 @@ def estimate_u(
     error of about log2|V| ulps; the sequential ``cumsum`` adds at most |V|
     ulps of its total, which is at most 1. M is at least twice that bound
     (it is exactly REDRAW_MARGIN below about 4.5 million tokens), and the
-    brackets' own rounding is smaller still. The probabilities' sum drifts
-    from 1 by only about 2*log2|V| ulps, far below ``SUM_TOL``, so
-    ``ProbVec`` never renormalizes on this path and the exact path's
-    floats are the ones above.
+    brackets' own rounding is smaller still: their bucket edges are widened
+    past the rounding of the bucket index (see ``redraw_brackets``). The
+    probabilities' sum drifts from 1 by only about 2*log2|V| ulps, far
+    below ``SUM_TOL``, so ``ProbVec`` never renormalizes on this path and
+    the exact path's floats are the ones above.
     """
     z = check_logits(logits)
     if not 0 <= d < z.size:
@@ -176,9 +197,7 @@ def estimate_u(
         thetas[i] = max(float(rng.uniform(0.0, cfg.theta_max)), MIN_TEMPERATURE)
         draws[i] = rng.random()
 
-    if order is None:
-        order = np.argsort(-z)
-    lower_lo, lower_hi, upper_lo, upper_hi = redraw_brackets(z, d, order, thetas)
+    lower_lo, lower_hi, upper_lo, upper_hi = redraw_brackets(z, d, thetas)
     margin = max(REDRAW_MARGIN, 2 * (z.size + 32) * 2.0**-53)
     outside = (draws < lower_lo - margin) | (draws >= upper_hi + margin)
     inside = (draws >= lower_hi + margin) & (draws < upper_lo - margin)

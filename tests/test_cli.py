@@ -410,8 +410,17 @@ class TestExitCodes:
             json.dumps({**GOOD_RECORD.to_dict(), "latency_s": "x"}),
             "[1, 2]",
             "{not json",
+            json.dumps({**GOOD_RECORD.to_dict(), "delta": 5}),
+            json.dumps({**GOOD_RECORD.to_dict(), "verdict": "bogus"}),
+            json.dumps({**GOOD_RECORD.to_dict(), "seq": -1}),
+            json.dumps({**GOOD_RECORD.to_dict(), "round": -2}),
+            json.dumps({**GOOD_RECORD.to_dict(), "token": -3}),
         ],
-        ids=["missing_fields", "extra_key", "mistyped_value", "not_an_object", "not_json"],
+        ids=[
+            "missing_fields", "extra_key", "mistyped_value", "not_an_object", "not_json",
+            "delta_out_of_range", "unknown_verdict", "negative_seq", "negative_round",
+            "negative_token",
+        ],
     )
     def test_malformed_jsonl_record(self, tmp_path, capsys, monkeypatch, line):
         path = tmp_path / "records.jsonl"
@@ -421,7 +430,10 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {path} line 2: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("column, cell", [("latency_s", "nan"), ("eos", "")])
+    @pytest.mark.parametrize(
+        "column, cell",
+        [("latency_s", "nan"), ("eos", ""), ("delta", "5"), ("verdict", "bogus"), ("token", "-1")],
+    )
     def test_malformed_csv_record(self, tmp_path, capsys, monkeypatch, column, cell):
         path = tmp_path / "records.csv"
         cli._write_records([GOOD_RECORD, GOOD_RECORD], path, "csv")

@@ -320,3 +320,64 @@ class TestSortDescMatchesStable:
         p = rng.dirichlet(np.ones(32_000))
         assert np.unique(p).size == p.size
         self._check(p)
+
+
+class TestArgsortFreeRanks:
+    """rank_of and top_ids read no id order, yet equal the stable argsort's."""
+
+    def _vectors(self):
+        rng = np.random.default_rng(37)
+        yield np.full(7, 1.0 / 7)  # uniform: one run of ties
+        yield np.full(1000, 1.0 / 1000)
+        yield np.array([0.1, 0.2, 0.2, 0.1, 0.2, 0.2])  # repeated values
+        yield ProbVec(np.eye(9)[4]).probs  # one-hot: eight tied zeros
+        for _ in range(30):
+            n = int(rng.integers(2, 400))
+            p = np.round(rng.dirichlet(np.ones(n)), int(rng.choice([2, 3, 17])))
+            if p.sum() > 0.0:
+                yield p / p.sum()
+        half = rng.dirichlet(np.ones(2000))
+        p = rng.permutation(np.concatenate([half, half]))
+        yield p / p.sum()
+
+    def test_rank_of_is_the_stable_rank(self):
+        for probs in self._vectors():
+            p = ProbVec(probs)
+            s = sort_desc(p)
+            expected = np.empty(len(p), dtype=int)
+            expected[np.argsort(-p.probs, kind="stable")] = np.arange(len(p))
+            assert [s.rank_of(d) for d in range(len(p))] == expected.tolist()
+
+    def test_top_ids_is_the_perm_prefix(self):
+        for probs in self._vectors():
+            p = ProbVec(probs)
+            s = sort_desc(p)
+            perm = np.argsort(-p.probs, kind="stable")
+            for k in {1, 2, len(p) // 2, len(p) - 1, len(p)} - {0}:
+                np.testing.assert_array_equal(s.top_ids(k), perm[:k])
+
+    def test_top_ids_k_inside_a_run_of_ties(self):
+        # Ranks 1 to 5 hold the five ids tied at 0.15: k = 2 to 5 cut the run.
+        probs = np.array([0.05, 0.15, 0.2, 0.15, 0.15, 0.0, 0.15, 0.15, 0.0])
+        s = sort_desc(ProbVec(probs / probs.sum()))
+        perm = np.argsort(-probs, kind="stable")
+        for k in range(1, probs.size + 1):
+            np.testing.assert_array_equal(s.top_ids(k), perm[:k])
+        np.testing.assert_array_equal(s.top_ids(4), [2, 1, 3, 4])
+
+    def test_out_of_range(self):
+        s = sort_desc(ProbVec.uniform(4))
+        for bad in (-1, 4):
+            with pytest.raises(ValueError):
+                s.rank_of(bad)
+        for bad in (0, 5):
+            with pytest.raises(ValueError):
+                s.top_ids(bad)
+
+    def test_perm_computed_on_first_read(self):
+        s = sort_desc(ProbVec(np.array([0.1, 0.7, 0.2])))
+        assert "perm" not in vars(s)
+        s.rank_of(0)
+        s.top_ids(2)
+        assert "perm" not in vars(s)
+        np.testing.assert_array_equal(s.perm, [1, 2, 0])

@@ -6,8 +6,10 @@ import json
 import numpy as np
 import pytest
 
+from hybridlm import pipeline
 from hybridlm.channel import ChannelSpec
 from hybridlm.config import CalibrationConfig, PolicySpec, RunConfig
+from hybridlm.dist import SortedProbVec
 from hybridlm.oracle import OracleSpec, calibrate, write_trace
 from hybridlm.pipeline import metrics, run_many, run_sequence
 from hybridlm.uncertainty import UncertaintyConfig
@@ -145,6 +147,34 @@ class TestUncertaintyGatedPolicies:
         )
         rep, recs = run_many(cfg)
         assert rep.n_rounds == 20
+
+
+class TestArgsortFreeRounds:
+    """Rounds read sorted values only; the sorted id order is never built."""
+
+    @pytest.fixture
+    def no_perm(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("SortedProbVec.perm read on the round path")
+
+        monkeypatch.setattr(SortedProbVec, "perm", property(refuse))
+
+    def test_calibrate_and_transmitting_simulate_without_perm(self, no_perm):
+        cal = calibrate(OracleSpec(vocab_size=2048, seed=11), 60, UncertaintyConfig(m=10), seed=5)
+        assert len(cal.rows) == 60
+        cfg = make_cfg("cu_hlm_online", vocab=2048, u_th=0.0, r_max=40)
+        rep, recs = run_many(cfg, calib=cal)
+        assert rep.n_rounds == 40 and rep.tr > 0.5
+        assert all(r.k_used is not None for r in recs if r.delta == 1)
+
+    def test_skipped_rounds_do_not_sort(self, monkeypatch):
+        sorts = []
+        real = pipeline.sort_desc
+        monkeypatch.setattr(pipeline, "sort_desc", lambda x: sorts.append(x) or real(x))
+        _, recs = run_many(make_cfg("u_hlm", u_th=0.4, r_max=60))
+        n_tx = sum(r.delta for r in recs)
+        assert 0 < n_tx < len(recs)
+        assert len(sorts) == n_tx
 
 
 class TestSequenceMechanics:

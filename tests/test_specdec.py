@@ -112,6 +112,20 @@ class TestVerify:
         assert not v.accepted
         assert v.token == 1
 
+    def test_resample_builder_called_only_on_rejection(self):
+        x = ProbVec(np.array([0.8, 0.2]))
+        y = ProbVec(np.array([0.4, 0.6]))
+        built = []
+
+        def build():
+            built.append(True)
+            return ProbVec(np.array([0.0, 1.0]))
+
+        assert verify(0, x, y, build, FixedRng([0.3])) == Verdict(accepted=True, token=0)
+        assert built == []
+        assert verify(0, x, y, build, FixedRng([0.7, 0.1])) == Verdict(accepted=False, token=1)
+        assert built == [True]
+
     def test_probabilistic_acceptance_path(self):
         x = ProbVec(np.array([0.8, 0.2]))
         y = ProbVec(np.array([0.4, 0.6]))

@@ -25,6 +25,7 @@ from hybridlm.oracle import (
     save_calibration,
 )
 from hybridlm.uncertainty import (
+    EXACT_RANKS,
     REDRAW_MARGIN,
     DiscretePmfEstimator,
     GaussianKdeEstimator,
@@ -199,13 +200,55 @@ def exact_calls(monkeypatch):
     return calls
 
 
-def one_redraw(z, d, order, theta, r):
+def one_redraw(z, d, theta, r):
     """u of one redraw at temperature theta whose rng.random() yields r."""
-    return estimate_u(z, d, UncertaintyConfig(m=1), ScriptedRng([theta, r]), order=order)
+    return estimate_u(z, d, UncertaintyConfig(m=1), ScriptedRng([theta, r]))
 
 
 def exact_redraw(z, d, theta, r):
     return 0.0 if sample_at(softmax(z, theta), r) == d else 1.0
+
+
+BRACKET_THETAS = np.array([MIN_TEMPERATURE, 0.1, 0.7, 2.0, 50.0])
+
+
+def assert_brackets_hold(z, d, thetas=BRACKET_THETAS):
+    """Each bracket of redraw_brackets holds the exact CDF value, to 1e-11."""
+    lower_lo, lower_hi, upper_lo, upper_hi = redraw_brackets(z, d, thetas)
+    for i, theta in enumerate(thetas):
+        cdf = np.cumsum(softmax(z, theta).probs)
+        lower = cdf[d - 1] if d > 0 else -np.inf
+        upper = cdf[d] if d < z.size - 1 else np.inf
+        # A NaN bound claims nothing; estimate_u takes the exact path.
+        for lo, exact, hi in (
+            (lower_lo[i], lower, lower_hi[i]),
+            (upper_lo[i], upper, upper_hi[i]),
+        ):
+            assert not lo - 1e-11 > exact and not exact > hi + 1e-11
+
+
+def assert_redraws_exact(z, d, thetas=(MIN_TEMPERATURE, 0.3, 1.0, 2.0), full=True):
+    """Redraws on, an ulp beside and 1e-12 beside the exact CDF values around d
+    decide as the exact path does; with ``full``, so does a whole estimate_u."""
+    for theta in thetas:
+        cdf = np.cumsum(softmax(z, theta).probs)
+        for c in [cdf[d]] + ([cdf[d - 1]] if d > 0 else []):
+            for r in (c, np.nextafter(c, -1.0), np.nextafter(c, 2.0), c - 1e-12, c + 1e-12):
+                if 0.0 <= r < 1.0:
+                    assert one_redraw(z, d, theta, float(r)) == exact_redraw(z, d, theta, r)
+    if not full:
+        return
+    cfg = UncertaintyConfig()
+    rng, ref_rng = np.random.default_rng(d), np.random.default_rng(d)
+    assert estimate_u(z, d, cfg, rng) == reference_estimate_u(z, d, cfg, ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def exact_set(z):
+    """The ids redraw_brackets sums exactly: z >= the EXACT_RANKS-th largest logit."""
+    if z.size <= EXACT_RANKS:
+        return np.arange(z.size)
+    return np.flatnonzero(z >= np.sort(z)[z.size - EXACT_RANKS])
 
 
 class TestBoundedRedraws:
@@ -214,7 +257,7 @@ class TestBoundedRedraws:
         z, order = oracle_rounds[0]
         d = int(order[0])
         lower_lo, lower_hi, upper_lo, upper_hi = (
-            float(b[0]) for b in redraw_brackets(z, d, order, np.array([theta]))
+            float(b[0]) for b in redraw_brackets(z, d, np.array([theta]))
         )
         m = REDRAW_MARGIN
         assert 0.0 < lower_lo - m and lower_hi + m < upper_lo - m and upper_hi + m < 1.0
@@ -231,7 +274,7 @@ class TestBoundedRedraws:
         ]
         for r, u, settled in cases:
             exact_calls.clear()
-            assert one_redraw(z, d, order, theta, float(r)) == u == exact_redraw(z, d, theta, r)
+            assert one_redraw(z, d, theta, float(r)) == u == exact_redraw(z, d, theta, r)
             assert exact_calls == ([] if settled else [theta]), (r, u)
 
     @pytest.mark.parametrize("rank", [0, 16_000, 31_999])
@@ -250,11 +293,11 @@ class TestBoundedRedraws:
                         c - 1e-12, c + 1e-12, c - 2e-9, c + 2e-9,
                     ):
                         if 0.0 <= r < 1.0:
-                            got = one_redraw(z, d, order, theta, float(r))
+                            got = one_redraw(z, d, theta, float(r))
                             assert got == exact_redraw(z, d, theta, r), (rank, theta, c, r)
 
     def test_all_exact_terms_draws_on_the_cdf(self):
-        # Below EXACT_RANKS tokens the brackets hold no block terms, so they
+        # Below EXACT_RANKS tokens the brackets hold no bucket terms, so they
         # meet the exact floats to within rounding: only the margin tells an
         # r on the CDF value from one an ulp away.
         rng = np.random.default_rng(9)
@@ -266,7 +309,7 @@ class TestBoundedRedraws:
             for c in (cdf[d - 1], cdf[d]):
                 for r in (c, np.nextafter(c, -1.0), np.nextafter(c, 2.0)):
                     if r < 1.0:
-                        got = one_redraw(z, d, np.argsort(-z), theta, float(r))
+                        got = one_redraw(z, d, theta, float(r))
                         assert got == exact_redraw(z, d, theta, r), (z.size, d, theta, r)
 
     @pytest.mark.parametrize("rank", [0, 16_000, 31_999])
@@ -274,39 +317,95 @@ class TestBoundedRedraws:
         cfg = UncertaintyConfig()
         for i, (z, order) in enumerate(oracle_rounds):
             d = int(order[rank])
-            for kw in ({"order": order}, {}):
-                rng, ref_rng = np.random.default_rng(i), np.random.default_rng(i)
-                got = estimate_u(z, d, cfg, rng, **kw)
-                assert got == reference_estimate_u(z, d, cfg, ref_rng), (i, rank)
-                assert rng.bit_generator.state == ref_rng.bit_generator.state
+            rng, ref_rng = np.random.default_rng(i), np.random.default_rng(i)
+            got = estimate_u(z, d, cfg, rng)
+            assert got == reference_estimate_u(z, d, cfg, ref_rng), (i, rank)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_oracle_redraws_rarely_take_the_exact_path(self, oracle_rounds, exact_calls):
         cfg = UncertaintyConfig()
         n = 0
         for i, (z, order) in enumerate(oracle_rounds):
             for rank in (0, 1, 2, 5, 300):
-                estimate_u(z, int(order[rank]), cfg, np.random.default_rng(i), order=order)
+                estimate_u(z, int(order[rank]), cfg, np.random.default_rng(i))
                 n += cfg.m
         assert len(exact_calls) <= n // 20
 
     def test_brackets_hold_for_any_permutation(self):
+        # The brackets read no id order: they hold on the logits and on a
+        # shuffle of them, with d the same index in both.
         rng = np.random.default_rng(5)
         for _ in range(40):
             z = rng.normal(scale=float(rng.choice([1.0, 5.0])), size=int(rng.integers(300, 3000)))
             d = int(rng.integers(z.size))
-            thetas = np.array([MIN_TEMPERATURE, 0.1, 0.7, 2.0, 50.0])
-            for order in (np.argsort(-z), rng.permutation(z.size)):
-                lower_lo, lower_hi, upper_lo, upper_hi = redraw_brackets(z, d, order, thetas)
-                for i, theta in enumerate(thetas):
-                    cdf = np.cumsum(softmax(z, theta).probs)
-                    lower = cdf[d - 1] if d > 0 else -np.inf
-                    upper = cdf[d] if d < z.size - 1 else np.inf
-                    # A NaN bound claims nothing; estimate_u takes the exact path.
-                    for lo, exact, hi in (
-                        (lower_lo[i], lower, lower_hi[i]),
-                        (upper_lo[i], upper, upper_hi[i]),
-                    ):
-                        assert not lo - 1e-11 > exact and not exact > hi + 1e-11
+            for logits in (z, rng.permutation(z)):
+                assert_brackets_hold(logits, d)
+
+    def test_ties_at_the_cut(self):
+        # 300 ids tie at the EXACT_RANKS-th largest logit: all of them are
+        # exact terms, above EXACT_RANKS in number.
+        rng = np.random.default_rng(12)
+        z = np.concatenate([1.0 + rng.random(100), np.zeros(300), -1.0 - 5.0 * rng.random(1600)])
+        z = rng.permutation(z)
+        assert exact_set(z).size == 400
+        above, at, below = (int(np.flatnonzero(f)[7]) for f in (z > 0.0, z == 0.0, z < 0.0))
+        for d in (above, at, below, 0, z.size - 1):
+            assert_brackets_hold(z, d)
+            assert_redraws_exact(z, d)
+
+    def test_all_equal_logits(self):
+        # Every id ties at the cut, so no bucket has width: all terms are exact.
+        for n in (EXACT_RANKS + 1, 2000):
+            z = np.full(n, 0.3)
+            for d in (0, n // 2, n - 1):
+                assert_brackets_hold(z, d)
+                assert_redraws_exact(z, d)
+
+    def test_equal_logits_below_the_cut(self):
+        rng = np.random.default_rng(13)
+        z = rng.permutation(np.concatenate([rng.normal(size=EXACT_RANKS), np.full(1000, -4.0)]))
+        for d in (int(np.argmax(z)), int(np.argmin(z)), int(np.flatnonzero(z == -4.0)[-1])):
+            assert_brackets_hold(z, d)
+            assert_redraws_exact(z, d)
+
+    @pytest.mark.parametrize("n", [2, EXACT_RANKS - 1, EXACT_RANKS, EXACT_RANKS + 1])
+    def test_vocabulary_up_to_exact_ranks(self, n):
+        rng = np.random.default_rng(n)
+        z = rng.normal(scale=3.0, size=n)
+        for d in {0, n - 1, int(np.argmax(z)), int(np.argmin(z))}:
+            assert_brackets_hold(z, d)
+            assert_redraws_exact(z, d)
+
+    def test_logits_spanning_a_thousand(self):
+        rng = np.random.default_rng(14)
+        for z in (rng.uniform(-1000.0, 0.0, 5000), rng.uniform(-500.0, 500.0, 3000)):
+            order = np.argsort(-z, kind="stable")
+            for rank in (0, 3, 255, 256, 1000, z.size - 1):
+                d = int(order[rank])
+                assert_brackets_hold(z, d)
+                assert_redraws_exact(z, d)
+
+    def test_draft_inside_and_outside_the_exact_set(self, oracle_rounds):
+        z, order = oracle_rounds[1]
+        exact = exact_set(z)
+        for rank in (0, 100, EXACT_RANKS - 1, EXACT_RANKS, 5000, z.size - 1):
+            d = int(order[rank])
+            assert (d in exact) == (rank < EXACT_RANKS)
+            assert_brackets_hold(z, d)
+            assert_redraws_exact(z, d)
+
+    def test_degenerate_bucket_spans(self):
+        # A span between min(z) and the cut too narrow for VALUE_BUCKETS / span
+        # to be finite, and one too wide to be finite itself: one bucket each.
+        # The wide one overflows softmax's own z - max to -inf as well, and
+        # below theta = 1 its z / theta, so only theta >= 1 is defined.
+        narrow = np.concatenate([np.full(EXACT_RANKS, 1e-310), [0.0, 5e-324, 1e-315]])
+        wide = np.concatenate([np.full(EXACT_RANKS, 1e308), [-1e308, -5e307, 0.0]])
+        with np.errstate(over="ignore"):
+            for z in (narrow, wide):
+                for d in (0, EXACT_RANKS, z.size - 1):
+                    assert_brackets_hold(z, d, np.array([1.0, 2.0]))
+                    assert_redraws_exact(z, d, (1.0, 2.0), full=z is narrow)
 
     def test_leaves_numpy_ma_unloaded(self):
         # numpy.ma costs about 1 MB of peak RSS; np.unique would load it.

@@ -7,23 +7,51 @@
 #   tools/digests.sh ../parent /tmp/before > before.txt
 #   diff before.txt after.txt
 #
+# tools/digests.expected is this script's full listing, checked in; a change
+# that alters output streams on purpose regenerates it with
+#
+#   tools/digests.sh . /tmp/digests > tools/digests.expected
+#
+# The first line names the numpy version, the machine and the SIMD targets
+# numpy dispatches to, since exp and summation may round differently
+# elsewhere. With --v2048 only the V=2048 runs are made and listed (the five
+# calibration-free policies, the EOS run and the sweep, a few seconds);
+# tests/test_digests.py compares them with the checked-in listing.
+#
 # The wall-clock "generated_at" line is removed from report.json and
 # sweep.csv before hashing; every other byte counts. verify.txt ends with
 # the command's exit status, so a failing suite shows in the diff without
 # stopping the script; each demo's stdout is digested as demos/<name>.txt.
+# PYTHON names the interpreter (default python3).
 set -euo pipefail
 
-if [ $# -ne 2 ]; then
-    echo "usage: $0 SRC OUT" >&2
+if [ $# -lt 2 ] || [ $# -gt 3 ] || { [ $# -eq 3 ] && [ "$3" != "--v2048" ]; }; then
+    echo "usage: $0 SRC OUT [--v2048]" >&2
     exit 2
 fi
+FULL=1
+[ $# -eq 3 ] && FULL=0
 SRC=$(cd "$1" && pwd)
 mkdir -p "$2"
 OUT=$(cd "$2" && pwd)
+PY=${PYTHON:-python3}
 export PYTHONPATH="$SRC/src" PYTHONDONTWRITEBYTECODE=1
 cd "$OUT"
 
-hybridlm() { python3 -m hybridlm.cli "$@" >>"$OUT/commands.log"; }
+"$PY" - <<'EOF'
+import platform
+
+import numpy as np
+
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:  # numpy < 2
+    from numpy.core import _multiarray_umath as umath
+simd = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+print(f"# numpy {np.__version__} {platform.machine()} {','.join(simd) or '-'}")
+EOF
+
+hybridlm() { "$PY" -m hybridlm.cli "$@" >>"$OUT/commands.log"; }
 : >"$OUT/commands.log"
 
 # V=32000 transmitting every round (u_th=0), with and without the 8-bit wire.
@@ -44,34 +72,42 @@ for p in $POLICIES; do
            \"r_max\": 64, \"n_sequences\": 2}" >"$p.json"
 done
 
-hybridlm calibrate --rounds 400 --seed 1 --out cal
-hybridlm calibrate --config big.json --rounds 40 --seed 1 --out cal_big
-hybridlm simulate --config tx.json --calib cal --transcript --out tx
-hybridlm report --records tx/records.jsonl --out tx_report
-hybridlm simulate --config tx_raw.json --calib cal --transcript --format csv --out tx_raw
-hybridlm report --records tx_raw/records.csv --out tx_raw_report
+if [ $FULL = 1 ]; then
+    hybridlm calibrate --rounds 400 --seed 1 --out cal
+    hybridlm calibrate --config big.json --rounds 40 --seed 1 --out cal_big
+    hybridlm simulate --config tx.json --calib cal --transcript --out tx
+    hybridlm report --records tx/records.jsonl --out tx_report
+    hybridlm simulate --config tx_raw.json --calib cal --transcript --format csv --out tx_raw
+    hybridlm report --records tx_raw/records.csv --out tx_raw_report
+fi
 hybridlm simulate --config eos.json --transcript --out eos
 hybridlm sweep --config sweep.json --axis theta --values 0.05,0.2 --fading fixed,rayleigh --out sweep
 for p in $POLICIES; do
     hybridlm simulate --config "$p.json" --transcript --out "$p"
 done
-status=0
-python3 -m hybridlm.cli verify --cases 200 >verify.txt || status=$?
-echo "exit status $status" >>verify.txt
-mkdir -p demos
-for demo in "$SRC"/demos/*.py; do
-    python3 "$demo" >"demos/$(basename "$demo" .py).txt"
-done
+if [ $FULL = 1 ]; then
+    status=0
+    "$PY" -m hybridlm.cli verify --cases 200 >verify.txt || status=$?
+    echo "exit status $status" >>verify.txt
+    mkdir -p demos
+    for demo in "$SRC"/demos/*.py; do
+        "$PY" "$demo" >"demos/$(basename "$demo" .py).txt"
+    done
+fi
 
-sed -i '/generated_at/d' tx/report.json tx_report/report.json tx_raw/report.json \
-    tx_raw_report/report.json eos/report.json sweep/sweep.csv \
-    $(for p in $POLICIES; do echo "$p/report.json"; done)
-
-sha256sum \
-    cal/calibration_pairs.csv cal/utv_table.csv cal/model.json \
-    cal_big/calibration_pairs.csv cal_big/utv_table.csv cal_big/model.json \
-    tx/records.jsonl tx/transcript.bin tx/report.json tx_report/report.json \
-    tx_raw/records.csv tx_raw/transcript.bin tx_raw/report.json tx_raw_report/report.json \
-    eos/records.jsonl eos/transcript.bin eos/report.json \
-    sweep/sweep.csv verify.txt demos/*.txt \
-    $(for p in $POLICIES; do echo "$p/records.jsonl $p/transcript.bin $p/report.json"; done)
+REPORTS="eos/report.json $(for p in $POLICIES; do echo "$p/report.json"; done)"
+RUNS="eos/records.jsonl eos/transcript.bin eos/report.json sweep/sweep.csv"
+POLICY_RUNS=$(for p in $POLICIES; do echo "$p/records.jsonl $p/transcript.bin $p/report.json"; done)
+if [ $FULL = 1 ]; then
+    sed -i '/generated_at/d' tx/report.json tx_report/report.json tx_raw/report.json \
+        tx_raw_report/report.json sweep/sweep.csv $REPORTS
+    sha256sum \
+        cal/calibration_pairs.csv cal/utv_table.csv cal/model.json \
+        cal_big/calibration_pairs.csv cal_big/utv_table.csv cal_big/model.json \
+        tx/records.jsonl tx/transcript.bin tx/report.json tx_report/report.json \
+        tx_raw/records.csv tx_raw/transcript.bin tx_raw/report.json tx_raw_report/report.json \
+        $RUNS verify.txt demos/*.txt $POLICY_RUNS
+else
+    sed -i '/generated_at/d' sweep/sweep.csv $REPORTS
+    sha256sum $RUNS $POLICY_RUNS
+fi
