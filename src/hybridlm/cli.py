@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import dataclasses
 import functools
 import json
@@ -44,6 +45,14 @@ _RECORD_TYPES = field_types(RoundRecord)
 
 SWEEP_COLUMNS = ["fading", "axis", "value", *(f.name for f in dataclasses.fields(SimReport))]
 
+# glibc malloc settings for a command's process. A fixed mmap threshold
+# turns off glibc's dynamic threshold, whose trim threshold of twice the
+# largest freed chunk (512 KB for a 32000-token float64 vector) hands each
+# round's freed vectors back to the kernel, so the next round faults them
+# in again. Both sizes are well above any per-round allocation.
+MMAP_THRESHOLD_BYTES = 16 << 20
+TRIM_THRESHOLD_BYTES = 128 << 20
+
 
 class _Parser(argparse.ArgumentParser):
     # Usage mistakes are configuration errors (exit 1), not verification
@@ -51,6 +60,25 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise SystemExit(f"error: {message}")
+
+
+def retain_heap() -> tuple[int, ...]:
+    """Keep freed memory in this process's heap; returns ``mallopt``'s results.
+
+    Returns () where the C library has no ``mallopt`` (it is glibc's). The
+    settings are process-wide, so only entry points call this: ``main`` and
+    ``sweep``'s worker processes, never library code.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return ()
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return (
+        mallopt(-3, MMAP_THRESHOLD_BYTES),  # M_MMAP_THRESHOLD
+        mallopt(-1, TRIM_THRESHOLD_BYTES),  # M_TRIM_THRESHOLD
+    )
 
 
 def _timestamp() -> str:
@@ -184,7 +212,7 @@ def cmd_sweep(args) -> int:
 
     run_point = functools.partial(_sweep_point, calib)
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=args.jobs, initializer=retain_heap) as pool:
             rows = list(pool.map(run_point, points))
     else:
         rows = [run_point(p) for p in points]
@@ -295,6 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    retain_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

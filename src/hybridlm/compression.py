@@ -106,12 +106,15 @@ def reconstruct(c: CompressedVocab) -> ProbVec:
     transmitted = np.zeros(c.vocab_size, dtype=bool)
     transmitted[c.entry_ids] = True
     transmitted[c.draft_id] = True
-    slots = int(c.vocab_size - transmitted.sum())
+    slots = c.vocab_size - int(np.count_nonzero(transmitted))
     residual = 1.0 - x_hat[transmitted].sum()
     if slots > 0 and residual > 0.0:
-        x_hat[~transmitted] = residual / slots
+        # Fill every slot, then put the transmitted values back.
+        x_hat.fill(residual / slots)
+        x_hat[c.entry_ids] = c.entry_probs
+        x_hat[c.draft_id] = c.draft_prob
     else:
-        x_hat = x_hat / x_hat.sum()
+        x_hat /= x_hat.sum()
     return ProbVec(x_hat)
 
 

@@ -31,15 +31,21 @@ class ProbVec:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.probs, dtype=np.float64)
+        # One copy, so the caller's array is neither aliased nor frozen.
+        p = np.array(self.probs, dtype=np.float64)
         if p.ndim != 1 or p.size == 0:
             raise DistributionError("probability vector must be 1-D and non-empty")
-        if not np.all(np.isfinite(p)):
-            raise DistributionError("probability vector has non-finite entries")
-        if np.any(p < -NEG_TOL):
-            raise DistributionError(f"negative probability entry: min={p.min():.3e}")
-        p = np.maximum(p, 0.0)
+        # A NaN or infinite entry makes the min or the sum non-finite; a
+        # finite vector whose sum overflows is left to the sum check.
+        lo = p.min()
         total = p.sum()
+        if not (np.isfinite(lo) and np.isfinite(total)) and not np.all(np.isfinite(p)):
+            raise DistributionError("probability vector has non-finite entries")
+        if lo < -NEG_TOL:
+            raise DistributionError(f"negative probability entry: min={lo:.3e}")
+        if lo < 0.0:
+            np.maximum(p, 0.0, out=p)
+            total = p.sum()
         drift = abs(total - 1.0)
         if drift > RENORM_TOL:
             raise DistributionError(f"probabilities sum to {total!r}, expected 1")
@@ -48,7 +54,7 @@ class ProbVec:
                 f"renormalizing probability vector with drift {drift:.3e}",
                 stacklevel=2,
             )
-            p = p / total
+            p /= total
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
 
@@ -163,7 +169,9 @@ def tvd(p: ProbVec, q: ProbVec) -> float:
     """Total variation distance, half the l1 distance."""
     if len(p) != len(q):
         raise ValueError(f"length mismatch: {len(p)} vs {len(q)}")
-    return 0.5 * float(np.abs(p.probs - q.probs).sum())
+    diff = np.subtract(p.probs, q.probs)
+    np.abs(diff, out=diff)
+    return 0.5 * float(diff.sum())
 
 
 def sort_desc(p: ProbVec) -> SortedProbVec:

@@ -87,11 +87,11 @@ class SyntheticOracle:
         base[perm] = self._base_sorted
         # Each model's noise, scaled and shifted by base in place; multiplying
         # by a divergence of 1.0 would change no float, so it is skipped.
-        slm = seeding.context_rng(spec.seed, fp, seeding.ORACLE_NOISE_SLM).normal(
-            size=spec.vocab_size
+        slm = seeding.context_rng(spec.seed, fp, seeding.ORACLE_NOISE_SLM).standard_normal(
+            spec.vocab_size
         )
-        llm = seeding.context_rng(spec.seed, fp, seeding.ORACLE_NOISE_LLM).normal(
-            size=spec.vocab_size
+        llm = seeding.context_rng(spec.seed, fp, seeding.ORACLE_NOISE_LLM).standard_normal(
+            spec.vocab_size
         )
         if spec.divergence != 1.0:
             slm *= spec.divergence
@@ -106,10 +106,20 @@ class SyntheticOracle:
     def _inject_eos(self, logits: np.ndarray) -> np.ndarray:
         # Mix a point mass at the EOS token into the softmax output, then
         # return to logit space so downstream softmax recovers the mixture.
+        eps = self.spec.eos_prob
         x = softmax(logits).probs.copy()
-        x *= 1.0 - self.spec.eos_prob
-        x[EOS_TOKEN] += self.spec.eos_prob
-        return np.log(x)
+        x *= 1.0 - eps
+        x[EOS_TOKEN] += eps
+        under = x == 0.0
+        if not under.any():
+            return np.log(x)
+        # A mixture entry that underflowed to 0 takes its log-space value,
+        # log(1 - eps) + log softmax(z), instead of log 0 = -inf.
+        with np.errstate(divide="ignore"):
+            out = np.log(x)
+        w = logits - logits.max()
+        out[under] = math.log(1.0 - eps) + w[under] - math.log(np.exp(w).sum())
+        return out
 
 
 class TraceOracle:

@@ -40,9 +40,13 @@ def rejection_prob(x_d: float, y_d: float) -> float:
 def rejection_probs(x: ProbVec, y: ProbVec) -> np.ndarray:
     """Vector of per-token rejection probabilities; tokens with x_v = 0 get 0."""
     xs = x.probs
-    with np.errstate(divide="ignore", invalid="ignore"):
-        beta = np.where(xs > 0.0, 1.0 - y.probs / np.where(xs > 0.0, xs, 1.0), 0.0)
-    return np.maximum(beta, 0.0)
+    positive = xs > 0.0
+    beta = np.where(positive, xs, 1.0)
+    np.divide(y.probs, beta, out=beta)  # no zero divisor: x_v = 0 divides by 1
+    np.subtract(1.0, beta, out=beta)
+    np.maximum(beta, 0.0, out=beta)
+    beta[~positive] = 0.0
+    return beta
 
 
 def accepts(x_d: float, y_d: float, rng: np.random.Generator) -> bool:
@@ -103,11 +107,13 @@ def distorted_resample_dist(x_hat: ProbVec, y: ProbVec) -> tuple[ProbVec, bool]:
     the exact x; in that degenerate case fall back to y itself (flag set),
     which keeps the output a valid distribution with bounded bias.
     """
-    num = np.maximum(y.probs - x_hat.probs, 0.0)
+    num = np.subtract(y.probs, x_hat.probs)
+    np.maximum(num, 0.0, out=num)
     denom = num.sum()
     if denom <= 0.0:
         return y, True
-    return ProbVec(num / denom), False
+    num /= denom
+    return ProbVec(num), False
 
 
 def hybrid_output_dist(x: ProbVec, y: ProbVec, q: ProbVec) -> ProbVec:
@@ -116,10 +122,18 @@ def hybrid_output_dist(x: ProbVec, y: ProbVec, q: ProbVec) -> ProbVec:
     Equals y exactly when q is the exact resampling distribution.
     """
     beta = rejection_probs(x, y)
-    reject_mass = float((x.probs * beta).sum())
-    return ProbVec(x.probs * (1.0 - beta) + reject_mass * q.probs)
+    rejected = np.multiply(x.probs, beta)
+    reject_mass = float(rejected.sum())
+    # x * (1 - beta) + reject_mass * q, in beta's and rejected's storage.
+    np.subtract(1.0, beta, out=beta)
+    np.multiply(x.probs, beta, out=beta)
+    np.multiply(reject_mass, q.probs, out=rejected)
+    np.add(beta, rejected, out=beta)
+    return ProbVec(beta)
 
 
 def round_bias(x: ProbVec, y: ProbVec, q: ProbVec) -> float:
     """l1 deviation of the hybrid output law from y under resampling dist q."""
-    return float(np.abs(hybrid_output_dist(x, y, q).probs - y.probs).sum())
+    diff = np.subtract(hybrid_output_dist(x, y, q).probs, y.probs)
+    np.abs(diff, out=diff)
+    return float(diff.sum())

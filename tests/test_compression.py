@@ -20,12 +20,37 @@ from hybridlm.compression import (
     utv_bound,
     utv_bound_online,
 )
-from hybridlm.dist import ProbVec, sort_desc, tvd
-from hybridlm.oracle import CalibrationSet, load_calibration, save_calibration
+from hybridlm.channel import PayloadSpec, quantize_vocab
+from hybridlm.dist import ProbVec, softmax, sort_desc, tvd
+from hybridlm.oracle import (
+    CalibrationSet,
+    OracleSpec,
+    SyntheticOracle,
+    load_calibration,
+    save_calibration,
+)
 from hybridlm.specdec import distorted_resample_dist, resample_dist
 from hybridlm.uncertainty import LinearRejectionModel
 
 MODEL = LinearRejectionModel(a=0.815, b=-0.066, mse=0.0, r2=1.0)
+
+
+def reconstruct_reference(c):
+    """The earlier ``reconstruct``, and whether it took the renormalise branch."""
+    x_hat = np.zeros(c.vocab_size)
+    x_hat[c.entry_ids] = c.entry_probs
+    x_hat[c.draft_id] = c.draft_prob
+    transmitted = np.zeros(c.vocab_size, dtype=bool)
+    transmitted[c.entry_ids] = True
+    transmitted[c.draft_id] = True
+    slots = int(c.vocab_size - transmitted.sum())
+    residual = 1.0 - x_hat[transmitted].sum()
+    renormalised = not (slots > 0 and residual > 0.0)
+    if not renormalised:
+        x_hat[~transmitted] = residual / slots
+    else:
+        x_hat = x_hat / x_hat.sum()
+    return ProbVec(x_hat), renormalised
 
 
 def random_pair(rng, n, concentration=0.3):
@@ -115,6 +140,36 @@ class TestReconstruct:
         r = reconstruct(c)
         assert abs(r.probs.sum() - 1.0) < 1e-12
         np.testing.assert_allclose(r.probs[2:], 0.0)
+
+    def test_bit_equal_to_reference(self):
+        # V=32000 oracle rounds, raw and on the 8-bit wire, with the draft
+        # inside and outside the top k, a vector with exact zeros, k = |V|
+        # (no slot left) and a quantized total above 1 (renormalised).
+        payloads = []
+        o = SyntheticOracle(OracleSpec())
+        seq = []
+        for t in range(3):
+            x = softmax(o.next_round(seq).slm_logits)
+            zeroed = x.probs.copy()
+            zeroed[::5] = 0.0
+            for p in (x, ProbVec(zeroed / zeroed.sum())):
+                s = sort_desc(p)
+                for k, rank in ((1, 0), (12, 3), (12, 40), (len(s), 7)):
+                    c = compress(s, k, int(s.top_ids(rank + 1)[rank]))
+                    payloads += [c, quantize_vocab(c, PayloadSpec())]
+            seq.append(t)
+        payloads.append(
+            CompressedVocab(
+                k=2, entry_ids=np.array([0, 1]), entry_probs=np.array([0.8, 0.4]),
+                draft_id=0, draft_prob=0.8, vocab_size=4,
+            )
+        )
+        branches = set()
+        for c in payloads:
+            ref, renormalised = reconstruct_reference(c)
+            branches.add(renormalised)
+            assert np.array_equal(reconstruct(c).probs, ref.probs)
+        assert branches == {False, True}
 
     def test_always_valid_probvec(self):
         rng = np.random.default_rng(1)

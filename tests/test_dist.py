@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 from hybridlm.dist import (
+    NEG_TOL,
+    RENORM_TOL,
+    SUM_TOL,
     DistributionError,
     ProbVec,
     sample,
@@ -15,6 +18,38 @@ from hybridlm.dist import (
     sort_desc,
     tvd,
 )
+from hybridlm.oracle import OracleSpec, SyntheticOracle
+
+
+def probvec_reference(values):
+    """The stored vector of the earlier ``ProbVec``, which checked each property in its own pass."""
+    p = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(p)):
+        raise DistributionError("probability vector has non-finite entries")
+    if np.any(p < -NEG_TOL):
+        raise DistributionError(f"negative probability entry: min={p.min():.3e}")
+    p = np.maximum(p, 0.0)
+    total = p.sum()
+    drift = abs(total - 1.0)
+    if drift > RENORM_TOL:
+        raise DistributionError(f"probabilities sum to {total!r}, expected 1")
+    if drift > SUM_TOL:
+        p = p / total
+    return p
+
+
+def tvd_reference(p, q):
+    return 0.5 * float(np.abs(p.probs - q.probs).sum())
+
+
+def oracle_pairs(n_rounds):
+    """(x, y) of the first rounds of a default V=32000 synthetic sequence."""
+    o = SyntheticOracle(OracleSpec())
+    seq = []
+    for t in range(n_rounds):
+        ri = o.next_round(seq)
+        yield softmax(ri.slm_logits), softmax(ri.llm_logits)
+        seq.append(t)
 
 
 class TestProbVec:
@@ -49,6 +84,38 @@ class TestProbVec:
     def test_tiny_negative_clamped(self):
         v = ProbVec(np.array([1.0 + 1e-13, -1e-13]))
         assert v.probs[1] == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        with pytest.raises(DistributionError, match="non-finite entries"):
+            ProbVec(np.array([0.5, bad, 0.5]))
+
+    def test_negative_entry_names_min(self):
+        with pytest.raises(DistributionError, match=r"min=-1\.000e-01"):
+            ProbVec(np.array([0.5, 0.6, -0.1]))
+
+    @pytest.mark.parametrize("values", [[0.25, 0.75], [1.0 + 1e-13, -1e-13]])
+    def test_caller_array_neither_aliased_nor_frozen(self, values):
+        a = np.array(values)
+        v = ProbVec(a)
+        before = v.probs.copy()
+        a[0] = 0.5
+        assert a.flags.writeable
+        np.testing.assert_array_equal(v.probs, before)
+
+    def test_bit_equal_to_reference(self):
+        rng = np.random.default_rng(12)
+        cases = [x.probs for x, _ in oracle_pairs(2)]
+        cases.append(np.array([1.0 + 1e-13, -1e-13, 0.0, -0.0]))  # clamp
+        cases.append(rng.dirichlet(np.ones(1000)) * (1.0 + 5e-8))  # renormalize
+        zeros = rng.dirichlet(np.ones(500))
+        zeros[::3] = 0.0
+        cases.append(zeros / zeros.sum())
+        for values in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                got = ProbVec(values).probs
+            assert np.array_equal(got, probvec_reference(values))
 
 
 class TestSoftmax:
@@ -155,6 +222,15 @@ class TestTvd:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             tvd(ProbVec.uniform(2), ProbVec.uniform(3))
+
+    def test_bit_equal_to_reference(self):
+        pairs = list(oracle_pairs(3))
+        x0 = pairs[0][0].probs.copy()
+        x0[::7] = 0.0
+        pairs.append((ProbVec(x0 / x0.sum()), pairs[0][1]))
+        for p, q in pairs:
+            assert tvd(p, q) == tvd_reference(p, q)
+            assert tvd(q, p) == tvd_reference(q, p)
 
     def test_symmetry_triangle_and_mass_conservation(self):
         rng = np.random.default_rng(11)

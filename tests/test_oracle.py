@@ -1,5 +1,7 @@
 """Tests for the synthetic/trace oracles and calibration."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,30 @@ class TestSyntheticOracle:
         ri = o.next_round([])
         x = softmax(ri.slm_logits)
         assert x.probs[EOS_TOKEN] >= 0.25 - 1e-9
+
+    def test_eos_mixture_underflow_stays_finite(self):
+        # At zipf_s 100 the mixture underflows to 0 below the first few
+        # ranks; log 0 used to give -inf logits and a divide warning.
+        o = SyntheticOracle(synth(vocab=2048, zipf=100.0, eos=0.05, seed=1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ri = o.next_round([])
+        for z in (ri.slm_logits, ri.llm_logits):
+            assert np.all(np.isfinite(z))
+            assert softmax(z).probs[EOS_TOKEN] >= 0.05 - 1e-9
+
+    def test_eos_underflowed_entries_take_log_space_value(self):
+        o = SyntheticOracle(synth(vocab=4, eos=0.25))
+        z = np.array([-3.0, 0.0, -800.0, -2.0])
+        w = z - z.max()
+        x = np.exp(w) / np.exp(w).sum() * 0.75
+        x[EOS_TOKEN] += 0.25
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = o._inject_eos(z)
+        kept = [0, 1, 3]
+        np.testing.assert_array_equal(out[kept], np.log(x[kept]))
+        assert out[2] == pytest.approx(np.log(0.75) - 800.0 - np.log(np.exp(w).sum()))
 
 
 class TestTraceOracle:

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from hybridlm.dist import ProbVec, tvd
+from hybridlm.compression import compress, reconstruct
+from hybridlm.dist import ProbVec, softmax, sort_desc, tvd
+from hybridlm.oracle import OracleSpec, SyntheticOracle
 from hybridlm.specdec import (
     Verdict,
     distorted_resample_dist,
@@ -14,6 +16,56 @@ from hybridlm.specdec import (
     round_bias,
     verify,
 )
+
+
+# The earlier whole-array expressions of the vector functions, which the
+# in-place versions must match bit for bit.
+
+
+def rejection_probs_reference(x, y):
+    xs = x.probs
+    with np.errstate(divide="ignore", invalid="ignore"):
+        beta = np.where(xs > 0.0, 1.0 - y.probs / np.where(xs > 0.0, xs, 1.0), 0.0)
+    return np.maximum(beta, 0.0)
+
+
+def hybrid_output_dist_reference(x, y, q):
+    beta = rejection_probs_reference(x, y)
+    reject_mass = float((x.probs * beta).sum())
+    return ProbVec(x.probs * (1.0 - beta) + reject_mass * q.probs)
+
+
+def round_bias_reference(x, y, q):
+    return float(np.abs(hybrid_output_dist_reference(x, y, q).probs - y.probs).sum())
+
+
+def distorted_resample_dist_reference(x_hat, y):
+    num = np.maximum(y.probs - x_hat.probs, 0.0)
+    denom = num.sum()
+    if denom <= 0.0:
+        return y, True
+    return ProbVec(num / denom), False
+
+
+def reference_cases():
+    """(x, x_hat, y): V=32000 oracle rounds, and vectors with exact zeros in x."""
+    o = SyntheticOracle(OracleSpec())
+    rng = np.random.default_rng(21)
+    seq = []
+    for t in range(3):
+        ri = o.next_round(seq)
+        x, y = softmax(ri.slm_logits), softmax(ri.llm_logits)
+        d = int(np.argmax(x.probs))
+        yield x, reconstruct(compress(sort_desc(x), 16 << t, d)), y
+        zeroed = x.probs.copy()
+        zeroed[rng.random(zeroed.size) < 0.3] = 0.0
+        zeroed[d] = x.probs[d]
+        xz = ProbVec(zeroed / zeroed.sum())
+        yield xz, reconstruct(compress(sort_desc(xz), 8, d)), y
+        seq.append(t)
+    x = ProbVec(np.array([0.5, 0.0, 0.3, 0.0, 0.2]))
+    y = ProbVec(np.array([0.1, 0.4, 0.1, 0.3, 0.1]))
+    yield x, x, y
 
 
 def brute_force_bias(x, y, q):
@@ -280,3 +332,33 @@ class TestRoundBias:
         assert round_bias(x, y, p) < 1e-15
         q = ProbVec(np.array([0.5, 0.5]))
         assert round_bias(x, y, q) > 1e-3
+
+
+class TestBitEqualToReference:
+    def test_rejection_probs(self):
+        for x, _, y in reference_cases():
+            assert np.array_equal(rejection_probs(x, y), rejection_probs_reference(x, y))
+
+    def test_distorted_resample_dist(self):
+        for x, x_hat, y in reference_cases():
+            for a in (x, x_hat):
+                q, fallback = distorted_resample_dist(a, y)
+                q_ref, fallback_ref = distorted_resample_dist_reference(a, y)
+                assert fallback == fallback_ref
+                assert np.array_equal(q.probs, q_ref.probs)
+
+    def test_distorted_resample_dist_fallback(self):
+        for _, _, y in reference_cases():
+            q, fallback = distorted_resample_dist(y, y)
+            assert fallback and q is y
+            assert distorted_resample_dist_reference(y, y) == (q, fallback)
+
+    def test_hybrid_output_dist_and_round_bias(self):
+        for x, x_hat, y in reference_cases():
+            q, _ = distorted_resample_dist(x_hat, y)
+            for resample in (q, y):
+                assert np.array_equal(
+                    hybrid_output_dist(x, y, resample).probs,
+                    hybrid_output_dist_reference(x, y, resample).probs,
+                )
+                assert round_bias(x, y, resample) == round_bias_reference(x, y, resample)
