@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import ctypes
 import dataclasses
 import functools
 import json
@@ -21,7 +20,7 @@ from pathlib import Path
 
 from .channel import check_transcript_payload
 from .config import RunConfig, field_types, from_dict, load_config
-from .oracle import csv_cell, load_calibration, save_calibration
+from .oracle import CalibrationSet, csv_cell, load_calibration, save_calibration
 from .pipeline import (
     RECORD_FIELDS,
     RoundRecord,
@@ -29,6 +28,7 @@ from .pipeline import (
     calibrate_from_config,
     ensure_calibration,
     metrics,
+    needs_calibration,
     run_many,
 )
 from .verification import run_all_suites
@@ -45,40 +45,12 @@ _RECORD_TYPES = field_types(RoundRecord)
 
 SWEEP_COLUMNS = ["fading", "axis", "value", *(f.name for f in dataclasses.fields(SimReport))]
 
-# glibc malloc settings for a command's process. A fixed mmap threshold
-# turns off glibc's dynamic threshold, whose trim threshold of twice the
-# largest freed chunk (512 KB for a 32000-token float64 vector) hands each
-# round's freed vectors back to the kernel, so the next round faults them
-# in again. Both sizes are well above any per-round allocation.
-MMAP_THRESHOLD_BYTES = 16 << 20
-TRIM_THRESHOLD_BYTES = 128 << 20
-
-
 class _Parser(argparse.ArgumentParser):
     # Usage mistakes are configuration errors (exit 1), not verification
     # failures (exit 2, argparse's default).
     def error(self, message):
         self.print_usage(sys.stderr)
         raise SystemExit(f"error: {message}")
-
-
-def retain_heap() -> tuple[int, ...]:
-    """Keep freed memory in this process's heap; returns ``mallopt``'s results.
-
-    Returns () where the C library has no ``mallopt`` (it is glibc's). The
-    settings are process-wide, so only entry points call this: ``main`` and
-    ``sweep``'s worker processes, never library code.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return ()
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    return (
-        mallopt(-3, MMAP_THRESHOLD_BYTES),  # M_MMAP_THRESHOLD
-        mallopt(-1, TRIM_THRESHOLD_BYTES),  # M_TRIM_THRESHOLD
-    )
 
 
 def _timestamp() -> str:
@@ -157,7 +129,7 @@ def cmd_simulate(args) -> int:
     cfg = _load(args)
     if args.transcript:
         check_transcript_payload(cfg.payload)
-    calib = load_calibration(Path(args.calib)) if args.calib else None
+    calib = _calibration(args, cfg)
     transcript: list[bytes] | None = [] if args.transcript else None
     report, records = run_many(cfg, calib=calib, transcript=transcript)
     out = Path(args.out)
@@ -208,11 +180,11 @@ def cmd_sweep(args) -> int:
         for fading in fadings
         for value in values
     ]
-    calib = ensure_calibration(cfg, load_calibration(Path(args.calib)) if args.calib else None)
+    calib = _calibration(args, cfg)
 
     run_point = functools.partial(_sweep_point, calib)
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs, initializer=retain_heap) as pool:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(run_point, points))
     else:
         rows = [run_point(p) for p in points]
@@ -249,6 +221,19 @@ def cmd_report(args) -> int:
     _write_report(out, report)
     print(f"aggregated {report.n_rounds} rounds -> {out / 'report.json'}")
     return 0
+
+
+def _calibration(args, cfg: RunConfig) -> CalibrationSet | None:
+    """``--calib``'s calibration, else ``ensure_calibration``'s; calibrating says so on stderr."""
+    if args.calib:
+        return load_calibration(Path(args.calib))
+    if needs_calibration(cfg.policy):
+        print(
+            f"calibrating {cfg.calibration.n_rounds} rounds on the fly; "
+            "pass --calib with a `hybridlm calibrate` output to reuse one",
+            file=sys.stderr,
+        )
+    return ensure_calibration(cfg, None)
 
 
 def _load(args) -> RunConfig:
@@ -323,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    retain_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -89,6 +89,11 @@ class RunConfig:
         if self.n_sequences < 1:
             raise ValueError("n_sequences must be >= 1")
         self.payload  # raises unless vocab_size >= 2 and b_prob >= 1
+        k_star = self.policy.k_star
+        if k_star is not None and k_star > self.oracle.vocab_size:
+            raise ValueError(
+                f"k_star must be <= vocab_size ({self.oracle.vocab_size}), got {k_star}"
+            )
 
     @property
     def payload(self) -> PayloadSpec:

@@ -22,6 +22,7 @@ import numpy as np
 from . import seeding
 from .compression import default_k_grid, utv_bound
 from .dist import check_logits, sample, softmax, sort_desc, tvd
+from .heap import retain_heap
 from .specdec import rejection_prob, resample_dist, verify
 from .uncertainty import (
     LinearRejectionModel,
@@ -225,6 +226,7 @@ def calibrate(
     ``delta_u_gate``, when set, estimates the non-deterministic-acceptance
     rate only over rounds with uncertainty above the gate.
     """
+    retain_heap()
     if n_rounds < 2:
         raise ValueError("calibration needs at least two rounds")
     if seed is None:

@@ -30,6 +30,7 @@ from .compression import (
 )
 from .config import PolicySpec, RunConfig
 from .dist import sample, softmax, sort_desc, tvd
+from .heap import retain_heap
 from .oracle import CalibrationSet, TraceExhausted, calibrate, is_eos, make_oracle
 from .specdec import accepts, distorted_resample_dist, resample_dist, round_bias, verify_draft
 from .uncertainty import estimate_u
@@ -246,14 +247,18 @@ def calibrate_from_config(cfg: RunConfig, n_rounds: int) -> CalibrationSet:
     )
 
 
+def needs_calibration(policy: PolicySpec) -> bool:
+    """Whether the policy reads fitted statistics (online, or offline without k_star)."""
+    return policy.variant == "cu_hlm_online" or (
+        policy.variant == "cu_hlm_offline" and policy.k_star is None
+    )
+
+
 def ensure_calibration(cfg: RunConfig, calib: CalibrationSet | None) -> CalibrationSet | None:
     """Calibrate on the fly when the policy needs statistics it wasn't given."""
-    if calib is not None:
+    if calib is not None or not needs_calibration(cfg.policy):
         return calib
-    needs = cfg.policy.variant == "cu_hlm_online" or (
-        cfg.policy.variant == "cu_hlm_offline" and cfg.policy.k_star is None
-    )
-    return calibrate_from_config(cfg, cfg.calibration.n_rounds) if needs else None
+    return calibrate_from_config(cfg, cfg.calibration.n_rounds)
 
 
 def run_sequence(
@@ -263,6 +268,7 @@ def run_sequence(
     transcript: list[bytes] | None = None,
 ) -> list[RoundRecord]:
     """One autoregressive sequence of at most r_max rounds."""
+    retain_heap()
     calib = ensure_calibration(cfg, calib)
     k_star = resolve_k_star(cfg, calib)
     oracle_inst = make_oracle(cfg.oracle)

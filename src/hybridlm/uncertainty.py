@@ -150,6 +150,20 @@ def redraw_brackets(
     return lower_lo, lower_hi, upper_lo, upper_hi
 
 
+def perturbation_draws(
+    cfg: UncertaintyConfig, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """The m temperatures and m redraw uniforms of ``estimate_u``, from one call.
+
+    The stream holds them alternately, as m pairs of ``rng.uniform(0,
+    theta_max)`` and ``rng.random()`` calls would draw them. Since
+    ``uniform(0, t)`` is ``0.0 + t * random()``, the floats and the
+    generator's final state are those of the 2m scalar calls.
+    """
+    r = rng.random(2 * cfg.m)
+    return np.maximum(cfg.theta_max * r[0::2], MIN_TEMPERATURE), r[1::2]
+
+
 def estimate_u(
     logits: np.ndarray,
     d: TokenId,
@@ -191,12 +205,7 @@ def estimate_u(
     z = check_logits(logits)
     if not 0 <= d < z.size:
         raise ValueError(f"draft token {d} outside vocabulary of size {z.size}")
-    thetas = np.empty(cfg.m)
-    draws = np.empty(cfg.m)
-    for i in range(cfg.m):
-        thetas[i] = max(float(rng.uniform(0.0, cfg.theta_max)), MIN_TEMPERATURE)
-        draws[i] = rng.random()
-
+    thetas, draws = perturbation_draws(cfg, rng)
     lower_lo, lower_hi, upper_lo, upper_hi = redraw_brackets(z, d, thetas)
     margin = max(REDRAW_MARGIN, 2 * (z.size + 32) * 2.0**-53)
     outside = (draws < lower_lo - margin) | (draws >= upper_hi + margin)

@@ -158,6 +158,22 @@ class TestSimulate:
         hlm = json.loads((out_hlm / "report.json").read_text())["report"]
         assert cu["mean_payload_bits"] < hlm["mean_payload_bits"]
 
+    @pytest.mark.parametrize(
+        "command", [["simulate"], ["sweep", "--axis", "u_th", "--values", "0.5"]]
+    )
+    def test_on_the_fly_calibration_said_on_stderr(self, cfg_path, tmp_path, capsys, command):
+        assert main([*command, "--config", cfg_path, "--out", str(tmp_path / "a")]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("calibrating 150 rounds on the fly; pass --calib ")
+        assert err.count("\n") == 1
+        cal = tmp_path / "cal"
+        assert main(["calibrate", "--config", cfg_path, "--out", str(cal)]) == 0
+        hlm = write_cfg(tmp_path, policy={"variant": "hlm"})
+        capsys.readouterr()
+        for argv in (["--config", cfg_path, "--calib", str(cal)], ["--config", hlm]):
+            assert main([*command, *argv, "--out", str(tmp_path / "b")]) == 0
+            assert capsys.readouterr().err == ""
+
     def test_transcript_written(self, cfg_path, tmp_path):
         out = tmp_path / "tr"
         main(["simulate", "--config", cfg_path, "--out", str(out), "--transcript"])
@@ -251,6 +267,16 @@ class TestSweep:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_oversized_k_fails_before_calibration(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "make_oracle", lambda *a, **k: pytest.fail("calibrated"))
+        cfg = write_cfg(tmp_path, policy={"variant": "cu_hlm_offline"})
+        out = tmp_path / "sw"
+        argv = ["sweep", "--config", cfg, "--out", str(out), "--axis", "k", "--values", "4,5000"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: k_star must be <= vocab_size (128), got 5000\n"
+        assert not out.exists()
+
     def test_values_take_the_field_type(self):
         cfg = RunConfig()
         assert cli._sweep_config(cfg, "fixed", "u_th", ".5").policy.u_th == 0.5
@@ -315,6 +341,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert not list(out.glob("records.*"))
+
+    def test_oversized_k_star_fails_before_any_work(self, tmp_path, capsys, monkeypatch):
+        for module in (oracle, pipeline):
+            monkeypatch.setattr(module, "make_oracle", lambda *a, **k: pytest.fail("ran"))
+        cfg = tmp_path / "k.json"
+        cfg.write_text(json.dumps({
+            "oracle": {"vocab_size": 2048},
+            "policy": {"variant": "cu_hlm_offline", "k_star": 5000},
+        }))
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: k_star must be <= vocab_size (2048), got 5000\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "overrides",
@@ -550,7 +590,7 @@ def _src_env():
 class TestHeapRetention:
     def test_mallopt_calls_succeed(self):
         # In a child process: the settings would outlive the call in this one.
-        code = "from hybridlm.cli import retain_heap; print(retain_heap())"
+        code = "from hybridlm.heap import retain_heap; print(retain_heap())"
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env()
         )
@@ -578,6 +618,44 @@ class TestHeapRetention:
 
         extra = minor_faults(48) - minor_faults(8)
         assert extra / 40 < 64
+
+    def test_library_rounds_reuse_freed_vectors(self):
+        # run_many called directly, as a library user or the benchmark calls
+        # it: the round loop itself keeps the heap, not only cli.main.
+        proc = subprocess.run(
+            [sys.executable, "-c", LIBRARY_FAULTS], capture_output=True, text=True, env=_src_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) / 40 < 64
+
+    def test_import_sets_nothing(self):
+        code = (
+            "import hybridlm, hybridlm.cli; from hybridlm.heap import retain_heap; "
+            "print(retain_heap.cache_info().currsize)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
+
+
+# Minor faults of 40 extra hlm rounds at V=32000 (every round transmits),
+# counted in process around run_many after a warm-up run.
+LIBRARY_FAULTS = """
+import resource
+from hybridlm.config import RunConfig
+from hybridlm.pipeline import run_many
+
+def minor_faults(r_max):
+    cfg = RunConfig.from_dict({"policy": {"variant": "hlm"}, "r_max": r_max})
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_many(cfg)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+minor_faults(8)
+print(minor_faults(48) - minor_faults(8))
+"""
 
 
 def test_eos_mixture_underflow_runs(tmp_path):

@@ -40,6 +40,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             PolicySpec(k_star=0)
 
+    def test_k_star_at_most_vocab_size(self):
+        oracle = OracleSpec(vocab_size=2048)
+        assert RunConfig(oracle=oracle, policy=PolicySpec(k_star=2048)).policy.k_star == 2048
+        with pytest.raises(ValueError, match=r"^k_star must be <= vocab_size \(2048\), got 2049$"):
+            RunConfig(oracle=oracle, policy=PolicySpec(k_star=2049))
+
     def test_theta_positive(self):
         for theta in (0.0, -0.1, float("nan")):
             with pytest.raises(ValueError, match="theta must be positive"):

@@ -34,6 +34,7 @@ from hybridlm.uncertainty import (
     estimate_delta,
     estimate_u,
     fit_linear,
+    perturbation_draws,
     predict_beta,
     redraw_brackets,
     rejection_risk,
@@ -156,17 +157,37 @@ class TestEstimateUMatchesReference:
             assert got == reference_estimate_u(z, d, cfg, np.random.default_rng(d))
 
 
+def loop_draws(cfg, rng):
+    """perturbation_draws' floats as 2m scalar calls: uniform(0, theta_max), then random()."""
+    thetas, draws = np.empty(cfg.m), np.empty(cfg.m)
+    for i in range(cfg.m):
+        thetas[i] = max(float(rng.uniform(0.0, cfg.theta_max)), MIN_TEMPERATURE)
+        draws[i] = rng.random()
+    return thetas, draws
+
+
+class TestPerturbationDraws:
+    @pytest.mark.parametrize("m, theta_max", [(1, 2.0), (20, 2.0), (7, 50.0), (20, 1e-7)])
+    def test_one_call_matches_scalar_calls(self, m, theta_max):
+        # theta_max 1e-7 puts every temperature under MIN_TEMPERATURE.
+        cfg = UncertaintyConfig(m=m, theta_max=theta_max)
+        for seed in range(3000):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            thetas, draws = perturbation_draws(cfg, rng)
+            ref_thetas, ref_draws = loop_draws(cfg, ref_rng)
+            assert np.array_equal(thetas, ref_thetas) and np.array_equal(draws, ref_draws)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 class ScriptedRng:
-    """Stands in for a Generator whose uniform() and random() return given values."""
+    """Stands in for a Generator whose random(size) returns given values."""
 
     def __init__(self, values):
-        self._values = iter(values)
+        self._values = np.array(values, dtype=np.float64)
 
-    def uniform(self, low, high):
-        return next(self._values)
-
-    def random(self):
-        return next(self._values)
+    def random(self, size):
+        assert size == self._values.size
+        return self._values
 
 
 @pytest.fixture(scope="module")
@@ -202,7 +223,8 @@ def exact_calls(monkeypatch):
 
 def one_redraw(z, d, theta, r):
     """u of one redraw at temperature theta whose rng.random() yields r."""
-    return estimate_u(z, d, UncertaintyConfig(m=1), ScriptedRng([theta, r]))
+    # theta_max * 0.5 is theta exactly.
+    return estimate_u(z, d, UncertaintyConfig(m=1, theta_max=2 * theta), ScriptedRng([0.5, r]))
 
 
 def exact_redraw(z, d, theta, r):
