@@ -11,12 +11,11 @@ import numpy as np
 from hybridlm import (
     LinearRejectionModel,
     OracleSpec,
-    PayloadSpec,
-    SoftplusConfig,
     compress,
     distorted_resample_dist,
     payload_bits,
     reconstruct,
+    rejection_prob,
     resample_dist,
     select_k_offline,
     select_k_online,
@@ -38,8 +37,8 @@ rng = np.random.default_rng(5)
 d = sample(x, rng)
 s = sort_desc(x)
 rank_d = s.rank_of(d)
-beta_d = max(0.0, 1.0 - float(y.probs[d]) / float(x.probs[d]))
-cfg = SoftplusConfig(eta=10.0)
+beta_d = rejection_prob(float(x.probs[d]), float(y.probs[d]))
+eta = 10.0
 p = resample_dist(x, y)
 
 print(f"one round at |V|={vocab}: draft rank {rank_d + 1}, "
@@ -49,13 +48,13 @@ print(f"device/server divergence tvd(x, y) = {tvd(x, y):.4f}\n")
 print(f"{'k':>6} {'tvd(p,q)':>10} {'exact bound':>12} {'online bound':>13}")
 rows = np.array([1, 2, 4, 8, 16, 32, 64, 256, 1024, 2048])
 exact = utv_bound(s, rank_d, rows, tvd(x, y))
-online = utv_bound_online(s, rank_d, rows, beta_d, cfg)
+online = utv_bound_online(s, rank_d, rows, beta_d, eta)
 for k, e, o in zip(rows, exact, online):
     q, _ = distorted_resample_dist(reconstruct(compress(s, int(k), d)), y)
     print(f"{k:>6} {tvd(p, q):>10.5f} {e:>12.5f} {o:>13.5f}")
 
 theta = 0.1
-payload = PayloadSpec(vocab_size=vocab, b_prob=8)
+b_prob = 8
 model = LinearRejectionModel(a=0.5, b=0.0, mse=0.0, r2=1.0)
 
 # Offline: pretend this round's exact bound is the long-run average.
@@ -66,10 +65,10 @@ print(f"\noffline selection at theta={theta}: k*={off.k_star} "
       f"(bound {off.bound_value_at_k:.4f})")
 
 for u in (0.3, 0.6, 0.9):
-    sel = select_k_online(s, rank_d, u, model, theta, cfg)
-    bits = payload_bits(sel.k_star + (0 if rank_d < sel.k_star else 1), payload)
+    sel = select_k_online(s, rank_d, u, model, theta, eta)
+    bits = payload_bits(compress(s, sel.k_star, d).n_transmitted, b_prob, vocab)
     print(f"online selection at u={u:.1f}: k*={sel.k_star:>5} "
           f"(bound {sel.bound_value_at_k:.4f}, payload {bits} bits)")
 
-full = payload_bits(vocab, payload)
+full = payload_bits(vocab, b_prob, vocab)
 print(f"\nfull-vocabulary payload for comparison: {full} bits")

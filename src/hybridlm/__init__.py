@@ -11,16 +11,14 @@ round-level simulator with baseline policies.
 from .channel import (
     ChannelSpec,
     LatencySpec,
-    PayloadSpec,
     payload_bits,
+    round_latency,
     sample_snr,
-    token_throughput,
     uplink_latency,
 )
 from .compression import (
     CompressedVocab,
     KSelection,
-    SoftplusConfig,
     compress,
     reconstruct,
     select_k_offline,
@@ -80,7 +78,6 @@ __all__ = [
     "LatencySpec",
     "LinearRejectionModel",
     "OracleSpec",
-    "PayloadSpec",
     "PolicySpec",
     "ProbVec",
     "RiskReport",
@@ -88,7 +85,6 @@ __all__ = [
     "RoundRecord",
     "RunConfig",
     "SimReport",
-    "SoftplusConfig",
     "SortedProbVec",
     "ThresholdPair",
     "TokenId",
@@ -110,6 +106,7 @@ __all__ = [
     "rejection_risk",
     "resample_dist",
     "round_bias",
+    "round_latency",
     "run_many",
     "run_sequence",
     "sample",
@@ -120,7 +117,6 @@ __all__ = [
     "softplus",
     "sort_desc",
     "thresholds",
-    "token_throughput",
     "tvd",
     "uplink_latency",
     "utv_bound",

@@ -1,4 +1,4 @@
-"""Uplink modeling: payload bits, block-fading SNR, Shannon latency, throughput.
+"""Uplink modeling: payload bits, block-fading SNR, Shannon latency, round latency.
 
 Only the vocabulary-distribution uplink is priced; token-index exchanges and
 the downlink are treated as free. Probabilities cross the wire as fixed-point
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,27 +49,12 @@ class LatencySpec:
             raise ValueError("compute latencies must be positive")
 
 
-@dataclass(frozen=True)
-class PayloadSpec:
-    """Bit widths of one transmitted (index, probability) record."""
-
-    vocab_size: int = 32_000
-    b_prob: int = 8
-    b_index: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.vocab_size < 2:
-            raise ValueError("vocabulary size must be >= 2")
-        if self.b_prob < 1:
-            raise ValueError("b_prob must be >= 1")
-        object.__setattr__(self, "b_index", math.ceil(math.log2(self.vocab_size)))
-
-
-def payload_bits(n_entries: int, spec: PayloadSpec) -> int:
-    """Uplink payload for n transmitted (index, probability) records."""
+def payload_bits(n_entries: int, b_prob: int, vocab_size: int) -> int:
+    """Uplink payload for n transmitted records of a b_prob-bit probability
+    and a ceil(log2 V)-bit token index."""
     if n_entries < 0:
         raise ValueError("entry count must be non-negative")
-    return n_entries * (spec.b_prob + spec.b_index)
+    return n_entries * (b_prob + math.ceil(math.log2(vocab_size)))
 
 
 def sample_snr(spec: ChannelSpec, rng: np.random.Generator) -> float:
@@ -98,11 +83,9 @@ def uplink_latency(bits: int, bandwidth_hz: float, snr_linear: float) -> float:
     return bits / (bandwidth_hz * math.log2(1.0 + snr_linear))
 
 
-def token_throughput(lat: LatencySpec, tau_comm_s: float, skipped: bool) -> float:
-    """Tokens per second for one round."""
-    if skipped:
-        return 1.0 / lat.tau_slm_s
-    return 1.0 / (lat.tau_slm_s + tau_comm_s + lat.tau_llm_s)
+def round_latency(lat: LatencySpec, tau_comm_s: float) -> float:
+    """Seconds of one transmitted round: draft, uplink, then verification."""
+    return lat.tau_slm_s + tau_comm_s + lat.tau_llm_s
 
 
 def quantize_prob(p, b_prob: int):
@@ -120,13 +103,12 @@ def _draft_prob(code, b_prob: int) -> float:
     return float(dequantize_prob(max(code, 1), b_prob))
 
 
-def quantize_vocab(c: CompressedVocab, spec: PayloadSpec) -> CompressedVocab:
+def quantize_vocab(c: CompressedVocab, b_prob: int) -> CompressedVocab:
     """Wire-quantized payload with dequantized values and a floored draft entry."""
-    b = spec.b_prob
     return replace(
         c,
-        entry_probs=dequantize_prob(quantize_prob(c.entry_probs, b), b),
-        draft_prob=_draft_prob(quantize_prob(c.draft_prob, b), b),
+        entry_probs=dequantize_prob(quantize_prob(c.entry_probs, b_prob), b_prob),
+        draft_prob=_draft_prob(quantize_prob(c.draft_prob, b_prob), b_prob),
     )
 
 
@@ -139,30 +121,30 @@ _HEADER = struct.Struct("<IHHH")
 _RECORD = np.dtype([("index", "<u2"), ("prob_q", "u1")])
 
 
-def check_transcript_payload(spec: PayloadSpec) -> None:
+def check_transcript_payload(b_prob: int, vocab_size: int) -> None:
     """Reject payloads the transcript records cannot hold."""
-    if spec.b_prob > 8:
+    if b_prob > 8:
         raise ValueError("transcript records store probabilities in one byte")
-    if spec.vocab_size > 0xFFFF:
+    if vocab_size > 0xFFFF:
         raise ValueError("transcript indexes are 16-bit")
 
 
-def encode_round(round_idx: int, c: CompressedVocab, spec: PayloadSpec) -> bytes:
+def encode_round(round_idx: int, c: CompressedVocab, b_prob: int) -> bytes:
     """One round's transcript bytes, every value coded with ``quantize_prob``.
 
     An out-of-top-k draft of an unquantized payload is written without the
     one-step floor, so its code can be 0; ``decode_round`` applies the floor.
     """
-    check_transcript_payload(spec)
+    check_transcript_payload(b_prob, c.vocab_size)
     rec = np.empty(c.n_transmitted, dtype=_RECORD)
     rec["index"][: c.k] = c.entry_ids
-    rec["prob_q"][: c.k] = quantize_prob(c.entry_probs, spec.b_prob)
+    rec["prob_q"][: c.k] = quantize_prob(c.entry_probs, b_prob)
     if not c.draft_in_topk:
-        rec[-1] = (c.draft_id, quantize_prob(c.draft_prob, spec.b_prob))
+        rec[-1] = (c.draft_id, quantize_prob(c.draft_prob, b_prob))
     return _HEADER.pack(round_idx, c.draft_id, c.k, rec.size) + rec.tobytes()
 
 
-def decode_round(blob: bytes, spec: PayloadSpec) -> tuple[int, CompressedVocab]:
+def decode_round(blob: bytes, b_prob: int, vocab_size: int) -> tuple[int, CompressedVocab]:
     """Inverse of ``encode_round``, with the draft floored as in ``quantize_vocab``."""
     round_idx, draft_id, k, n_entries = _HEADER.unpack_from(blob, 0)
     rec = np.frombuffer(blob, dtype=_RECORD, count=n_entries, offset=_HEADER.size)
@@ -172,9 +154,9 @@ def decode_round(blob: bytes, spec: PayloadSpec) -> tuple[int, CompressedVocab]:
     c = CompressedVocab(
         k=k,
         entry_ids=ids[:k],
-        entry_probs=dequantize_prob(codes[:k], spec.b_prob),
+        entry_probs=dequantize_prob(codes[:k], b_prob),
         draft_id=draft_id,
-        draft_prob=_draft_prob(draft_code, spec.b_prob),
-        vocab_size=spec.vocab_size,
+        draft_prob=_draft_prob(draft_code, b_prob),
+        vocab_size=vocab_size,
     )
     return round_idx, c

@@ -128,7 +128,7 @@ def cmd_calibrate(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _load(args)
     if args.transcript:
-        check_transcript_payload(cfg.payload)
+        check_transcript_payload(cfg.b_prob, cfg.oracle.vocab_size)
     calib = _calibration(args, cfg)
     transcript: list[bytes] | None = [] if args.transcript else None
     report, records = run_many(cfg, calib=calib, transcript=transcript)

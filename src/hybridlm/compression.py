@@ -31,17 +31,6 @@ from .uncertainty import LinearRejectionModel, predict_beta
 _SOFTPLUS_CUTOFF = 30.0
 
 
-@dataclass(frozen=True)
-class SoftplusConfig:
-    """Sharpness of the softplus ReLU smoothing; approximation error <= ln2/eta."""
-
-    eta: float = 10.0
-
-    def __post_init__(self) -> None:
-        if not self.eta > 0.0:
-            raise ValueError("eta must be positive")
-
-
 @dataclass(frozen=True, eq=False)
 class CompressedVocab:
     """Uplink payload: top-k entries plus the draft token's entry.
@@ -118,17 +107,20 @@ def reconstruct(c: CompressedVocab) -> ProbVec:
     return ProbVec(x_hat)
 
 
-def softplus(z: float, cfg: SoftplusConfig) -> float:
-    """Numerically stable ln(1 + exp(eta*z))/eta."""
-    w = cfg.eta * z
+def softplus(z: float, eta: float) -> float:
+    """Numerically stable ln(1 + exp(eta*z))/eta, a ReLU smoothing of sharpness
+    eta with approximation error <= ln2/eta."""
+    if not eta > 0.0:
+        raise ValueError("eta must be positive")
+    w = eta * z
     if w > _SOFTPLUS_CUTOFF:
-        return z + math.exp(-w) / cfg.eta
+        return z + math.exp(-w) / eta
     if w < -_SOFTPLUS_CUTOFF:
-        return math.exp(w) / cfg.eta
-    return math.log1p(math.exp(w)) / cfg.eta
+        return math.exp(w) / eta
+    return math.log1p(math.exp(w)) / eta
 
 
-def smoothed_tvd(x: ProbVec, y: ProbVec, cfg: SoftplusConfig) -> float:
+def smoothed_tvd(x: ProbVec, y: ProbVec, eta: float) -> float:
     """Softplus-smoothed one-sided mass sum(x_i * softplus(y_i/x_i - 1)).
 
     Upper-approximates tvd(x, y) with per-instance error at most ln2/eta;
@@ -137,17 +129,17 @@ def smoothed_tvd(x: ProbVec, y: ProbVec, cfg: SoftplusConfig) -> float:
     xs = x.probs
     if np.any(xs <= 0.0):
         raise ValueError("smoothed TVD requires strictly positive device probabilities")
-    out = np.array([softplus(z, cfg) for z in y.probs / xs - 1.0])
+    out = np.array([softplus(z, eta) for z in y.probs / xs - 1.0])
     return float((xs * out).sum())
 
 
-def online_denominator(x_d: float, beta_hat: float, cfg: SoftplusConfig) -> float:
+def online_denominator(x_d: float, beta_hat: float, eta: float) -> float:
     """Device-only lower bound on the smoothed cross-distribution TVD."""
     if not 0.0 < x_d <= 1.0:
         raise ValueError(f"draft probability must be in (0, 1], got {x_d}")
     if not 0.0 <= beta_hat <= 1.0:
         raise ValueError(f"predicted rejection probability must be in [0, 1], got {beta_hat}")
-    return (1.0 - x_d) * softplus(-1.0, cfg) + x_d * softplus(-beta_hat, cfg)
+    return (1.0 - x_d) * softplus(-1.0, eta) + x_d * softplus(-beta_hat, eta)
 
 
 def tail_gap_after_fill(
@@ -193,12 +185,12 @@ def utv_bound(x_sorted: SortedProbVec, draft_rank: int, k: np.ndarray, tvd_xy: f
 
 
 def utv_bound_online(
-    x_sorted: SortedProbVec, draft_rank: int, k: np.ndarray, beta_hat: float, cfg: SoftplusConfig
+    x_sorted: SortedProbVec, draft_rank: int, k: np.ndarray, beta_hat: float, eta: float
 ) -> np.ndarray:
     """Device-computable upper bound on the resampling distortion for each k: the
     exact bound's numerator over a denominator that uses only the draft
     probability and the predicted rejection probability."""
-    denom = online_denominator(float(x_sorted.probs[draft_rank]), beta_hat, cfg)
+    denom = online_denominator(float(x_sorted.probs[draft_rank]), beta_hat, eta)
     return tail_gap_after_fill(x_sorted, k, draft_rank) / denom
 
 
@@ -246,7 +238,7 @@ def select_k_online(
     u: float,
     model: LinearRejectionModel,
     theta: float,
-    cfg: SoftplusConfig,
+    eta: float,
 ) -> KSelection:
     """Smallest k whose device-only bound stays within theta for this round.
 
@@ -265,11 +257,11 @@ def select_k_online(
         return KSelection(vocab, 0.0, saturated=True)
 
     probes = np.append(2 ** np.arange((vocab - 1).bit_length()), vocab)
-    within = utv_bound_online(x_sorted, draft_rank, probes, beta_hat, cfg) <= theta
+    within = utv_bound_online(x_sorted, draft_rank, probes, beta_hat, eta) <= theta
     hit = int(np.argmax(within))  # the last probe, k = |V|, is always within
     lo = 1 if hit == 0 else int(probes[hit - 1]) + 1
     ks = np.arange(lo, int(probes[hit]) + 1)
-    bounds = utv_bound_online(x_sorted, draft_rank, ks, beta_hat, cfg)
+    bounds = utv_bound_online(x_sorted, draft_rank, ks, beta_hat, eta)
     j = int(np.argmax(bounds <= theta))
     return KSelection(int(ks[j]), float(bounds[j]))
 

@@ -15,8 +15,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-from .channel import ChannelSpec, LatencySpec, PayloadSpec
-from .compression import SoftplusConfig
+from .channel import ChannelSpec, LatencySpec
 from .oracle import OracleSpec
 from .uncertainty import UncertaintyConfig
 
@@ -53,7 +52,8 @@ class PolicySpec:
             raise ValueError("k_star must be >= 1")
         if not self.theta > 0.0:
             raise ValueError("theta must be positive")
-        SoftplusConfig(eta=self.eta)  # raises unless eta > 0
+        if not self.eta > 0.0:
+            raise ValueError("eta must be positive")
 
     @property
     def uses_uncertainty(self) -> bool:
@@ -88,16 +88,13 @@ class RunConfig:
             raise ValueError("r_max must be >= 1")
         if self.n_sequences < 1:
             raise ValueError("n_sequences must be >= 1")
-        self.payload  # raises unless vocab_size >= 2 and b_prob >= 1
+        if self.b_prob < 1:
+            raise ValueError("b_prob must be >= 1")
         k_star = self.policy.k_star
         if k_star is not None and k_star > self.oracle.vocab_size:
             raise ValueError(
                 f"k_star must be <= vocab_size ({self.oracle.vocab_size}), got {k_star}"
             )
-
-    @property
-    def payload(self) -> PayloadSpec:
-        return PayloadSpec(vocab_size=self.oracle.vocab_size, b_prob=self.b_prob)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -52,6 +52,8 @@ class OracleSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("synthetic", "trace"):
             raise ValueError(f"unknown oracle kind {self.kind!r}")
+        if self.vocab_size < 2:
+            raise ValueError("vocabulary size must be >= 2")
         if self.kind == "synthetic":
             if not self.zipf_s > 0.0:
                 raise ValueError("zipf_s must be positive")

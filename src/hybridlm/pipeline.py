@@ -20,14 +20,15 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import seeding
-from .channel import encode_round, payload_bits, quantize_vocab, sample_snr, uplink_latency
-from .compression import (
-    SoftplusConfig,
-    compress,
-    reconstruct,
-    select_k_offline,
-    select_k_online,
+from .channel import (
+    encode_round,
+    payload_bits,
+    quantize_vocab,
+    round_latency,
+    sample_snr,
+    uplink_latency,
 )
+from .compression import compress, reconstruct, select_k_offline, select_k_online
 from .config import PolicySpec, RunConfig
 from .dist import sample, softmax, sort_desc, tvd
 from .heap import retain_heap
@@ -114,16 +115,24 @@ def _should_transmit(
 
 
 def resolve_k_star(cfg: RunConfig, calib: CalibrationSet | None) -> int | None:
-    """Fixed compressed size for the offline policy, from the calibration table."""
+    """Fixed compressed size for the offline policy, from the calibration table.
+
+    The table's grid ends at the vocabulary size it was calibrated at, which
+    must be the config's.
+    """
     policy = cfg.policy
     if policy.variant != "cu_hlm_offline":
         return None
     if policy.k_star is not None:
         return policy.k_star
-    sel = select_k_offline(
-        calib.utv_k_grid, calib.utv_values, policy.theta, cfg.oracle.vocab_size
-    )
-    return sel.k_star
+    vocab = cfg.oracle.vocab_size
+    calib_vocab = int(calib.utv_k_grid[-1])
+    if calib_vocab != vocab:
+        raise ValueError(
+            f"calibration table was made at vocab_size {calib_vocab}, "
+            f"the config has vocab_size {vocab}"
+        )
+    return select_k_offline(calib.utv_k_grid, calib.utv_values, policy.theta, vocab).k_star
 
 
 def run_round(
@@ -180,12 +189,7 @@ def run_round(
     bound_at_selection = None
     if policy.variant == "cu_hlm_online":
         sel = select_k_online(
-            x_sorted,
-            x_sorted.rank_of(d),
-            u,
-            calib.model,
-            policy.theta,
-            SoftplusConfig(eta=policy.eta),
+            x_sorted, x_sorted.rank_of(d), u, calib.model, policy.theta, policy.eta
         )
         k = sel.k_star
         bound_at_selection = sel.bound_value_at_k
@@ -193,10 +197,10 @@ def run_round(
         k = k_star if k_star is not None else cfg.oracle.vocab_size
 
     c = compress(x_sorted, k, d)
-    c_wire = quantize_vocab(c, cfg.payload) if cfg.quantize_wire else c
+    c_wire = quantize_vocab(c, cfg.b_prob) if cfg.quantize_wire else c
     if transcript is not None:
-        transcript.append(encode_round(t, c_wire, cfg.payload))
-    bits = payload_bits(c.n_transmitted, cfg.payload)
+        transcript.append(encode_round(t, c_wire, cfg.b_prob))
+    bits = payload_bits(c.n_transmitted, cfg.b_prob, cfg.oracle.vocab_size)
     snr = sample_snr(cfg.channel, seeding.round_rng(seed, t, seeding.CHANNEL))
     tau_comm = uplink_latency(bits, cfg.channel.bandwidth_hz, snr)
 
@@ -226,7 +230,7 @@ def run_round(
         tvd_pq=tvd_pq,
         bound_at_selection=bound_at_selection,
         token=token,
-        latency_s=cfg.latency.tau_slm_s + tau_comm + cfg.latency.tau_llm_s,
+        latency_s=round_latency(cfg.latency, tau_comm),
         eos=is_eos(cfg.oracle, inputs, token),
     )
 

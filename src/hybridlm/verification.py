@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compression import (
-    SoftplusConfig,
     compress,
     reconstruct,
     smoothed_tvd,
@@ -140,7 +139,6 @@ def check_online_bound_dominance(
     worst = math.inf
     total = 0
     for eta in etas:
-        cfg = SoftplusConfig(eta=eta)
         done = 0
         while done < n_cases:
             n = int(rng.integers(3, 128))
@@ -154,9 +152,9 @@ def check_online_bound_dominance(
             if tail <= 0.0:
                 continue
             agreement = 1e-12 - abs(tail - tail_l1_reference(s, k, d))
-            smoothed = smoothed_tvd(x, y, cfg)
+            smoothed = smoothed_tvd(x, y, eta)
             beta_d = rejection_prob(float(x.probs[d]), float(y.probs[d]))
-            online = bound_scale * float(utv_bound_online(s, rank, k, beta_d, cfg))
+            online = bound_scale * float(utv_bound_online(s, rank, k, beta_d, eta))
             margin = online - tail / smoothed
             err_margin = math.log(2.0) / eta - (smoothed - tvd(x, y))
             worst = min(worst, margin, err_margin, agreement)

@@ -12,14 +12,13 @@ import pytest
 from hybridlm.channel import (
     ChannelSpec,
     LatencySpec,
-    PayloadSpec,
     payload_bits,
+    round_latency,
     sample_snr,
-    token_throughput,
     uplink_latency,
 )
 from hybridlm.cli import main
-from hybridlm.compression import SoftplusConfig, select_k_online, utv_bound
+from hybridlm.compression import select_k_online, utv_bound
 from hybridlm.config import PolicySpec, RunConfig
 from hybridlm.dist import ProbVec, sample, sort_desc, tvd
 from hybridlm.oracle import OracleSpec, calibrate
@@ -111,8 +110,7 @@ def test_criterion_06_risk_bound_both_estimators():
 
 
 def test_criterion_07_payload_constant():
-    spec = PayloadSpec(vocab_size=32_000, b_prob=8)
-    bits = payload_bits(32_000, spec)
+    bits = payload_bits(32_000, 8, 32_000)
     report(
         "criterion 7 payload constant",
         bits == 736_000 and bits // 8 == 92_000,
@@ -123,14 +121,12 @@ def test_criterion_07_payload_constant():
 def test_criterion_08_throughput_formula_and_fading_direction():
     lat = LatencySpec(tau_slm_s=25.6e-3, tau_llm_s=104.6e-3)
     bits = 736_000
-    fixed_tp = token_throughput(lat, uplink_latency(bits, 10e6, 10.0), skipped=False)
+    fixed_tp = 1.0 / round_latency(lat, uplink_latency(bits, 10e6, 10.0))
     spec = ChannelSpec(fading="rayleigh", mean_snr_db=10.0)
     rng = np.random.default_rng(808)
     tps = np.empty(100_000)
     for i in range(tps.size):
-        tps[i] = token_throughput(
-            lat, uplink_latency(bits, 10e6, sample_snr(spec, rng)), skipped=False
-        )
+        tps[i] = 1.0 / round_latency(lat, uplink_latency(bits, 10e6, sample_snr(spec, rng)))
     fading_mean = float(tps.mean())
     ok = abs(fixed_tp - 6.60) < 0.01 and fading_mean < fixed_tp
     report(
@@ -172,7 +168,7 @@ def test_criterion_09_policy_monotonicity():
     x = ProbVec(rng.dirichlet(np.full(512, 0.2)) + 1e-12)
     s = sort_desc(x)
     ks = [
-        select_k_online(s, 0, float(u), REF_MODEL, 0.05, SoftplusConfig(eta=10.0)).k_star
+        select_k_online(s, 0, float(u), REF_MODEL, 0.05, 10.0).k_star
         for u in np.linspace(0.0, 1.0, 25)
     ]
     staircase_ok = all(b >= a for a, b in zip(ks, ks[1:]))

@@ -356,6 +356,38 @@ class TestExitCodes:
         assert err == "config error: k_star must be <= vocab_size (2048), got 5000\n"
         assert not out.exists()
 
+    @pytest.fixture(scope="class")
+    def calib_512(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("calib_512")
+        cfg = write_cfg(tmp, oracle={"vocab_size": 512})
+        cal = str(tmp / "cal")
+        assert main(["calibrate", "--config", cfg, "--rounds", "60", "--out", cal]) == 0
+        return cal
+
+    @pytest.mark.parametrize("vocab", [256, 4096])
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_calibration_vocab_mismatch_fails_before_any_work(
+        self, tmp_path, capsys, monkeypatch, calib_512, vocab, command
+    ):
+        capsys.readouterr()
+        monkeypatch.setattr(pipeline, "make_oracle", lambda *a, **k: pytest.fail("ran"))
+        cfg = write_cfg(
+            tmp_path,
+            oracle={"vocab_size": vocab},
+            policy={"variant": "cu_hlm_offline", "theta": 1e-7, "u_th": 0.0},
+        )
+        out = tmp_path / "x"
+        argv = [command, "--config", cfg, "--calib", calib_512, "--out", str(out)]
+        if command == "sweep":
+            argv += ["--axis", "theta", "--values", "1e-7,0.1"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "config error: calibration table was made at vocab_size 512, "
+            f"the config has vocab_size {vocab}\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "overrides",
         [

@@ -7,7 +7,6 @@ import pytest
 
 from hybridlm.compression import (
     CompressedVocab,
-    SoftplusConfig,
     compress,
     default_k_grid,
     online_denominator,
@@ -20,7 +19,7 @@ from hybridlm.compression import (
     utv_bound,
     utv_bound_online,
 )
-from hybridlm.channel import PayloadSpec, quantize_vocab
+from hybridlm.channel import quantize_vocab
 from hybridlm.dist import ProbVec, softmax, sort_desc, tvd
 from hybridlm.oracle import (
     CalibrationSet,
@@ -156,7 +155,7 @@ class TestReconstruct:
                 s = sort_desc(p)
                 for k, rank in ((1, 0), (12, 3), (12, 40), (len(s), 7)):
                     c = compress(s, k, int(s.top_ids(rank + 1)[rank]))
-                    payloads += [c, quantize_vocab(c, PayloadSpec())]
+                    payloads += [c, quantize_vocab(c, 8)]
             seq.append(t)
         payloads.append(
             CompressedVocab(
@@ -222,49 +221,54 @@ class TestUtvBound:
 
 
 class TestSoftplus:
-    CFG = SoftplusConfig(eta=10.0)
+    ETA = 10.0
 
     def test_at_zero(self):
-        assert softplus(0.0, self.CFG) == pytest.approx(math.log(2) / 10)
+        assert softplus(0.0, self.ETA) == pytest.approx(math.log(2) / 10)
 
     def test_negative_one(self):
-        assert softplus(-1.0, self.CFG) == pytest.approx(
+        assert softplus(-1.0, self.ETA) == pytest.approx(
             math.log1p(math.exp(-10)) / 10
         )
-        assert softplus(-1.0, self.CFG) == pytest.approx(4.54e-6, rel=1e-2)
+        assert softplus(-1.0, self.ETA) == pytest.approx(4.54e-6, rel=1e-2)
 
     def test_asymptotic_linear(self):
-        assert abs(softplus(5.0, self.CFG) - 5.0) < 1e-12
+        assert abs(softplus(5.0, self.ETA) - 5.0) < 1e-12
 
     def test_extreme_arguments_finite(self):
-        assert softplus(-1000.0, self.CFG) == 0.0
-        assert softplus(1000.0, self.CFG) == pytest.approx(1000.0)
+        assert softplus(-1000.0, self.ETA) == 0.0
+        assert softplus(1000.0, self.ETA) == pytest.approx(1000.0)
 
     def test_eta_validation(self):
-        with pytest.raises(ValueError):
-            SoftplusConfig(eta=0.0)
+        s = sort_desc(ProbVec(np.array([0.5, 0.3, 0.2])))
+        for eta in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="eta must be positive"):
+                softplus(0.0, eta)
+            with pytest.raises(ValueError, match="eta must be positive"):
+                online_denominator(0.5, 0.5, eta)
+            with pytest.raises(ValueError, match="eta must be positive"):
+                select_k_online(s, 0, 0.5, MODEL, 0.1, eta)
 
 
 class TestSmoothedTvd:
     @pytest.mark.parametrize("eta", [5.0, 10.0, 50.0])
     def test_error_within_ln2_over_eta(self, eta):
         rng = np.random.default_rng(11)
-        cfg = SoftplusConfig(eta=eta)
         for _ in range(100):
             n = int(rng.integers(2, 64))
             x, y = random_pair(rng, n)
-            err = smoothed_tvd(x, y, cfg) - tvd(x, y)
+            err = smoothed_tvd(x, y, eta) - tvd(x, y)
             assert 0.0 < err <= math.log(2.0) / eta + 1e-12
 
 
 class TestUtvBoundOnline:
-    CFG = SoftplusConfig(eta=10.0)
+    ETA = 10.0
 
     def test_zero_at_full_k(self):
         rng = np.random.default_rng(5)
         x, _ = random_pair(rng, 16)
         s = sort_desc(x)
-        b = utv_bound_online(s, s.rank_of(0), 16, 0.5, self.CFG)
+        b = utv_bound_online(s, s.rank_of(0), 16, 0.5, self.ETA)
         assert b == pytest.approx(0.0, abs=1e-12)
 
     def test_strictly_increasing_in_beta(self):
@@ -272,8 +276,8 @@ class TestUtvBoundOnline:
         x, _ = random_pair(rng, 32)
         s = sort_desc(x)
         d = int(np.argmax(x.probs))
-        lo = utv_bound_online(s, s.rank_of(d), 4, 0.2, self.CFG)
-        hi = utv_bound_online(s, s.rank_of(d), 4, 0.8, self.CFG)
+        lo = utv_bound_online(s, s.rank_of(d), 4, 0.2, self.ETA)
+        hi = utv_bound_online(s, s.rank_of(d), 4, 0.8, self.ETA)
         assert hi > lo
 
     def test_dominates_smoothed_ratio(self):
@@ -281,7 +285,7 @@ class TestUtvBoundOnline:
         # online bound strictly exceeds the smoothed-denominator ratio
         # whenever a non-draft token exists.
         rng = np.random.default_rng(7)
-        cfg = self.CFG
+        eta = self.ETA
         for _ in range(300):
             n = int(rng.integers(3, 64))
             x, y = random_pair(rng, n)
@@ -292,8 +296,8 @@ class TestUtvBoundOnline:
             # The production numerator on both sides (TestTailGapClosedForm
             # checks it against the explicit reconstruction).
             tail = float(tail_gap_after_fill(s, k, s.rank_of(d)))
-            smoothed_ratio = tail / smoothed_tvd(x, y, cfg)
-            online = utv_bound_online(s, s.rank_of(d), k, beta_d, cfg)
+            smoothed_ratio = tail / smoothed_tvd(x, y, eta)
+            online = utv_bound_online(s, s.rank_of(d), k, beta_d, eta)
             if tail > 0:
                 assert online > smoothed_ratio
             else:
@@ -303,9 +307,9 @@ class TestUtvBoundOnline:
         # A zero-probability draft, then a predicted rejection probability above 1.
         s = sort_desc(ProbVec(np.array([0.5, 0.5, 0.0])))
         with pytest.raises(ValueError):
-            utv_bound_online(s, 2, 2, 0.5, self.CFG)
+            utv_bound_online(s, 2, 2, 0.5, self.ETA)
         with pytest.raises(ValueError):
-            utv_bound_online(s, 0, 2, 1.5, self.CFG)
+            utv_bound_online(s, 0, 2, 1.5, self.ETA)
 
 
 class TestTailGapClosedForm:
@@ -375,10 +379,10 @@ class TestSelectKOffline:
 
 
 class TestSelectKOnline:
-    CFG = SoftplusConfig(eta=10.0)
+    ETA = 10.0
 
-    def _naive_scan(self, s, draft_rank, beta_hat, theta, cfg):
-        denom = online_denominator(float(s.probs[draft_rank]), beta_hat, cfg)
+    def _naive_scan(self, s, draft_rank, beta_hat, theta, eta):
+        denom = online_denominator(float(s.probs[draft_rank]), beta_hat, eta)
         ks = np.arange(1, len(s) + 1)
         for k, gap in zip(ks, tail_gap_after_fill(s, ks, draft_rank)):
             if gap / denom <= theta:
@@ -394,9 +398,9 @@ class TestSelectKOnline:
             draft_rank = int(rng.integers(0, n))
             u = float(rng.uniform(0, 1))
             theta = float(rng.uniform(0.01, 0.5))
-            sel = select_k_online(s, draft_rank, u, MODEL, theta, self.CFG)
+            sel = select_k_online(s, draft_rank, u, MODEL, theta, self.ETA)
             beta_hat = float(np.clip(MODEL.a * u + MODEL.b, 0, 1))
-            assert sel.k_star == self._naive_scan(s, draft_rank, beta_hat, theta, self.CFG)
+            assert sel.k_star == self._naive_scan(s, draft_rank, beta_hat, theta, self.ETA)
             assert sel.bound_value_at_k <= theta + 1e-12
 
     def test_staircase_monotone_in_u(self):
@@ -405,7 +409,7 @@ class TestSelectKOnline:
         s = sort_desc(x)
         draft_rank = 0
         ks = [
-            select_k_online(s, draft_rank, u, MODEL, 0.05, self.CFG).k_star
+            select_k_online(s, draft_rank, u, MODEL, 0.05, self.ETA).k_star
             for u in np.linspace(0, 1, 30)
         ]
         assert all(b >= a for a, b in zip(ks, ks[1:]))
@@ -415,15 +419,15 @@ class TestSelectKOnline:
         x = ProbVec(rng.dirichlet(np.full(32, 0.5)) + 1e-12)
         s = sort_desc(x)
         # Any u at or below -b/a clamps the prediction to zero: identical k.
-        k_lo = select_k_online(s, 0, 0.0, MODEL, 0.1, self.CFG).k_star
-        k_also = select_k_online(s, 0, 0.05, MODEL, 0.1, self.CFG).k_star
+        k_lo = select_k_online(s, 0, 0.0, MODEL, 0.1, self.ETA).k_star
+        k_also = select_k_online(s, 0, 0.05, MODEL, 0.1, self.ETA).k_star
         assert k_lo == k_also
 
     def test_saturation_theta_zero(self):
         rng = np.random.default_rng(15)
         x = ProbVec(rng.dirichlet(np.ones(16)) + 1e-12)
         s = sort_desc(x)
-        sel = select_k_online(s, 0, 0.9, MODEL, 0.0, self.CFG)
+        sel = select_k_online(s, 0, 0.9, MODEL, 0.0, self.ETA)
         assert sel.k_star == 16 and sel.saturated
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from hybridlm.config import CalibrationConfig, PolicySpec, RunConfig
 from hybridlm.oracle import OracleSpec
+from hybridlm.pipeline import run_sequence
 
 
 class TestDefaults:
@@ -22,9 +23,13 @@ class TestDefaults:
         assert cfg.policy.eta == 10.0
 
     def test_payload_derived_from_oracle(self):
-        cfg = RunConfig(oracle=OracleSpec(kind="synthetic", vocab_size=1024))
-        assert cfg.payload.vocab_size == 1024
-        assert cfg.payload.b_index == 10
+        # Each full-vocabulary record carries b_prob bits and a 10-bit index at V=1024.
+        cfg = RunConfig(
+            oracle=OracleSpec(kind="synthetic", vocab_size=1024),
+            policy=PolicySpec(variant="hlm"),
+            r_max=3,
+        )
+        assert {r.payload_bits for r in run_sequence(cfg)} == {1024 * (8 + 10)}
 
 
 class TestValidation:
@@ -45,6 +50,15 @@ class TestValidation:
         assert RunConfig(oracle=oracle, policy=PolicySpec(k_star=2048)).policy.k_star == 2048
         with pytest.raises(ValueError, match=r"^k_star must be <= vocab_size \(2048\), got 2049$"):
             RunConfig(oracle=oracle, policy=PolicySpec(k_star=2049))
+
+    def test_wire_and_softplus_ranges(self):
+        with pytest.raises(ValueError, match="^vocabulary size must be >= 2$"):
+            OracleSpec(vocab_size=1)
+        with pytest.raises(ValueError, match="^b_prob must be >= 1$"):
+            RunConfig(b_prob=0)
+        for eta in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="^eta must be positive$"):
+                PolicySpec(eta=eta)
 
     def test_theta_positive(self):
         for theta in (0.0, -0.1, float("nan")):

@@ -15,8 +15,8 @@
 # The first line names the numpy version, the machine and the SIMD targets
 # numpy dispatches to, since exp and summation may round differently
 # elsewhere. With --v2048 only the V=2048 runs are made and listed (the five
-# calibration-free policies, the EOS run and the sweep, a few seconds);
-# tests/test_digests.py compares them with the checked-in listing.
+# calibration-free policies, the EOS run, the sweep and demo 03, a few
+# seconds); tests/test_digests.py compares them with the checked-in listing.
 #
 # The wall-clock "generated_at" line is removed from report.json and
 # sweep.csv before hashing; every other byte counts. verify.txt ends with
@@ -89,11 +89,14 @@ if [ $FULL = 1 ]; then
     status=0
     "$PY" -m hybridlm.cli verify --cases 200 >verify.txt || status=$?
     echo "exit status $status" >>verify.txt
-    mkdir -p demos
-    for demo in "$SRC"/demos/*.py; do
-        "$PY" "$demo" >"demos/$(basename "$demo" .py).txt"
-    done
+    DEMOS=("$SRC"/demos/*.py)
+else
+    DEMOS=("$SRC/demos/03_compression_bounds.py")
 fi
+mkdir -p demos
+for demo in "${DEMOS[@]}"; do
+    "$PY" "$demo" >"demos/$(basename "$demo" .py).txt"
+done
 
 REPORTS="eos/report.json $(for p in $POLICIES; do echo "$p/report.json"; done)"
 RUNS="eos/records.jsonl eos/transcript.bin eos/report.json sweep/sweep.csv"
@@ -109,5 +112,5 @@ if [ $FULL = 1 ]; then
         $RUNS verify.txt demos/*.txt $POLICY_RUNS
 else
     sed -i '/generated_at/d' sweep/sweep.csv $REPORTS
-    sha256sum $RUNS $POLICY_RUNS
+    sha256sum $RUNS demos/03_compression_bounds.txt $POLICY_RUNS
 fi
