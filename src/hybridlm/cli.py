@@ -14,7 +14,6 @@ import dataclasses
 import functools
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -184,6 +183,10 @@ def cmd_sweep(args) -> int:
 
     run_point = functools.partial(_sweep_point, calib)
     if args.jobs > 1:
+        # Imported here: the process pool loads multiprocessing, socket,
+        # subprocess and logging, which no other command needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(run_point, points))
     else:
@@ -225,15 +228,14 @@ def cmd_report(args) -> int:
 
 def _calibration(args, cfg: RunConfig) -> CalibrationSet | None:
     """``--calib``'s calibration, else ``ensure_calibration``'s; calibrating says so on stderr."""
-    if args.calib:
-        return load_calibration(Path(args.calib))
-    if needs_calibration(cfg.policy):
+    calib = load_calibration(Path(args.calib)) if args.calib else None
+    if calib is None and needs_calibration(cfg.policy):
         print(
             f"calibrating {cfg.calibration.n_rounds} rounds on the fly; "
             "pass --calib with a `hybridlm calibrate` output to reuse one",
             file=sys.stderr,
         )
-    return ensure_calibration(cfg, None)
+    return ensure_calibration(cfg, calib)
 
 
 def _load(args) -> RunConfig:

@@ -164,8 +164,9 @@ def tail_gap_after_fill(
     range_sum = prefix[vocab] - prefix[k] - np.where(outside, s_d, 0.0)
     fill = np.maximum(mass, 0.0) / np.maximum(m, 1)
     # Count and sum of tail entries >= fill: s is non-increasing, so they are
-    # the ranks from k up to the first entry below fill.
-    c = np.maximum(np.searchsorted(-s, -fill, side="right") - k, 0)
+    # the ranks from k up to the first entry below fill. They are counted on
+    # the ascending view of s, which takes no full-vocabulary temporary.
+    c = np.maximum(vocab - np.searchsorted(s[::-1], fill, side="left") - k, 0)
     above = prefix[k + c] - prefix[k]
     draft_above = outside & (s_d >= fill)
     c = c - draft_above
@@ -267,8 +268,13 @@ def select_k_online(
 
 
 def default_k_grid(vocab_size: int) -> np.ndarray:
-    """Logarithmic k grid of at most 64 points over [1, vocab_size] for the calibration table."""
-    grid = np.unique(np.round(np.logspace(0.0, math.log10(vocab_size), 64)).astype(int))
+    """Logarithmic k grid of at most 64 points over [1, vocab_size] for the calibration table.
+
+    The rounded points never decrease, so the distinct ones are those that
+    differ from their predecessor; ``np.unique`` would sort them again and
+    import ``numpy.ma``.
+    """
+    grid = np.round(np.logspace(0.0, math.log10(vocab_size), 64)).astype(int)
     grid[-1] = vocab_size
-    return np.unique(grid)
+    return grid[np.insert(grid[1:] != grid[:-1], 0, True)]
 

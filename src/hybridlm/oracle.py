@@ -151,10 +151,11 @@ class TraceOracle:
         )
 
 
-def is_eos(spec: OracleSpec, inputs: RoundInputs, token: int) -> bool:
-    """Whether ``token`` ends the sequence: a trace's own flag, else the synthetic EOS token."""
+def is_eos(spec: OracleSpec, flagged: bool, token: int) -> bool:
+    """Whether ``token`` ends the sequence: on a trace the round's own flag
+    (``RoundInputs.eos``), else whether it is the synthetic EOS token."""
     if spec.kind == "trace":
-        return inputs.eos
+        return flagged
     return spec.eos_prob > 0.0 and token == EOS_TOKEN
 
 
@@ -243,28 +244,14 @@ def calibrate(
 
     for t in range(n_rounds):
         try:
-            inputs = oracle.next_round(sequence)
+            row, utv, token, eos = _calibration_round(oracle, sequence, ucfg, k_grid, seed, t)
         except TraceExhausted:
             break
-        x = softmax(inputs.slm_logits)
-        y = softmax(inputs.llm_logits)
-        d = sample(x, seeding.round_rng(seed, t, seeding.DRAFT))
-        u = estimate_u(inputs.slm_logits, d, ucfg, seeding.round_rng(seed, t, seeding.UNCERTAINTY))
-        beta_d = rejection_prob(float(x.probs[d]), float(y.probs[d]))
-        rows.append((u, beta_d, float(x.probs[d]), float(y.probs[d])))
-
-        divergence_tvd = tvd(x, y)
-        if divergence_tvd > 0.0:
-            x_sorted = sort_desc(x)
-            utv_acc += utv_bound(x_sorted, x_sorted.rank_of(d), k_grid, divergence_tvd)
+        rows.append(row)
+        if utv is not None:
+            utv_acc += utv
             utv_count += 1
-            verdict = verify(
-                d, x, y, lambda: resample_dist(x, y), seeding.round_rng(seed, t, seeding.VERIFY)
-            )
-            token = verdict.token
-        else:
-            token = d
-        if is_eos(spec, inputs, token):
+        if eos:
             sequence = []
         else:
             sequence.append(token)
@@ -282,6 +269,41 @@ def calibrate(
         utv_values=utv_values,
         model=fit_linear([(r[0], r[1]) for r in rows]),
     )
+
+
+def _calibration_round(
+    oracle: SyntheticOracle | TraceOracle,
+    sequence: list[int],
+    ucfg: UncertaintyConfig,
+    k_grid: np.ndarray,
+    seed: int,
+    t: int,
+) -> tuple[tuple[float, float, float, float], np.ndarray | None, int, bool]:
+    """One calibration round: its (u, beta, x_d, y_d) row, its exact bound at
+    each k of ``k_grid`` (None when x = y), the token the sequence continues
+    with, and whether that token ends the sequence.
+
+    The round's vectors live only in this call, so they are freed before the
+    next round's oracle draws; the sorted vector is made last, after the
+    verdict's resampling distribution is freed.
+    """
+    inputs = oracle.next_round(sequence)
+    x = softmax(inputs.slm_logits)
+    y = softmax(inputs.llm_logits)
+    d = sample(x, seeding.round_rng(seed, t, seeding.DRAFT))
+    u = estimate_u(inputs.slm_logits, d, ucfg, seeding.round_rng(seed, t, seeding.UNCERTAINTY))
+    x_d, y_d = float(x.probs[d]), float(y.probs[d])
+    row = (u, rejection_prob(x_d, y_d), x_d, y_d)
+
+    divergence_tvd = tvd(x, y)
+    if not divergence_tvd > 0.0:
+        return row, None, d, is_eos(oracle.spec, inputs.eos, d)
+    token = verify(
+        d, x, y, lambda: resample_dist(x, y), seeding.round_rng(seed, t, seeding.VERIFY)
+    ).token
+    x_sorted = sort_desc(x)
+    utv = utv_bound(x_sorted, x_sorted.rank_of(d), k_grid, divergence_tvd)
+    return row, utv, token, is_eos(oracle.spec, inputs.eos, token)
 
 
 # The calibration directory: each file's name, and each CSV table's header.
@@ -345,6 +367,8 @@ def load_calibration(path: Path) -> CalibrationSet:
         if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
             raise ValueError(f"{MODEL_FILE}: {name} must be a finite number, got {v!r}")
     table = _load_table(path / TABLE_FILE, TABLE_HEADER)
+    if not table:  # its last k is the vocabulary size the calibration was made at
+        raise ValueError(f"{TABLE_FILE}: no rows")
     pairs_path = path / PAIRS_FILE
     rows = _load_table(pairs_path, PAIRS_HEADER) if pairs_path.exists() else []
     return CalibrationSet(

@@ -28,9 +28,15 @@ from .channel import (
     sample_snr,
     uplink_latency,
 )
-from .compression import compress, reconstruct, select_k_offline, select_k_online
+from .compression import (
+    CompressedVocab,
+    compress,
+    reconstruct,
+    select_k_offline,
+    select_k_online,
+)
 from .config import PolicySpec, RunConfig
-from .dist import sample, softmax, sort_desc, tvd
+from .dist import ProbVec, TokenId, sample, softmax, sort_desc, tvd
 from .heap import retain_heap
 from .oracle import CalibrationSet, TraceExhausted, calibrate, is_eos, make_oracle
 from .specdec import accepts, distorted_resample_dist, resample_dist, round_bias, verify_draft
@@ -76,7 +82,8 @@ class RoundRecord:
             raise ValueError(f"verdict: must be one of {', '.join(VERDICTS)}, got {self.verdict!r}")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # Every field holds an immutable scalar, so no copy is needed.
+        return {name: getattr(self, name) for name in RECORD_FIELDS}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -115,23 +122,13 @@ def _should_transmit(
 
 
 def resolve_k_star(cfg: RunConfig, calib: CalibrationSet | None) -> int | None:
-    """Fixed compressed size for the offline policy, from the calibration table.
-
-    The table's grid ends at the vocabulary size it was calibrated at, which
-    must be the config's.
-    """
+    """Fixed compressed size for the offline policy, from the calibration table."""
     policy = cfg.policy
     if policy.variant != "cu_hlm_offline":
         return None
     if policy.k_star is not None:
         return policy.k_star
     vocab = cfg.oracle.vocab_size
-    calib_vocab = int(calib.utv_k_grid[-1])
-    if calib_vocab != vocab:
-        raise ValueError(
-            f"calibration table was made at vocab_size {calib_vocab}, "
-            f"the config has vocab_size {vocab}"
-        )
     return select_k_offline(calib.utv_k_grid, calib.utv_values, policy.theta, vocab).k_star
 
 
@@ -148,6 +145,7 @@ def run_round(
 ) -> RoundRecord:
     policy = cfg.policy
     inputs = oracle_inst.next_round(sequence)
+    flagged = inputs.eos
     y = softmax(inputs.llm_logits)
 
     if policy.variant == "llm_only":
@@ -157,7 +155,7 @@ def run_round(
             round=t,
             token=token,
             latency_s=cfg.latency.tau_llm_s,
-            eos=is_eos(cfg.oracle, inputs, token),
+            eos=is_eos(cfg.oracle, flagged, token),
         )
 
     x = softmax(inputs.slm_logits)
@@ -170,6 +168,9 @@ def run_round(
         u = estimate_u(
             inputs.slm_logits, d, cfg.uncertainty, seeding.round_rng(seed, t, seeding.UNCERTAINTY)
         )
+    # The logits are not read past here. Freeing them keeps a transmitted
+    # round's peak at about six vectors of the vocabulary's size.
+    del inputs
 
     if not _should_transmit(policy, u, seed, t):
         return RoundRecord(
@@ -181,22 +182,11 @@ def run_round(
             counterfactual_accept=accepts(
                 x_d, y_d, seeding.round_rng(seed, t, seeding.COUNTERFACTUAL)
             ),
-            eos=is_eos(cfg.oracle, inputs, d),
+            eos=is_eos(cfg.oracle, flagged, d),
         )
 
     # Transmitted round: choose k, build the payload, cross the channel.
-    x_sorted = sort_desc(x)
-    bound_at_selection = None
-    if policy.variant == "cu_hlm_online":
-        sel = select_k_online(
-            x_sorted, x_sorted.rank_of(d), u, calib.model, policy.theta, policy.eta
-        )
-        k = sel.k_star
-        bound_at_selection = sel.bound_value_at_k
-    else:
-        k = k_star if k_star is not None else cfg.oracle.vocab_size
-
-    c = compress(x_sorted, k, d)
+    c, bound_at_selection = _payload(x, d, u, cfg, calib, k_star)
     c_wire = quantize_vocab(c, cfg.b_prob) if cfg.quantize_wire else c
     if transcript is not None:
         transcript.append(encode_round(t, c_wire, cfg.b_prob))
@@ -204,8 +194,7 @@ def run_round(
     snr = sample_snr(cfg.channel, seeding.round_rng(seed, t, seeding.CHANNEL))
     tau_comm = uplink_latency(bits, cfg.channel.bandwidth_hz, snr)
 
-    x_hat = reconstruct(c_wire)
-    q, fallback = distorted_resample_dist(x_hat, y)
+    q, fallback = distorted_resample_dist(reconstruct(c_wire), y)
     verdict = verify_draft(
         d, c_wire.draft_prob, y_d, q, seeding.round_rng(seed, t, seeding.VERIFY)
     )
@@ -220,7 +209,7 @@ def run_round(
         round=t,
         u=u,
         delta=1,
-        k_used=k,
+        k_used=c.k,
         payload_bits=bits,
         snr_linear=snr,
         tau_comm_s=tau_comm,
@@ -231,8 +220,32 @@ def run_round(
         bound_at_selection=bound_at_selection,
         token=token,
         latency_s=round_latency(cfg.latency, tau_comm),
-        eos=is_eos(cfg.oracle, inputs, token),
+        eos=is_eos(cfg.oracle, flagged, token),
     )
+
+
+def _payload(
+    x: ProbVec,
+    d: TokenId,
+    u: float | None,
+    cfg: RunConfig,
+    calib: CalibrationSet | None,
+    k_star: int | None,
+) -> tuple[CompressedVocab, float | None]:
+    """A transmitted round's top-k payload, and the bound its k was selected on (online only).
+
+    The sorted vector and its prefix sums live only in this call, so they
+    are freed before the round's record diagnostics allocate.
+    """
+    policy = cfg.policy
+    x_sorted = sort_desc(x)
+    if policy.variant == "cu_hlm_online":
+        sel = select_k_online(
+            x_sorted, x_sorted.rank_of(d), u, calib.model, policy.theta, policy.eta
+        )
+        return compress(x_sorted, sel.k_star, d), sel.bound_value_at_k
+    k = k_star if k_star is not None else cfg.oracle.vocab_size
+    return compress(x_sorted, k, d), None
 
 
 def calibrate_from_config(cfg: RunConfig, n_rounds: int) -> CalibrationSet:
@@ -259,10 +272,24 @@ def needs_calibration(policy: PolicySpec) -> bool:
 
 
 def ensure_calibration(cfg: RunConfig, calib: CalibrationSet | None) -> CalibrationSet | None:
-    """Calibrate on the fly when the policy needs statistics it wasn't given."""
-    if calib is not None or not needs_calibration(cfg.policy):
+    """Calibrate on the fly when the policy needs statistics it wasn't given.
+
+    A given calibration that the policy reads must have been made at the
+    config's vocabulary size: its table's grid ends at the size it was
+    calibrated at.
+    """
+    if not needs_calibration(cfg.policy):
         return calib
-    return calibrate_from_config(cfg, cfg.calibration.n_rounds)
+    if calib is None:
+        return calibrate_from_config(cfg, cfg.calibration.n_rounds)
+    vocab = cfg.oracle.vocab_size
+    calib_vocab = int(calib.utv_k_grid[-1])
+    if calib_vocab != vocab:
+        raise ValueError(
+            f"calibration table was made at vocab_size {calib_vocab}, "
+            f"the config has vocab_size {vocab}"
+        )
+    return calib
 
 
 def run_sequence(

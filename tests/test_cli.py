@@ -369,12 +369,29 @@ class TestExitCodes:
     def test_calibration_vocab_mismatch_fails_before_any_work(
         self, tmp_path, capsys, monkeypatch, calib_512, vocab, command
     ):
+        self._vocab_mismatch_fails(
+            tmp_path, capsys, monkeypatch, calib_512, vocab, command, "cu_hlm_offline"
+        )
+
+    @pytest.mark.parametrize("vocab", [256, 4096])
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_online_calibration_vocab_mismatch_fails_before_any_work(
+        self, tmp_path, capsys, monkeypatch, calib_512, vocab, command
+    ):
+        # The online policy reads the fitted line, not the table, yet the
+        # calibration it was given still has to match the vocabulary.
+        self._vocab_mismatch_fails(
+            tmp_path, capsys, monkeypatch, calib_512, vocab, command, "cu_hlm_online"
+        )
+
+    @staticmethod
+    def _vocab_mismatch_fails(tmp_path, capsys, monkeypatch, calib_512, vocab, command, variant):
         capsys.readouterr()
         monkeypatch.setattr(pipeline, "make_oracle", lambda *a, **k: pytest.fail("ran"))
         cfg = write_cfg(
             tmp_path,
             oracle={"vocab_size": vocab},
-            policy={"variant": "cu_hlm_offline", "theta": 1e-7, "u_th": 0.0},
+            policy={"variant": variant, "theta": 1e-7, "u_th": 0.0},
         )
         out = tmp_path / "x"
         argv = [command, "--config", cfg, "--calib", calib_512, "--out", str(out)]
@@ -438,6 +455,17 @@ class TestExitCodes:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err == f"config error: {name}: every row needs {n_values} values\n"
+
+    def test_empty_calibration_table(self, cfg_path, tmp_path, capsys, monkeypatch):
+        # The table's last k is the vocabulary the calibration was made at.
+        cal = tmp_path / "cal"
+        assert main(["calibrate", "--config", cfg_path, "--out", str(cal)]) == 0
+        (cal / "utv_table.csv").write_text("k,mean_utv\n")
+        monkeypatch.setattr(cli, "run_many", lambda *a, **k: pytest.fail("the run started"))
+        capsys.readouterr()
+        argv = ["simulate", "--config", cfg_path, "--calib", str(cal), "--out", str(tmp_path / "x")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "config error: utv_table.csv: no rows\n"
 
     @pytest.mark.parametrize(
         "name, value",
@@ -591,6 +619,35 @@ class TestStartup:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+
+    def test_cli_import_leaves_process_pool_unloaded(self):
+        # Only sweep --jobs uses the pool; it imports multiprocessing,
+        # socket, subprocess and logging.
+        code = (
+            "import sys, hybridlm.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_calibrate_leaves_numpy_ma_unloaded(self, tmp_path):
+        # np.unique imports numpy.ma (about 1.25 MB); default_k_grid avoids it.
+        cfg = write_cfg(tmp_path, oracle={"vocab_size": 512})
+        code = (
+            "import sys; from hybridlm.cli import main; "
+            f"rc = main(['calibrate', '--config', {cfg!r}, '--rounds', '20', "
+            f"'--out', {str(tmp_path / 'cal')!r}]); "
+            "print(rc, 'numpy.ma' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 class TestCrossProcessDeterminism:

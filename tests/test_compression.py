@@ -1,6 +1,7 @@
 """Tests for top-k compression, reconstruction, and the distortion bounds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -348,6 +349,74 @@ class TestTailGapClosedForm:
                 assert np.all(np.diff(gaps) <= 1e-12)
 
 
+    @staticmethod
+    def negated_search_gap(x_sorted, k, draft_rank):
+        """The closed form as it counted tail entries >= fill before: on -s."""
+        s, prefix, vocab = x_sorted.probs, x_sorted.prefix, x_sorted.probs.size
+        s_d = s[draft_rank]
+        outside = draft_rank >= k
+        m = vocab - k - outside
+        mass = 1.0 - prefix[k] - np.where(outside, s_d, 0.0)
+        range_sum = prefix[vocab] - prefix[k] - np.where(outside, s_d, 0.0)
+        fill = np.maximum(mass, 0.0) / np.maximum(m, 1)
+        c = np.maximum(np.searchsorted(-s, -fill, side="right") - k, 0)
+        above = prefix[k + c] - prefix[k]
+        draft_above = outside & (s_d >= fill)
+        c = c - draft_above
+        above = np.where(draft_above, above - s_d, above)
+        gap = np.maximum(2.0 * (above - c * fill) + (m * fill - range_sum), 0.0)
+        return np.where(m > 0, gap, 0.0)
+
+    @pytest.mark.parametrize(
+        "probs",
+        [
+            [0.5, 0.125, 0.125, 0.125, 0.125],  # k = 1 fills at 0.125: every tail entry ties
+            [0.25, 0.25, 0.125, 0.125, 0.125, 0.0625, 0.0625],  # ties at several k
+            [0.1] * 10,  # inexact ties: which of them count as >= fill changes the rounding
+            [0.5] + [0.05] * 10,
+            [0.5, 0.5, 0.0, 0.0, 0.0],  # k >= 2 leaves no mass: fill == 0, ties at 0
+            [0.75, 0.25, 0.0, 0.0],
+            [1.0, 0.0, 0.0],
+        ],
+    )
+    def test_bit_equal_to_negated_search_on_ties(self, probs):
+        s = sort_desc(ProbVec(np.array(probs)))
+        ks = np.arange(1, len(probs) + 1)  # k = |V| included
+        for draft_rank in range(len(probs)):  # drafts inside and outside the top k
+            got = tail_gap_after_fill(s, ks, draft_rank)
+            want = self.negated_search_gap(s, ks, draft_rank)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_bit_equal_to_negated_search_random(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            n = int(rng.integers(2, 120))
+            p = rng.dirichlet(np.full(n, rng.choice([0.05, 0.3, 1.0])))
+            p[rng.random(n) < 0.1] = 0.0  # exact zeros, so some fills are 0
+            if p.sum() == 0.0:
+                p[0] = 1.0
+            s = sort_desc(ProbVec(p / p.sum()))
+            ks = np.arange(1, n + 1)
+            for draft_rank in (0, int(rng.integers(0, n)), n - 1):
+                got = tail_gap_after_fill(s, ks, draft_rank)
+                assert np.array_equal(got, self.negated_search_gap(s, ks, draft_rank))
+
+    def test_no_full_vocabulary_temporary(self):
+        # select_k_online's probe call at V=32000: every temporary is sized by k.
+        vocab = 32_000
+        rng = np.random.default_rng(13)
+        s = sort_desc(softmax(-4.0 * np.log(np.arange(1, vocab + 1)) + rng.standard_normal(vocab)))
+        s.prefix  # cached, as select_k_online's first call leaves it
+        probes = np.append(2 ** np.arange((vocab - 1).bit_length()), vocab)
+        tracemalloc.start()
+        try:
+            tail_gap_after_fill(s, probes, 40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < vocab * 8 / 4
+
+
 class TestSelectKOffline:
     def test_loosest_constraint(self):
         grid = np.array([1, 4, 16])
@@ -437,6 +506,14 @@ class TestTableIo:
         assert grid[0] == 1 and grid[-1] == 32_000
         assert np.all(np.diff(grid) > 0)
         assert len(grid) <= 64
+
+    @pytest.mark.parametrize("vocab", [2, 3, 10, 64, 65, 100, 2048, 32_000, 65_535, 131_072])
+    def test_default_grid_equals_unique_construction(self, vocab):
+        grid = np.unique(np.round(np.logspace(0.0, math.log10(vocab), 64)).astype(int))
+        grid[-1] = vocab
+        want = np.unique(grid)
+        got = default_k_grid(vocab)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_round_trip(self, tmp_path):
         grid = default_k_grid(100)

@@ -1,7 +1,9 @@
 """Tests for round orchestration, policies, and aggregate metrics."""
 
+import copy
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +12,8 @@ from hybridlm import pipeline
 from hybridlm.channel import ChannelSpec
 from hybridlm.config import CalibrationConfig, PolicySpec, RunConfig
 from hybridlm.dist import SortedProbVec
-from hybridlm.oracle import OracleSpec, calibrate, write_trace
-from hybridlm.pipeline import metrics, run_many, run_sequence
+from hybridlm.oracle import OracleSpec, calibrate, make_oracle, write_trace
+from hybridlm.pipeline import RoundRecord, metrics, run_many, run_round, run_sequence
 from hybridlm.uncertainty import UncertaintyConfig
 
 FIXED_CH = ChannelSpec(fading="fixed", mean_snr_db=10.0)
@@ -175,6 +177,79 @@ class TestArgsortFreeRounds:
         n_tx = sum(r.delta for r in recs)
         assert 0 < n_tx < len(recs)
         assert len(sorts) == n_tx
+
+
+class TestRoundMemory:
+    """Traced peak of one round, in V=32000 float64 vectors (256 KB each)."""
+
+    VOCAB = 32_000
+
+    def traced_peak(self, call) -> float:
+        tracemalloc.start()
+        try:
+            out = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return out, peak / (self.VOCAB * 8)
+
+    def test_transmitted_round_holds_at_most_seven_vectors(self):
+        # The logits, the sorted vector with its prefix sums and the
+        # reconstruction are freed before the record diagnostics allocate.
+        cfg = make_cfg("cu_hlm_online", vocab=self.VOCAB, u_th=0.0, r_max=12)
+        cal = calibrate(cfg.oracle, 10, cfg.uncertainty, seed=3)
+        oracle_inst = make_oracle(cfg.oracle)
+        sequence, peaks = [], []
+        for t in range(cfg.r_max):
+            rec, peak = self.traced_peak(
+                lambda: run_round(t, sequence, oracle_inst, cfg, cal, cfg.seed)
+            )
+            sequence.append(rec.token)
+            if rec.delta == 1:
+                peaks.append(peak)
+        assert len(peaks) >= 6
+        assert max(peaks) <= 7.0
+
+    def test_calibrate_round_holds_at_most_nine_and_a_half_vectors(self):
+        # The peak covers the oracle's own base vector too; no round's
+        # vectors outlive it into the next round's oracle draws.
+        spec = OracleSpec(vocab_size=self.VOCAB, seed=11)
+        cal, peak = self.traced_peak(lambda: calibrate(spec, 8, UncertaintyConfig(m=10), seed=3))
+        assert len(cal.rows) == 8
+        assert peak <= 9.5
+
+
+class TestRecordDict:
+    RECORDS = [
+        RoundRecord(seq=0, round=0, token=3, latency_s=0.1, eos=False),
+        RoundRecord(
+            seq=2, round=7, u=0.35, delta=1, k_used=40, payload_bits=960,
+            snr_linear=9.5, tau_comm_s=1e-4, verdict="rejected", fallback_used=True,
+            bias=0.0125, tvd_pq=0.02, bound_at_selection=0.1, token=11, latency_s=0.03,
+            eos=True,
+        ),
+        RoundRecord(seq=1, round=4, u=0.0, token=0, latency_s=0.01,
+                    counterfactual_accept=False, eos=False),
+    ]
+
+    def test_equals_asdict(self):
+        for rec in self.RECORDS:
+            got = rec.to_dict()
+            assert got == dataclasses.asdict(rec)
+            assert list(got) == pipeline.RECORD_FIELDS
+            assert [type(v) for v in got.values()] == [
+                type(v) for v in dataclasses.asdict(rec).values()
+            ]
+
+    def test_copies_nothing(self, monkeypatch):
+        # Every field is an immutable scalar; asdict deep-copied each one.
+        copies = []
+        real = copy.deepcopy
+        monkeypatch.setattr(copy, "deepcopy", lambda *a, **k: copies.append(a) or real(*a, **k))
+        for rec in self.RECORDS:
+            rec.to_dict()
+            rec.to_json()
+        assert copies == []
 
 
 class TestSequenceMechanics:
