@@ -184,7 +184,7 @@ class TestRoundMemory:
 
     VOCAB = 32_000
 
-    def traced_peak(self, call) -> float:
+    def traced_peak(self, call) -> tuple:
         tracemalloc.start()
         try:
             out = call()
@@ -242,7 +242,7 @@ class TestRecordDict:
             ]
 
     def test_copies_nothing(self, monkeypatch):
-        # Every field is an immutable scalar; asdict deep-copied each one.
+        # Every field is an immutable scalar, so to_dict needs no copy of any.
         copies = []
         real = copy.deepcopy
         monkeypatch.setattr(copy, "deepcopy", lambda *a, **k: copies.append(a) or real(*a, **k))
