@@ -68,6 +68,9 @@ EXACT_RANKS = 256
 VALUE_BUCKETS = 64
 REDRAW_MARGIN = 1e-9
 
+# Distinct sample values per exp and matmul of GaussianKdeEstimator.
+KDE_CHUNK = 128
+
 
 def redraw_brackets(
     z: np.ndarray, d: TokenId, thetas: np.ndarray
@@ -256,7 +259,12 @@ def estimate_delta(calib: list[tuple[float, float]]) -> float:
 
 
 class GaussianKdeEstimator:
-    """Gaussian kernel density estimate with Silverman bandwidth."""
+    """Gaussian kernel density estimate with Silverman's bandwidth.
+
+    h = std(samples, ddof=1) * (3n/4)^(-1/5), Silverman's (1986) rule in
+    1-D. Equal samples collapse into (value, count) pairs: u takes only the
+    m+1 values j/m, so it costs m+1 kernels per grid point, not n.
+    """
 
     GRID_POINTS = 2048
 
@@ -265,11 +273,16 @@ class GaussianKdeEstimator:
             return 0.0
         if np.ptp(samples) == 0.0:
             raise ValueError("KDE undefined for zero-variance samples")
-        from scipy.stats import gaussian_kde  # ~1 s and ~60 MB to import; only used here
-
-        kde = gaussian_kde(samples, bw_method="silverman")
+        h = np.std(samples, ddof=1) * (0.75 * samples.size) ** -0.2
+        values, counts = np.unique(samples, return_counts=True)
         grid = np.linspace(lo, hi, self.GRID_POINTS)
-        f = kde(grid)
+        f = np.zeros(grid.size)
+        for i in range(0, values.size, KDE_CHUNK):
+            z = np.subtract.outer(grid / h, values[i : i + KDE_CHUNK] / h)
+            z *= z
+            z *= -0.5
+            f += np.exp(z, out=z) @ counts[i : i + KDE_CHUNK]
+        f /= samples.size * h * np.sqrt(2.0 * np.pi)
         return float(np.trapezoid(f**2, grid))
 
 
@@ -316,12 +329,13 @@ def rejection_risk(
     The empirical risk averages the predicted rejection probability over
     samples inside the skip interval (-b/a, u_th]. The bound multiplies
     delta^(3/2)/sqrt(3a) by the L2 norm of the uncertainty density over the
-    same interval, with delta = a*u_th + b.
+    same interval, with delta = a*u_th + b. Like ``thresholds``, it
+    rejects a model whose slope a is not positive.
     """
     u = np.asarray(u_samples, dtype=np.float64)
     if u.size == 0:
         raise ValueError("empty uncertainty sample set")
-    lo = -model.b / model.a
+    lo = thresholds(model, 0.0).risk_averse
     in_risk_zone = (u > lo) & (u <= u_th)
     betas = predict_beta(model, u)
     empirical = float(np.mean(np.where(in_risk_zone, betas, 0.0)))

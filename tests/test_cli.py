@@ -649,6 +649,19 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 False"
 
+    def test_verify_runs_without_scipy(self):
+        # A None entry in sys.modules makes any import of scipy fail.
+        code = (
+            "import sys; sys.modules['scipy'] = None; from hybridlm import cli; "
+            "sys.exit(cli.main(['verify', '--cases', '20']))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 4 and all(line.startswith("PASS ") for line in lines), lines
+
 
 class TestCrossProcessDeterminism:
     def test_records_identical_across_process_restarts(self, cfg_path, tmp_path):

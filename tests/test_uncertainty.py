@@ -26,6 +26,7 @@ from hybridlm.oracle import (
 )
 from hybridlm.uncertainty import (
     EXACT_RANKS,
+    KDE_CHUNK,
     REDRAW_MARGIN,
     DiscretePmfEstimator,
     GaussianKdeEstimator,
@@ -575,6 +576,61 @@ class TestCalibrationCsv:
         np.testing.assert_allclose(np.array(back), np.array(rows), rtol=1e-8)
 
 
+def reference_kde_l2(samples, lo, hi):
+    """The KDE's squared-density integral as a plain per-sample Gaussian sum."""
+    n = samples.size
+    h = np.std(samples, ddof=1) * (3.0 * n / 4.0) ** -0.2
+    grid = np.linspace(lo, hi, GaussianKdeEstimator.GRID_POINTS)
+    f = np.zeros(grid.size)
+    for x in samples:
+        f += np.exp(-0.5 * ((grid - x) / h) ** 2)
+    f /= n * h * np.sqrt(2.0 * np.pi)
+    return float(np.trapezoid(f**2, grid))
+
+
+KDE_INTERVALS = [(0.081, 0.9), (-0.5, 1.5), (0.3, 0.31)]
+KDE_INPUTS = ["continuous", "grid", "below_chunk", "not_chunk_multiple"]
+
+
+@pytest.fixture(scope="module")
+def kde_inputs():
+    """Continuous uniforms, 1/20-grid samples, and fewer / not a multiple of KDE_CHUNK values."""
+    rng = np.random.default_rng(60)
+    return {
+        "continuous": rng.uniform(0.0, 1.0, 8000),
+        "grid": np.round(rng.uniform(0.0, 1.0, 8000) * 20.0) / 20.0,
+        "below_chunk": rng.uniform(0.0, 1.0, KDE_CHUNK // 2),
+        "not_chunk_multiple": rng.normal(0.5, 0.2, 3 * KDE_CHUNK + 17),
+    }
+
+
+class TestGaussianKde:
+    @pytest.mark.parametrize("name", KDE_INPUTS)
+    def test_matches_per_sample_sum(self, kde_inputs, name):
+        u = kde_inputs[name]
+        for lo, hi in KDE_INTERVALS:
+            got = GaussianKdeEstimator().density_l2_integral(u, lo, hi)
+            want = reference_kde_l2(u, lo, hi)
+            assert abs(got - want) <= 1e-12 * want, (name, lo, hi, got, want)
+
+    @pytest.mark.parametrize("name", KDE_INPUTS)
+    def test_matches_scipy_silverman(self, kde_inputs, name):
+        stats = pytest.importorskip("scipy.stats")
+        u = kde_inputs[name]
+        kde = stats.gaussian_kde(u, bw_method="silverman")
+        for lo, hi in KDE_INTERVALS:
+            grid = np.linspace(lo, hi, GaussianKdeEstimator.GRID_POINTS)
+            want = float(np.trapezoid(kde(grid) ** 2, grid))
+            got = GaussianKdeEstimator().density_l2_integral(u, lo, hi)
+            assert abs(got - want) <= 1e-12 * want, (name, lo, hi, got, want)
+
+    def test_empty_interval_and_zero_variance(self):
+        est = GaussianKdeEstimator()
+        assert est.density_l2_integral(np.array([0.1, 0.2]), 0.5, 0.5) == 0.0
+        with pytest.raises(ValueError, match="zero-variance"):
+            est.density_l2_integral(np.full(10, 0.3), 0.0, 1.0)
+
+
 class TestRejectionRisk:
     def _uniform_samples(self, lo, hi, n, seed):
         rng = np.random.default_rng(seed)
@@ -627,3 +683,13 @@ class TestRejectionRisk:
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError):
             rejection_risk(REF_MODEL, [], 0.5, GaussianKdeEstimator())
+
+    @pytest.mark.parametrize("a, b", [(0.0, 0.1), (-0.3, 0.1)])
+    def test_nonpositive_slope_rejected(self, a, b):
+        # At a = -0.3 the predicted beta reaches 0.1 at u = 0, so a bound and
+        # a risk of 0 inside the skip zone u <= 0.5 would be a false claim.
+        model = LinearRejectionModel(a=a, b=b, mse=0.0, r2=0.0)
+        u = np.linspace(0.0, 1.0, 21)
+        for estimator in (GaussianKdeEstimator(), DiscretePmfEstimator(m=20)):
+            with pytest.raises(ValueError, match="positive slope"):
+                rejection_risk(model, u, 0.5, estimator)

@@ -13,8 +13,10 @@ other, this runs the checkout's
 with this interpreter, and writes BENCH_<pr>.json (into --out, by default
 this repository's root). The file holds the machine (cores, Python and
 numpy versions), the sha256 of the checkout's default config
-(``RunConfig().to_json()``) and each workload's result line. A perf change
-cites the two files it compares.
+(``RunConfig().to_json()``), each workload's result line and, under
+``digests``, the sha256 of each workload's outputs from its provenance line,
+so two files alone show whether the outputs are equal. A perf change cites
+the two files it compares.
 """
 
 from __future__ import annotations
@@ -43,15 +45,22 @@ def default_config_sha256(root: Path) -> str:
     return hashlib.sha256(out).hexdigest()
 
 
-def run_workload(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result line of one ``--trace 0`` run of the checkout's benchmark."""
+def parse_run_output(stdout: str) -> tuple[dict, dict]:
+    """The result line of ``bench/run.py``'s stdout and the output digests of
+    its provenance line, the line before it."""
+    *_, provenance, result = stdout.strip().splitlines()
+    return json.loads(result), json.loads(provenance)["info"]["digests"]
+
+
+def run_workload(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """The result line and output digests of one ``--trace 0`` run of the checkout's benchmark."""
     argv = [sys.executable, "bench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{workload}: bench/run.py exited {proc.returncode}: "
                          f"{proc.stderr.strip()[-600:]}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return parse_run_output(proc.stdout)
 
 
 def main(argv=None) -> int:
@@ -76,10 +85,11 @@ def main(argv=None) -> int:
         "command": f"bench/run.py --workload W --seed {args.seed} "
                    f"--seconds {args.seconds:g} --trace 0",
         "workloads": {},
+        "digests": {},
     }
     for w in workloads:
         print(f"running {w} ...", file=sys.stderr)
-        doc["workloads"][w] = run_workload(root, w, args.seed, args.seconds)
+        doc["workloads"][w], doc["digests"][w] = run_workload(root, w, args.seed, args.seconds)
     out = args.out / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(out)
