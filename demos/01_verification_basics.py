@@ -8,15 +8,8 @@ equals y exactly (algebraically) and empirically (Monte Carlo).
 
 import numpy as np
 
-from hybridlm import (
-    ProbVec,
-    hybrid_output_dist,
-    rejection_prob,
-    resample_dist,
-    sample,
-    tvd,
-    verify,
-)
+from hybridlm.dist import ProbVec, sample, tvd
+from hybridlm.specdec import hybrid_output_dist, rejection_prob, resample_dist, verify
 
 x = ProbVec(np.array([0.55, 0.25, 0.15, 0.05]))
 y = ProbVec(np.array([0.30, 0.40, 0.20, 0.10]))

@@ -9,12 +9,11 @@ estimators.
 
 import numpy as np
 
-from hybridlm import (
+from hybridlm.oracle import OracleSpec, calibrate
+from hybridlm.uncertainty import (
     DiscretePmfEstimator,
     GaussianKdeEstimator,
-    OracleSpec,
     UncertaintyConfig,
-    calibrate,
     rejection_risk,
     thresholds,
 )

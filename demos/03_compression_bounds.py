@@ -8,25 +8,19 @@ size selectors and shows the payload they pay for.
 
 import numpy as np
 
-from hybridlm import (
-    LinearRejectionModel,
-    OracleSpec,
+from hybridlm.channel import payload_bits
+from hybridlm.compression import (
     compress,
-    distorted_resample_dist,
-    payload_bits,
     reconstruct,
-    rejection_prob,
-    resample_dist,
     select_k_offline,
     select_k_online,
-    softmax,
-    sort_desc,
-    tvd,
     utv_bound,
     utv_bound_online,
 )
-from hybridlm.dist import sample
-from hybridlm.oracle import SyntheticOracle
+from hybridlm.dist import sample, softmax, sort_desc, tvd
+from hybridlm.oracle import OracleSpec, SyntheticOracle
+from hybridlm.specdec import distorted_resample_dist, rejection_prob, resample_dist
+from hybridlm.uncertainty import LinearRejectionModel
 
 vocab = 2048
 spec = OracleSpec(kind="synthetic", vocab_size=vocab, zipf_s=4.0, divergence=1.0, seed=9)

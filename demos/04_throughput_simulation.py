@@ -8,15 +8,11 @@ the compressed variants shrink the payload on the rest.
 
 import numpy as np
 
-from hybridlm import (
-    ChannelSpec,
-    OracleSpec,
-    PolicySpec,
-    RunConfig,
-    UncertaintyConfig,
-    calibrate,
-    run_many,
-)
+from hybridlm.channel import ChannelSpec
+from hybridlm.config import PolicySpec, RunConfig
+from hybridlm.oracle import OracleSpec, calibrate
+from hybridlm.pipeline import run_many
+from hybridlm.uncertainty import UncertaintyConfig
 
 oracle = OracleSpec(kind="synthetic", vocab_size=2048, zipf_s=4.0, divergence=1.0, seed=17)
 ucfg = UncertaintyConfig(m=20)

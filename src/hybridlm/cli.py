@@ -30,7 +30,6 @@ from .pipeline import (
     needs_calibration,
     run_many,
 )
-from .verification import run_all_suites
 
 # Each axis's (config section, field); a value takes the field's annotated type.
 SWEEP_AXES = {
@@ -208,6 +207,9 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _load(args)  # validates the config even though suites are config-free
     del cfg
+    # Imported here: no other command runs the suites.
+    from .verification import run_all_suites
+
     results = run_all_suites(args.cases, seed=args.seed or 0, bound_scale=args.debug_scale_bound)
     for res in results:
         print(res.line())

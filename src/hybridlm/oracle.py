@@ -369,12 +369,16 @@ def load_calibration(path: Path) -> CalibrationSet:
     table = _load_table(path / TABLE_FILE, TABLE_HEADER)
     if not table:  # its last k is the vocabulary size the calibration was made at
         raise ValueError(f"{TABLE_FILE}: no rows")
+    # A k that is not a decimal integer reads as 0, which the check rejects.
+    k_grid = [int(k) if k.isdecimal() else 0 for k, _ in table]
+    if k_grid[0] < 1 or any(a >= b for a, b in zip(k_grid, k_grid[1:])):
+        raise ValueError(f"{TABLE_FILE}: k must be strictly increasing integers >= 1")
     pairs_path = path / PAIRS_FILE
     rows = _load_table(pairs_path, PAIRS_HEADER) if pairs_path.exists() else []
     return CalibrationSet(
         rows=[tuple(map(float, row)) for row in rows],
         delta_hat=m["delta_hat"],
-        utv_k_grid=np.array([int(k) for k, _ in table], dtype=int),
+        utv_k_grid=np.array(k_grid, dtype=int),
         utv_values=np.array([float(v) for _, v in table]),
         model=LinearRejectionModel(**{f.name: m[f.name] for f in fields(LinearRejectionModel)}),
     )

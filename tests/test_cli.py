@@ -468,6 +468,30 @@ class TestExitCodes:
         assert capsys.readouterr().err == "config error: utv_table.csv: no rows\n"
 
     @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda rows: [["0", "0"], *rows[1:]],
+            lambda rows: [rows[1], rows[0], *rows[2:]],
+        ],
+        ids=["first_k_zero", "rows_swapped"],
+    )
+    def test_calibration_table_k_not_increasing(self, cfg_path, tmp_path, capsys, edit):
+        # The offline selector reads k as a sorted grid; with u_th=0 it would
+        # select the k=0 row, whose bound is within theta.
+        cal = tmp_path / "cal"
+        assert main(["calibrate", "--config", cfg_path, "--out", str(cal)]) == 0
+        table = cal / "utv_table.csv"
+        header, *rows = [line.split(",") for line in table.read_text().split()]
+        table.write_text("".join(",".join(r) + "\n" for r in [header, *edit(rows)]))
+        cfg = write_cfg(tmp_path, policy={"variant": "cu_hlm_offline", "u_th": 0.0})
+        out = tmp_path / "x"
+        capsys.readouterr()
+        assert main(["simulate", "--config", cfg, "--calib", str(cal), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: utv_table.csv: k must be strictly increasing integers >= 1\n"
+        assert not (out / "records.jsonl").exists()
+
+    @pytest.mark.parametrize(
         "name, value",
         [
             ("a", "abc"),
@@ -648,6 +672,24 @@ class TestStartup:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 False"
+
+    def test_calibrate_and_simulate_leave_verification_unloaded(self, tmp_path):
+        cfg = write_cfg(tmp_path, oracle={"vocab_size": 512})
+        cal, sim = str(tmp_path / "cal"), str(tmp_path / "sim")
+        code = (
+            "import sys; from hybridlm.cli import main; "
+            f"main(['calibrate', '--config', {cfg!r}, '--rounds', '20', '--out', {cal!r}]); "
+            f"main(['simulate', '--config', {cfg!r}, '--calib', {cal!r}, '--out', {sim!r}]); "
+            "print('hybridlm.verification' in sys.modules); "
+            "sys.exit(main(['verify', '--cases', '20']))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[2] == "False"
+        assert len(lines) == 7 and all(line.startswith("PASS ") for line in lines[3:]), lines
 
     def test_verify_runs_without_scipy(self):
         # A None entry in sys.modules makes any import of scipy fail.

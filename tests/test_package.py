@@ -1,23 +1,13 @@
-"""Tests for the package's re-export list, its modules' imports and the bench's span table."""
+"""Tests for the package's imports and the bench's span table."""
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import hybridlm
-
-
-def test_all_resolves_and_matches_imports():
-    tree = ast.parse(Path(hybridlm.__file__).read_text())
-    imported = {
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
-    assert all(hasattr(hybridlm, name) for name in hybridlm.__all__)
-    assert sorted(hybridlm.__all__) == sorted(imported)
-    assert len(set(hybridlm.__all__)) == len(hybridlm.__all__)
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -37,9 +27,23 @@ def _unused_imports(path: Path) -> list[str]:
 
 def test_no_unused_imports():
     package = Path(hybridlm.__file__).parent
-    modules = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    modules = sorted(package.glob("*.py"))
     tests = sorted(Path(__file__).parent.glob("*.py"))
     assert [hit for path in modules + tests for hit in _unused_imports(path)] == []
+
+
+def test_package_import_loads_no_submodule():
+    # Each name is imported from its module; the package itself pulls in none.
+    code = "import sys, hybridlm; print([m for m in sys.modules if m.startswith('hybridlm.')])"
+    src = str(Path(hybridlm.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_bench_spans_resolve():
