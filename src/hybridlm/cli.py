@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 configuration error, 2 verification failure,
 3 I/O error. All outputs are reproducible for a fixed config and seed;
-wall-clock timestamps appear only in a header line (CSV) or a dedicated
+wall-clock timestamps appear only in sweep.csv's header line or a dedicated
 ``generated_at`` field (JSON), never in record streams.
 """
 
@@ -21,7 +21,6 @@ from .channel import check_transcript_payload
 from .config import RunConfig, field_types, from_dict, load_config
 from .oracle import CalibrationSet, csv_cell, load_calibration, save_calibration
 from .pipeline import (
-    RECORD_FIELDS,
     RoundRecord,
     SimReport,
     calibrate_from_config,
@@ -39,8 +38,6 @@ SWEEP_AXES = {
     "k": ("policy", "k_star"),
 }
 
-_RECORD_TYPES = field_types(RoundRecord)
-
 SWEEP_COLUMNS = ["fading", "axis", "value", *(f.name for f in dataclasses.fields(SimReport))]
 
 class _Parser(argparse.ArgumentParser):
@@ -55,17 +52,10 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _write_records(records: list[RoundRecord], path: Path, fmt: str) -> None:
-    if fmt == "jsonl":
-        with open(path, "w") as fh:
-            for r in records:
-                fh.write(r.to_json() + "\n")
-    else:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(RECORD_FIELDS)
-            for r in records:
-                writer.writerow([csv_cell(v) for v in r.to_dict().values()])
+def _write_records(records: list[RoundRecord], path: Path) -> None:
+    with open(path, "w") as fh:
+        for r in records:
+            fh.write(r.to_json() + "\n")
 
 
 def _write_report(out: Path, report: SimReport, **sections) -> None:
@@ -77,37 +67,19 @@ def _write_report(out: Path, report: SimReport, **sections) -> None:
 
 
 def _read_records(path: Path) -> list[RoundRecord]:
-    """A JSONL or CSV record stream; a malformed record raises ValueError naming its line."""
-    is_csv = path.suffix == ".csv"
+    """A JSONL record stream; a malformed record raises ValueError naming its line."""
     records = []
-    with open(path, newline="") as fh:
-        for lineno, item in enumerate(csv.DictReader(fh), 2) if is_csv else enumerate(fh, 1):
-            if not is_csv and not item.strip():
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
                 continue
             where = f"{path} line {lineno}: "
             try:
-                values = _record_from_strings(item) if is_csv else json.loads(item)
+                values = json.loads(line)
             except ValueError as e:
                 raise ValueError(f"{where}{e}") from None
             records.append(from_dict(RoundRecord, values, where))
     return records
-
-
-def _record_from_strings(row: dict) -> dict:
-    """A CSV row as JSON values: cells parse by annotation, empty is null where allowed."""
-    if None in row or None in row.values():
-        raise ValueError("row and header differ in length")
-    values = {}
-    for name, text in row.items():
-        tp, optional = _RECORD_TYPES.get(name, (str, False))
-        if optional and text == "":
-            values[name] = None
-            continue
-        try:
-            values[name] = bool(int(text)) if tp is bool else tp(text)
-        except ValueError:
-            raise ValueError(f"{name}: expected {tp.__name__}, got {text!r}") from None
-    return values
 
 
 def cmd_calibrate(args) -> int:
@@ -132,7 +104,7 @@ def cmd_simulate(args) -> int:
     report, records = run_many(cfg, calib=calib, transcript=transcript)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_records(records, out / f"records.{args.format}", args.format)
+    _write_records(records, out / "records.jsonl")
     _write_report(out, report, config=cfg.to_dict())
     if transcript is not None:
         with open(out / "transcript.bin", "wb") as fh:
@@ -269,12 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--calib", type=str, default=None, help="calibration directory")
     p.add_argument(
-        "--format",
-        choices=("csv", "jsonl"),
-        default="jsonl",
-        help="record stream format; CSV columns: " + ",".join(RECORD_FIELDS),
-    )
-    p.add_argument(
         "--transcript", action="store_true", help="also write the byte-exact wire transcript"
     )
     p.set_defaults(func=cmd_simulate)
@@ -305,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="aggregate a record stream into a report")
     common(p)
-    p.add_argument("--records", type=str, required=True, help="records.jsonl or .csv")
+    p.add_argument("--records", type=str, required=True, help="records.jsonl")
     p.set_defaults(func=cmd_report)
 
     return parser

@@ -141,8 +141,8 @@ def softmax(logits: np.ndarray, temperature: float = 1.0) -> ProbVec:
     z = check_logits(logits)
     if not (temperature >= MIN_TEMPERATURE):
         raise ValueError(f"temperature must be >= {MIN_TEMPERATURE}, got {temperature}")
-    w = z if temperature == 1.0 else z / temperature  # z / 1.0 is z
-    w = w - w.max()
+    w = z / temperature
+    w -= w.max()
     np.exp(w, out=w)
     w /= w.sum()
     return ProbVec(w)

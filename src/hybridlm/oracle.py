@@ -313,12 +313,10 @@ MODEL_FILE = "model.json"
 
 
 def csv_cell(v) -> str:
-    """One CSV cell of any table this package writes: empty for None, 0 or 1
-    for a bool, floats to 9 significant digits, anything else as ``str``."""
+    """One cell of a calibration table or sweep row: empty for None, floats to
+    9 significant digits, anything else as ``str``."""
     if v is None:
         return ""
-    if isinstance(v, bool):
-        return str(int(v))
     if isinstance(v, float):
         return f"{v:.9g}"
     return str(v)
@@ -333,8 +331,11 @@ def _save_table(path: Path, header: tuple[str, ...], rows) -> None:
             writer.writerow([csv_cell(v) for v in row])
 
 
-def _load_table(path: Path, header: tuple[str, ...]) -> list[list[str]]:
-    """The rows of a table written by ``_save_table``, one cell per column."""
+def _load_table(
+    path: Path, header: tuple[str, ...], dtypes: tuple[type, ...]
+) -> list[np.ndarray]:
+    """The columns of a table written by ``_save_table``, each converted to its dtype;
+    a cell that does not convert raises ValueError naming the file and column."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         found, rows = next(reader, []), list(reader)
@@ -342,7 +343,13 @@ def _load_table(path: Path, header: tuple[str, ...]) -> list[list[str]]:
         raise ValueError(f"{path.name}: unexpected header {found}")
     if any(len(row) != len(header) for row in rows):
         raise ValueError(f"{path.name}: every row needs {len(header)} values")
-    return rows
+    columns = []
+    for i, (name, dtype) in enumerate(zip(header, dtypes)):
+        try:
+            columns.append(np.array([row[i] for row in rows], dtype=dtype))
+        except (ValueError, OverflowError) as e:  # OverflowError: an int beyond int64
+            raise ValueError(f"{path.name}: {name}: {e}") from None
+    return columns
 
 
 def save_calibration(out: Path, cal: CalibrationSet) -> None:
@@ -366,19 +373,17 @@ def load_calibration(path: Path) -> CalibrationSet:
         v = m.get(name)
         if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
             raise ValueError(f"{MODEL_FILE}: {name} must be a finite number, got {v!r}")
-    table = _load_table(path / TABLE_FILE, TABLE_HEADER)
-    if not table:  # its last k is the vocabulary size the calibration was made at
+    k_grid, utv_values = _load_table(path / TABLE_FILE, TABLE_HEADER, (int, float))
+    if not k_grid.size:  # its last k is the vocabulary size the calibration was made at
         raise ValueError(f"{TABLE_FILE}: no rows")
-    # A k that is not a decimal integer reads as 0, which the check rejects.
-    k_grid = [int(k) if k.isdecimal() else 0 for k, _ in table]
-    if k_grid[0] < 1 or any(a >= b for a, b in zip(k_grid, k_grid[1:])):
+    if k_grid[0] < 1 or np.any(k_grid[1:] <= k_grid[:-1]):
         raise ValueError(f"{TABLE_FILE}: k must be strictly increasing integers >= 1")
     pairs_path = path / PAIRS_FILE
-    rows = _load_table(pairs_path, PAIRS_HEADER) if pairs_path.exists() else []
+    pairs = _load_table(pairs_path, PAIRS_HEADER, (float,) * 4) if pairs_path.exists() else []
     return CalibrationSet(
-        rows=[tuple(map(float, row)) for row in rows],
+        rows=list(zip(*(c.tolist() for c in pairs))),
         delta_hat=m["delta_hat"],
-        utv_k_grid=np.array(k_grid, dtype=int),
-        utv_values=np.array([float(v) for _, v in table]),
+        utv_k_grid=k_grid,
+        utv_values=utv_values,
         model=LinearRejectionModel(**{f.name: m[f.name] for f in fields(LinearRejectionModel)}),
     )

@@ -48,7 +48,7 @@ VERDICTS = ("skipped", "accepted", "rejected")
 
 @dataclass(frozen=True, kw_only=True)
 class RoundRecord:
-    """One round of a sequence; field order is the JSONL key and CSV column order.
+    """One round of a sequence; field order is the JSONL key order.
 
     Skipped and ``llm_only`` rounds leave the transmission fields at their
     defaults.

@@ -79,6 +79,8 @@ class TestCalibrate:
         assert main(["calibrate", "--config", cfg, "--out", str(out)]) == 0
         model = json.loads((out / "model.json").read_text())
         assert abs(model["a"]) < 1e-9 and model["delta_hat"] == 0.0
+        # No round has x != y, so every bound average is a NaN, which loads.
+        assert np.all(np.isnan(load_calibration(out).utv_values))
 
 
 class TestSimulate:
@@ -97,40 +99,15 @@ class TestSimulate:
         r1 = json.loads((out1 / "report.json").read_text())
         r2 = json.loads((out2 / "report.json").read_text())
         assert r1["report"] == r2["report"]
-
-    def test_csv_format_round_trips_through_report(self, cfg_path, tmp_path):
-        out = tmp_path / "sim_csv"
-        main(["simulate", "--config", cfg_path, "--out", str(out), "--format", "csv"])
-        rep_out = tmp_path / "rep"
-        assert main([
-            "report", "--records", str(out / "records.csv"), "--out", str(rep_out)
-        ]) == 0
-        direct = json.loads((out / "report.json").read_text())["report"]
-        again = json.loads((rep_out / "report.json").read_text())["report"]
-        for key, val in direct.items():
-            if isinstance(val, float):
-                assert again[key] == pytest.approx(val, rel=1e-6)
-            else:
-                assert again[key] == val
-
-    def test_jsonl_and_csv_round_trip_to_equal_records(self, cfg_path, tmp_path):
-        out_j, out_c = tmp_path / "rj", tmp_path / "rc"
-        main(["simulate", "--config", cfg_path, "--out", str(out_j)])
-        main(["simulate", "--config", cfg_path, "--out", str(out_c), "--format", "csv"])
-        header = (out_c / "records.csv").read_text().splitlines()[0].split(",")
-        assert header == [f.name for f in fields(RoundRecord)]
-        from_jsonl = _read_records(out_j / "records.jsonl")
-        from_csv = _read_records(out_c / "records.csv")
-        assert len(from_jsonl) == BASE_CFG["r_max"]
-        assert {r.verdict for r in from_jsonl} >= {"skipped", "accepted"}
-        # CSV floats carry 9 significant digits; compare them at that precision.
-        for rj, rc in zip(from_jsonl, from_csv, strict=True):
+        # The stream reads back as the records run_many made, floats exact.
+        _, made = pipeline.run_many(RunConfig.from_dict(BASE_CFG))
+        read = _read_records(out1 / "records.jsonl")
+        assert len(read) == BASE_CFG["r_max"]
+        assert {r.verdict for r in read} >= {"skipped", "accepted"}
+        for rm, rr in zip(made, read, strict=True):
             for f in fields(RoundRecord):
-                vj, vc = getattr(rj, f.name), getattr(rc, f.name)
-                if isinstance(vj, float):
-                    assert vc == float(f"{vj:.9g}")
-                else:
-                    assert vc == vj and type(vc) is type(vj)
+                vm, vr = getattr(rm, f.name), getattr(rr, f.name)
+                assert vr == vm and type(vr) is type(vm), f.name
 
     def test_bound_violations_agree_with_records_and_report(self, tmp_path):
         cfg = write_cfg(tmp_path, policy={"u_th": 0.0}, r_max=60)
@@ -147,6 +124,7 @@ class TestSimulate:
         simulated = json.loads((out / "report.json").read_text())["report"]
         reported = json.loads((rep_out / "report.json").read_text())["report"]
         assert simulated["bound_violations"] == reported["bound_violations"] == direct
+        assert reported == simulated
 
     def test_online_payload_below_hlm(self, cfg_path, tmp_path):
         out_cu = tmp_path / "cu"
@@ -433,16 +411,30 @@ class TestExitCodes:
         assert err.startswith("config error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "name, bad_row, n_values",
+        "name, bad_row, message",
         [
-            ("utv_table.csv", "5", 2),
-            ("calibration_pairs.csv", "0.5", 4),
-            ("calibration_pairs.csv", "", 4),
+            ("utv_table.csv", "5", "every row needs 2 values"),
+            ("calibration_pairs.csv", "0.5", "every row needs 4 values"),
+            ("calibration_pairs.csv", "", "every row needs 4 values"),
+            (
+                "utv_table.csv",
+                "99999999999999999999,0.5",
+                "k: Python int too large to convert to C long",
+            ),
+            ("utv_table.csv", "64,abc", "mean_utv: could not convert string to float: 'abc'"),
+            (
+                "calibration_pairs.csv",
+                "0.5,abc,0.1,0.2",
+                "beta: could not convert string to float: 'abc'",
+            ),
         ],
-        ids=["table_one_cell", "pairs_one_cell", "pairs_blank_row"],
+        ids=[
+            "table_one_cell", "pairs_one_cell", "pairs_blank_row", "table_k_overflow",
+            "table_utv_not_a_number", "pairs_beta_not_a_number",
+        ],
     )
     def test_malformed_calibration_row(
-        self, cfg_path, tmp_path, capsys, monkeypatch, name, bad_row, n_values
+        self, cfg_path, tmp_path, capsys, monkeypatch, name, bad_row, message
     ):
         cal = tmp_path / "cal"
         assert main(["calibrate", "--config", cfg_path, "--out", str(cal)]) == 0
@@ -453,8 +445,8 @@ class TestExitCodes:
         capsys.readouterr()
         argv = ["simulate", "--config", cfg_path, "--calib", str(cal), "--out", str(tmp_path / "x")]
         assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err == f"config error: {name}: every row needs {n_values} values\n"
+        assert capsys.readouterr().err == f"config error: {name}: {message}\n"
+        assert not (tmp_path / "x").exists()
 
     def test_empty_calibration_table(self, cfg_path, tmp_path, capsys, monkeypatch):
         # The table's last k is the vocabulary the calibration was made at.
@@ -543,11 +535,13 @@ class TestExitCodes:
             json.dumps({**GOOD_RECORD.to_dict(), "seq": -1}),
             json.dumps({**GOOD_RECORD.to_dict(), "round": -2}),
             json.dumps({**GOOD_RECORD.to_dict(), "token": -3}),
+            json.dumps({**GOOD_RECORD.to_dict(), "latency_s": float("nan")}),
+            json.dumps({**GOOD_RECORD.to_dict(), "eos": None}),
         ],
         ids=[
             "missing_fields", "extra_key", "mistyped_value", "not_an_object", "not_json",
             "delta_out_of_range", "unknown_verdict", "negative_seq", "negative_round",
-            "negative_token",
+            "negative_token", "latency_nan", "eos_null",
         ],
     )
     def test_malformed_jsonl_record(self, tmp_path, capsys, monkeypatch, line):
@@ -558,22 +552,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {path} line 2: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize(
-        "column, cell",
-        [("latency_s", "nan"), ("eos", ""), ("delta", "5"), ("verdict", "bogus"), ("token", "-1")],
-    )
-    def test_malformed_csv_record(self, tmp_path, capsys, monkeypatch, column, cell):
-        path = tmp_path / "records.csv"
-        cli._write_records([GOOD_RECORD, GOOD_RECORD], path, "csv")
-        lines = path.read_text().splitlines()
-        cells = lines[2].split(",")
-        cells[pipeline.RECORD_FIELDS.index(column)] = cell
-        path.write_text("\n".join([*lines[:2], ",".join(cells)]) + "\n")
+    def test_csv_records_are_gone(self, cfg_path, tmp_path, capsys, monkeypatch):
+        # JSONL is the one record stream: --format is no flag, and a CSV
+        # stream fails on its header line.
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", cfg_path, "--format", "csv", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: hybridlm ") and "unrecognized arguments: --format csv" in err
+        assert not out.exists()
+        path = tmp_path / "x.csv"
+        path.write_text("seq,round,token\n0,0,3\n")
         monkeypatch.setattr(cli, "metrics", lambda *a, **k: pytest.fail("aggregated"))
         assert main(["report", "--records", str(path), "--out", str(tmp_path / "rep")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"config error: {path} line 3: {column}: ")
-        assert err.count("\n") == 1
+        assert err.startswith(f"config error: {path} line 1: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -77,8 +77,8 @@ if [ $FULL = 1 ]; then
     hybridlm calibrate --config big.json --rounds 40 --seed 1 --out cal_big
     hybridlm simulate --config tx.json --calib cal --transcript --out tx
     hybridlm report --records tx/records.jsonl --out tx_report
-    hybridlm simulate --config tx_raw.json --calib cal --transcript --format csv --out tx_raw
-    hybridlm report --records tx_raw/records.csv --out tx_raw_report
+    hybridlm simulate --config tx_raw.json --calib cal --transcript --out tx_raw
+    hybridlm report --records tx_raw/records.jsonl --out tx_raw_report
 fi
 hybridlm simulate --config eos.json --transcript --out eos
 hybridlm sweep --config sweep.json --axis theta --values 0.05,0.2 --fading fixed,rayleigh --out sweep
@@ -108,7 +108,7 @@ if [ $FULL = 1 ]; then
         cal/calibration_pairs.csv cal/utv_table.csv cal/model.json \
         cal_big/calibration_pairs.csv cal_big/utv_table.csv cal_big/model.json \
         tx/records.jsonl tx/transcript.bin tx/report.json tx_report/report.json \
-        tx_raw/records.csv tx_raw/transcript.bin tx_raw/report.json tx_raw_report/report.json \
+        tx_raw/records.jsonl tx_raw/transcript.bin tx_raw/report.json tx_raw_report/report.json \
         $RUNS verify.txt demos/*.txt $POLICY_RUNS
 else
     sed -i '/generated_at/d' sweep/sweep.csv $REPORTS
