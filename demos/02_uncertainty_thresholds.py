@@ -31,7 +31,7 @@ pair = thresholds(m, cal.delta_hat)
 print(f"\nrisk-averse threshold -b/a          = {pair.risk_averse:.4f}")
 print(f"risk-prone threshold (delta - b)/a  = {pair.risk_prone:.4f}")
 
-u = np.array([p[0] for p in cal.pairs])
+u = cal.rows["u"]
 frac_low = float(np.mean(u <= pair.risk_averse))
 frac_high = float(np.mean(u <= pair.risk_prone))
 print(f"\nskipping at the risk-averse threshold drops {frac_low:.1%} of uplinks")

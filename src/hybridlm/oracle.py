@@ -132,7 +132,7 @@ class TraceOracle:
         self.spec = spec
         self._records = read_trace(spec.trace_path)
         self._cursor = 0
-        trace_vocab = len(self._records[0]["slm_logits"])
+        trace_vocab = self._records[0].slm_logits.size
         if trace_vocab != spec.vocab_size:
             raise ValueError(
                 f"trace vocabulary size {trace_vocab} does not match the "
@@ -142,13 +142,8 @@ class TraceOracle:
     def next_round(self, sequence: list[int]) -> RoundInputs:
         if self._cursor >= len(self._records):
             raise TraceExhausted(f"trace ended after {self._cursor} rounds")
-        rec = self._records[self._cursor]
         self._cursor += 1
-        return RoundInputs(
-            slm_logits=np.asarray(rec["slm_logits"], dtype=np.float64),
-            llm_logits=np.asarray(rec["llm_logits"], dtype=np.float64),
-            eos=bool(rec.get("eos", False)),
-        )
+        return self._records[self._cursor - 1]
 
 
 def is_eos(spec: OracleSpec, flagged: bool, token: int) -> bool:
@@ -165,8 +160,9 @@ def make_oracle(spec: OracleSpec):
     return TraceOracle(spec)
 
 
-def read_trace(path: str | Path) -> list[dict]:
-    """The trace's records, each one's logit vectors checked by ``check_logits``."""
+def read_trace(path: str | Path) -> list[RoundInputs]:
+    """The trace's rounds, each logit vector held as the float64 array
+    ``check_logits`` makes of it."""
     records = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -180,16 +176,13 @@ def read_trace(path: str | Path) -> list[dict]:
                 )
             for key in ("slm_logits", "llm_logits"):
                 try:
-                    check_logits(rec[key])
+                    rec[key] = check_logits(rec[key])
                 except (TypeError, ValueError) as e:
                     raise ValueError(f"trace {path} line {lineno}: {key}: {e}") from None
-            records.append(rec)
+            records.append(RoundInputs(rec["slm_logits"], rec["llm_logits"], bool(rec.get("eos"))))
     if not records:
         raise ValueError(f"trace {path} contains no records")
-    lengths = {len(r["slm_logits"]) for r in records} | {
-        len(r["llm_logits"]) for r in records
-    }
-    if len(lengths) != 1:
+    if len({n for r in records for n in (r.slm_logits.size, r.llm_logits.size)}) != 1:
         raise ValueError("trace records disagree on vocabulary size")
     return records
 
@@ -200,27 +193,30 @@ def write_trace(path: str | Path, records: list[dict]) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
+# The calibration directory's two CSV tables, each declared by its record
+# dtype: one PAIRS record per round, one TABLE record per candidate k.
+PAIRS = np.dtype([("u", "f8"), ("beta", "f8"), ("x_d", "f8"), ("y_d", "f8")])
+TABLE = np.dtype([("k", "i8"), ("mean_utv", "f8")])
+PAIRS_FILE, TABLE_FILE, MODEL_FILE = "calibration_pairs.csv", "utv_table.csv", "model.json"
+
+
 @dataclass(frozen=True)
 class CalibrationSet:
     """Fitted statistics a simulation run needs before deploying skip/compress policies."""
 
-    rows: list[tuple[float, float, float, float]]  # (u, beta, x_d, y_d) audit rows
+    rows: np.ndarray  # PAIRS records, one per calibration round
     delta_hat: float
     utv_k_grid: np.ndarray
     utv_values: np.ndarray
     model: LinearRejectionModel
-
-    @property
-    def pairs(self) -> list[tuple[float, float]]:
-        """The (u, beta) pairs the linear model is fitted to."""
-        return [(r[0], r[1]) for r in self.rows]
 
 
 def calibrate(
     spec: OracleSpec,
     n_rounds: int,
     ucfg: UncertaintyConfig,
-    seed: int | None = None,
+    *,
+    seed: int,
     delta_u_gate: float | None = None,
 ) -> CalibrationSet:
     """Run the oracle with full two-sided knowledge and fit the policy inputs.
@@ -232,12 +228,10 @@ def calibrate(
     retain_heap()
     if n_rounds < 2:
         raise ValueError("calibration needs at least two rounds")
-    if seed is None:
-        seed = spec.seed
     k_grid = default_k_grid(spec.vocab_size)
 
     oracle = make_oracle(spec)
-    rows: list[tuple[float, float, float, float]] = []
+    rows: list[tuple] = []  # one PAIRS record per round
     utv_acc = np.zeros(k_grid.size)
     utv_count = 0
     sequence: list[int] = []
@@ -259,15 +253,16 @@ def calibrate(
     if len(rows) < 2:
         raise ValueError("calibration produced fewer than two usable rounds")
 
-    delta_rows = rows if delta_u_gate is None else [r for r in rows if r[0] > delta_u_gate]
-    delta_hat = estimate_delta([(r[2], r[3]) for r in delta_rows]) if delta_rows else 0.0
+    rows = np.array(rows, dtype=PAIRS)
+    gated = rows if delta_u_gate is None else rows[rows["u"] > delta_u_gate]
+    delta_hat = estimate_delta(gated["x_d"], gated["y_d"]) if gated.size else 0.0
     utv_values = utv_acc / utv_count if utv_count > 0 else np.full(k_grid.size, np.nan)
     return CalibrationSet(
         rows=rows,
         delta_hat=delta_hat,
         utv_k_grid=k_grid,
         utv_values=utv_values,
-        model=fit_linear([(r[0], r[1]) for r in rows]),
+        model=fit_linear(rows["u"], rows["beta"]),
     )
 
 
@@ -278,8 +273,8 @@ def _calibration_round(
     k_grid: np.ndarray,
     seed: int,
     t: int,
-) -> tuple[tuple[float, float, float, float], np.ndarray | None, int, bool]:
-    """One calibration round: its (u, beta, x_d, y_d) row, its exact bound at
+) -> tuple[tuple[float, ...], np.ndarray | None, int, bool]:
+    """One calibration round: its ``PAIRS`` record, its exact bound at
     each k of ``k_grid`` (None when x = y), the token the sequence continues
     with, and whether that token ends the sequence.
 
@@ -306,12 +301,6 @@ def _calibration_round(
     return row, utv, token, is_eos(oracle.spec, inputs.eos, token)
 
 
-# The calibration directory: each file's name, and each CSV table's header.
-PAIRS_FILE, PAIRS_HEADER = "calibration_pairs.csv", ("u", "beta", "x_d", "y_d")
-TABLE_FILE, TABLE_HEADER = "utv_table.csv", ("k", "mean_utv")
-MODEL_FILE = "model.json"
-
-
 def csv_cell(v) -> str:
     """One cell of a calibration table or sweep row: empty for None, floats to
     9 significant digits, anything else as ``str``."""
@@ -322,41 +311,40 @@ def csv_cell(v) -> str:
     return str(v)
 
 
-def _save_table(path: Path, header: tuple[str, ...], rows) -> None:
-    """One CSV table: the header, then one row of ``csv_cell`` cells per row."""
+def _save_table(path: Path, dtype: np.dtype, rows) -> None:
+    """One CSV table: the dtype's field names, then one row of ``csv_cell`` cells
+    per record of ``rows`` (anything ``np.asarray`` makes records of)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
+        writer.writerow(dtype.names)
+        for row in np.asarray(rows, dtype=dtype).tolist():
             writer.writerow([csv_cell(v) for v in row])
 
 
-def _load_table(
-    path: Path, header: tuple[str, ...], dtypes: tuple[type, ...]
-) -> list[np.ndarray]:
-    """The columns of a table written by ``_save_table``, each converted to its dtype;
-    a cell that does not convert raises ValueError naming the file and column."""
+def _load_table(path: Path, dtype: np.dtype) -> np.ndarray:
+    """The records of a table written by ``_save_table``; a cell that does not
+    convert to its field's type raises ValueError naming the file and field."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         found, rows = next(reader, []), list(reader)
-    if found != list(header):
+    if found != list(dtype.names):
         raise ValueError(f"{path.name}: unexpected header {found}")
-    if any(len(row) != len(header) for row in rows):
-        raise ValueError(f"{path.name}: every row needs {len(header)} values")
-    columns = []
-    for i, (name, dtype) in enumerate(zip(header, dtypes)):
+    if any(len(row) != len(dtype.names) for row in rows):
+        raise ValueError(f"{path.name}: every row needs {len(dtype.names)} values")
+    table = np.empty(len(rows), dtype=dtype)
+    for i, name in enumerate(dtype.names):
         try:
-            columns.append(np.array([row[i] for row in rows], dtype=dtype))
+            table[name] = [row[i] for row in rows]
         except (ValueError, OverflowError) as e:  # OverflowError: an int beyond int64
             raise ValueError(f"{path.name}: {name}: {e}") from None
-    return columns
+    return table
 
 
 def save_calibration(out: Path, cal: CalibrationSet) -> None:
     """Write the pairs table, the bound table and the model under ``out``."""
     out.mkdir(parents=True, exist_ok=True)
-    _save_table(out / PAIRS_FILE, PAIRS_HEADER, cal.rows)
-    _save_table(out / TABLE_FILE, TABLE_HEADER, zip(cal.utv_k_grid.tolist(), cal.utv_values))
+    _save_table(out / PAIRS_FILE, PAIRS, cal.rows)
+    _save_table(out / TABLE_FILE, TABLE, list(zip(cal.utv_k_grid.tolist(), cal.utv_values)))
     model = {**asdict(cal.model), "delta_hat": cal.delta_hat}
     with open(out / MODEL_FILE, "w") as fh:
         json.dump(model, fh, indent=2, sort_keys=True)
@@ -364,7 +352,7 @@ def save_calibration(out: Path, cal: CalibrationSet) -> None:
 
 
 def load_calibration(path: Path) -> CalibrationSet:
-    """Read a directory written by ``save_calibration``; the pairs table is optional."""
+    """Read the three files ``save_calibration`` writes under ``path``."""
     with open(path / MODEL_FILE) as fh:
         m = json.load(fh)
     if not isinstance(m, dict):
@@ -373,17 +361,16 @@ def load_calibration(path: Path) -> CalibrationSet:
         v = m.get(name)
         if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
             raise ValueError(f"{MODEL_FILE}: {name} must be a finite number, got {v!r}")
-    k_grid, utv_values = _load_table(path / TABLE_FILE, TABLE_HEADER, (int, float))
+    table = _load_table(path / TABLE_FILE, TABLE)
+    k_grid = table["k"]
     if not k_grid.size:  # its last k is the vocabulary size the calibration was made at
         raise ValueError(f"{TABLE_FILE}: no rows")
     if k_grid[0] < 1 or np.any(k_grid[1:] <= k_grid[:-1]):
         raise ValueError(f"{TABLE_FILE}: k must be strictly increasing integers >= 1")
-    pairs_path = path / PAIRS_FILE
-    pairs = _load_table(pairs_path, PAIRS_HEADER, (float,) * 4) if pairs_path.exists() else []
     return CalibrationSet(
-        rows=list(zip(*(c.tolist() for c in pairs))),
+        rows=_load_table(path / PAIRS_FILE, PAIRS),
         delta_hat=m["delta_hat"],
         utv_k_grid=k_grid,
-        utv_values=utv_values,
+        utv_values=table["mean_utv"],
         model=LinearRejectionModel(**{f.name: m[f.name] for f in fields(LinearRejectionModel)}),
     )

@@ -105,30 +105,27 @@ def redraw_brackets(
     z/theta - max and exp never reverse the order of two floats.
     """
     n = z.size
-    if n <= EXACT_RANKS:
-        top = np.arange(n)
-        n_below = n_above = lo = hi = np.zeros(0)
-    else:
-        cut = np.partition(z, n - EXACT_RANKS)[n - EXACT_RANKS]
-        top = np.flatnonzero(z >= cut)
-        z_min = z.min()
-        with np.errstate(over="ignore", divide="ignore"):
-            span = cut - z_min
-            scale = VALUE_BUCKETS / span
-            if 0.0 < scale < np.inf:
-                buckets = VALUE_BUCKETS
-                bucket = np.minimum((z - z_min) * scale, buckets - 1).astype(np.intp)
-                edges = z_min + np.arange(buckets + 1) * (span / buckets)
-            else:  # a span too wide, too narrow or 0 (no id below cut) to scale
-                buckets = 1
-                bucket = np.zeros(n, dtype=np.intp)
-                edges = np.array([z_min, cut])
-        bucket[top] = buckets  # exact terms: a bin of their own, dropped below
-        n_below = np.bincount(bucket[:d], minlength=buckets + 1)[:buckets].astype(np.float64)
-        n_above = np.bincount(bucket[d + 1 :], minlength=buckets + 1)[:buckets].astype(np.float64)
-        slack = 2.0**-48 * abs(z_min) + 2.0**-48 * abs(cut)
-        lo = np.maximum(edges[:-1] - slack, z_min)
-        hi = np.minimum(edges[1:] + slack, cut)
+    kth = max(n - EXACT_RANKS, 0)
+    cut = np.partition(z, kth)[kth]
+    top = np.flatnonzero(z >= cut)
+    z_min = z.min()
+    with np.errstate(over="ignore", divide="ignore"):
+        span = cut - z_min
+        scale = VALUE_BUCKETS / span
+        if 0.0 < scale < np.inf:
+            buckets = VALUE_BUCKETS
+            bucket = np.minimum((z - z_min) * scale, buckets - 1).astype(np.intp)
+            edges = z_min + np.arange(buckets + 1) * (span / buckets)
+        else:  # a span too wide, too narrow or 0 (no id below cut) to scale
+            buckets = 1
+            bucket = np.zeros(n, dtype=np.intp)
+            edges = np.array([z_min, cut])
+    bucket[top] = buckets  # exact terms: a bin of their own, dropped below
+    n_below = np.bincount(bucket[:d], minlength=buckets + 1)[:buckets].astype(np.float64)
+    n_above = np.bincount(bucket[d + 1 :], minlength=buckets + 1)[:buckets].astype(np.float64)
+    slack = 2.0**-48 * abs(z_min) + 2.0**-48 * abs(cut)
+    lo = np.maximum(edges[:-1] - slack, z_min)
+    hi = np.minimum(edges[1:] + slack, cut)
 
     col = thetas[:, None]
     w_max = z.max() / thetas
@@ -220,12 +217,12 @@ def estimate_u(
     return disagree / cfg.m
 
 
-def fit_linear(pairs: list[tuple[float, float]]) -> LinearRejectionModel:
-    """Ordinary least squares on (u, beta) pairs."""
-    if len(pairs) < 2:
+def fit_linear(u, beta) -> LinearRejectionModel:
+    """Ordinary least squares of beta on u, two equal-length columns."""
+    u = np.asarray(u, dtype=np.float64)
+    beta = np.asarray(beta, dtype=np.float64)
+    if u.size < 2:
         raise ValueError("need at least two calibration pairs")
-    u = np.array([p[0] for p in pairs], dtype=np.float64)
-    beta = np.array([p[1] for p in pairs], dtype=np.float64)
     if np.ptp(u) == 0.0:
         raise ValueError("degenerate fit: all uncertainty values identical")
     a, b = np.polyfit(u, beta, 1)
@@ -251,11 +248,12 @@ def thresholds(model: LinearRejectionModel, delta: float) -> ThresholdPair:
     )
 
 
-def estimate_delta(calib: list[tuple[float, float]]) -> float:
-    """Fraction of (x_d, y_d) pairs where the draft is not deterministically accepted."""
-    if not calib:
+def estimate_delta(x_d, y_d) -> float:
+    """Fraction of rounds, given as two equal-length columns, where the draft
+    is not deterministically accepted (y_d < x_d)."""
+    if len(x_d) == 0:
         raise ValueError("empty calibration set")
-    return float(np.mean([1.0 if y_d < x_d else 0.0 for x_d, y_d in calib]))
+    return float(np.mean(np.less(y_d, x_d)))
 
 
 class GaussianKdeEstimator:

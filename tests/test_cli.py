@@ -64,7 +64,7 @@ class TestCalibrate:
         assert model["a"] > 0
         cal = load_calibration(out)
         assert cal.utv_k_grid[-1] == 128
-        assert len(cal.pairs) == 150
+        assert len(cal.rows) == 150
 
     def test_repeat_byte_identical(self, cfg_path, tmp_path):
         out1, out2 = tmp_path / "c1", tmp_path / "c2"
@@ -447,6 +447,20 @@ class TestExitCodes:
         assert main(argv) == 1
         assert capsys.readouterr().err == f"config error: {name}: {message}\n"
         assert not (tmp_path / "x").exists()
+
+    def test_calibration_without_pairs_table(self, cfg_path, tmp_path, capsys, monkeypatch):
+        # calibrate always writes the pairs table, so a directory without it is incomplete.
+        cal = tmp_path / "cal"
+        assert main(["calibrate", "--config", cfg_path, "--out", str(cal)]) == 0
+        (cal / "calibration_pairs.csv").unlink()
+        monkeypatch.setattr(cli, "run_many", lambda *a, **k: pytest.fail("the run started"))
+        capsys.readouterr()
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", cfg_path, "--calib", str(cal), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("io error: ") and err.count("\n") == 1
+        assert "calibration_pairs.csv" in err
+        assert not out.exists()
 
     def test_empty_calibration_table(self, cfg_path, tmp_path, capsys, monkeypatch):
         # The table's last k is the vocabulary the calibration was made at.

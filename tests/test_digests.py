@@ -35,6 +35,6 @@ def test_v2048_outputs_match_the_checked_in_listing(tmp_path):
             f"digests.expected was made on '{want_header}', this is '{header}'; "
             f"regenerate it with: {REGENERATE}"
         )
-    assert len(got) == 20
+    assert len(got) == 24
     changed = sorted(path for path, digest in got.items() if want.get(path) != digest)
     assert not changed, f"output streams changed: {changed}"

@@ -1,5 +1,6 @@
 """Tests for the synthetic/trace oracles and calibration."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hybridlm.dist import softmax, sort_desc, tvd
 from hybridlm.oracle import (
     EOS_TOKEN,
+    PAIRS,
     OracleSpec,
     SyntheticOracle,
     TraceExhausted,
@@ -15,6 +17,7 @@ from hybridlm.oracle import (
     calibrate,
     load_calibration,
     make_oracle,
+    read_trace,
     save_calibration,
     write_trace,
 )
@@ -178,6 +181,20 @@ class TestTraceOracle:
         with pytest.raises(ValueError, match=f"line 31: {key}: .*non-finite"):
             make_oracle(spec)
 
+    def test_read_trace_holds_float64_arrays(self, tmp_path):
+        # JSON lists of Python floats take about 4x the vectors' float64 bytes.
+        vocab, n = 2048, 200
+        path, _ = self._write(tmp_path, n=n, vocab=vocab)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            records = read_trace(path)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= 1.5 * (2 * vocab * n * 8)
+        assert all(r.slm_logits.dtype == r.llm_logits.dtype == np.float64 for r in records)
+
     @pytest.mark.parametrize("line", ["[1, 2]", '{"slm_logits": [0.0, 1.0, 2.0, 3.0]}'])
     def test_record_without_both_logit_vectors_rejected(self, tmp_path, line):
         path, _ = self._write(tmp_path)
@@ -189,31 +206,29 @@ class TestTraceOracle:
 
 class TestCalibrate:
     def test_zero_divergence_degenerate(self):
-        cal = calibrate(synth(vocab=128, div=0.0, seed=2), 100, UncertaintyConfig(m=10))
+        cal = calibrate(synth(vocab=128, div=0.0, seed=2), 100, UncertaintyConfig(m=10), seed=2)
         assert cal.delta_hat == 0.0
-        betas = [b for _, b in cal.pairs]
+        betas = cal.rows["beta"]
         assert max(betas) == 0.0
         assert abs(cal.model.a) < 1e-9 and abs(cal.model.b) < 1e-9
         # All rounds have x = y, so no bound averages exist.
         assert np.all(np.isnan(cal.utv_values))
 
     def test_positive_slope_and_correlation(self):
-        cal = calibrate(synth(vocab=512, div=1.0, seed=4), 600, UncertaintyConfig())
+        cal = calibrate(synth(vocab=512, div=1.0, seed=4), 600, UncertaintyConfig(), seed=4)
         assert cal.model.a > 0.0
-        u = np.array([p[0] for p in cal.pairs])
-        b = np.array([p[1] for p in cal.pairs])
+        u, b = cal.rows["u"], cal.rows["beta"]
         assert np.corrcoef(u, b)[0, 1] > 0.3
         assert 0.0 < cal.delta_hat < 1.0
 
     def test_correlation_across_divergences(self):
         for div, floor in ((0.5, 0.3), (1.0, 0.3), (2.0, 0.0)):
-            cal = calibrate(synth(vocab=512, div=div, seed=8), 600, UncertaintyConfig())
-            u = np.array([p[0] for p in cal.pairs])
-            b = np.array([p[1] for p in cal.pairs])
+            cal = calibrate(synth(vocab=512, div=div, seed=8), 600, UncertaintyConfig(), seed=8)
+            u, b = cal.rows["u"], cal.rows["beta"]
             assert np.corrcoef(u, b)[0, 1] > floor
 
     def test_utv_table_zero_at_full_vocab(self):
-        cal = calibrate(synth(vocab=128, seed=5), 80, UncertaintyConfig(m=5))
+        cal = calibrate(synth(vocab=128, seed=5), 80, UncertaintyConfig(m=5), seed=5)
         assert cal.utv_k_grid[-1] == 128
         assert cal.utv_values[-1] == pytest.approx(0.0, abs=1e-12)
         assert np.all(cal.utv_values >= 0.0)
@@ -221,36 +236,35 @@ class TestCalibrate:
     def test_deterministic(self):
         a = calibrate(synth(vocab=64, seed=6), 50, UncertaintyConfig(m=5), seed=9)
         b = calibrate(synth(vocab=64, seed=6), 50, UncertaintyConfig(m=5), seed=9)
-        assert a.pairs == b.pairs
+        np.testing.assert_array_equal(a.rows[["u", "beta"]], b.rows[["u", "beta"]])
         assert a.delta_hat == b.delta_hat
         np.testing.assert_array_equal(a.utv_values, b.utv_values)
 
     def test_delta_gate(self):
         spec = synth(vocab=128, seed=7)
-        full = calibrate(spec, 200, UncertaintyConfig(m=10))
-        gated = calibrate(spec, 200, UncertaintyConfig(m=10), delta_u_gate=0.5)
+        full = calibrate(spec, 200, UncertaintyConfig(m=10), seed=7)
+        gated = calibrate(spec, 200, UncertaintyConfig(m=10), seed=7, delta_u_gate=0.5)
         assert 0.0 <= gated.delta_hat <= 1.0
-        assert gated.pairs == full.pairs  # gate affects only delta
+        # The gate affects only delta.
+        np.testing.assert_array_equal(gated.rows[["u", "beta"]], full.rows[["u", "beta"]])
 
     def test_too_few_rounds(self):
         with pytest.raises(ValueError):
-            calibrate(synth(), 1, UncertaintyConfig())
+            calibrate(synth(), 1, UncertaintyConfig(), seed=0)
 
 
 class TestCalibrationDirectory:
     def test_save_load_round_trip(self, tmp_path):
-        cal = calibrate(synth(vocab=128, seed=5), 60, UncertaintyConfig(m=5))
+        cal = calibrate(synth(vocab=128, seed=5), 60, UncertaintyConfig(m=5), seed=5)
         save_calibration(tmp_path, cal)
         back = load_calibration(tmp_path)
         # CSV cells keep 9 significant digits; model.json is exact.
         assert len(back.rows) == len(cal.rows) == 60
-        np.testing.assert_allclose(np.array(back.rows), np.array(cal.rows), rtol=1e-8)
-        assert back.pairs == [(r[0], r[1]) for r in back.rows]
+        assert back.rows.dtype == cal.rows.dtype == PAIRS
+        for name in PAIRS.names:
+            np.testing.assert_allclose(back.rows[name], cal.rows[name], rtol=1e-8)
         np.testing.assert_array_equal(back.utv_k_grid, cal.utv_k_grid)
         assert back.utv_k_grid.dtype.kind == "i"
         np.testing.assert_allclose(back.utv_values, cal.utv_values, rtol=1e-8)
         assert back.model == cal.model
         assert back.delta_hat == cal.delta_hat
-        # The pairs table is optional.
-        (tmp_path / "calibration_pairs.csv").unlink()
-        assert load_calibration(tmp_path).rows == []

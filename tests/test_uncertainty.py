@@ -18,6 +18,7 @@ from hybridlm.dist import (
     sort_desc,
 )
 from hybridlm.oracle import (
+    PAIRS,
     CalibrationSet,
     OracleSpec,
     SyntheticOracle,
@@ -481,22 +482,21 @@ class TestEstimateUInputs:
 class TestFitLinear:
     def test_exact_line_recovered(self):
         u = np.linspace(0.0, 1.0, 40)
-        pairs = [(ui, REF_A * ui + REF_B) for ui in u]
-        m = fit_linear(pairs)
+        m = fit_linear(u, REF_A * u + REF_B)
         assert m.a == pytest.approx(REF_A, abs=1e-12)
         assert m.b == pytest.approx(REF_B, abs=1e-12)
         assert m.mse == pytest.approx(0.0, abs=1e-24)
         assert m.r2 == pytest.approx(1.0, abs=1e-12)
 
     def test_two_point_fit(self):
-        m = fit_linear([(0.0, 0.0), (1.0, 1.0)])
+        m = fit_linear([0.0, 1.0], [0.0, 1.0])
         assert m.a == pytest.approx(1.0) and m.b == pytest.approx(0.0)
 
     def test_noisy_line_matches_normal_equations(self):
         rng = np.random.default_rng(55)
         u = rng.uniform(0, 1, 10_000)
         beta = 0.7 * u + 0.1 + rng.normal(0, 0.01, u.size)
-        m = fit_linear(list(zip(u, beta)))
+        m = fit_linear(u, beta)
         a_ref, b_ref = normal_equations(u, beta)
         assert m.a == pytest.approx(a_ref, abs=1e-10)
         assert m.b == pytest.approx(b_ref, abs=1e-10)
@@ -504,9 +504,9 @@ class TestFitLinear:
 
     def test_degenerate_inputs(self):
         with pytest.raises(ValueError):
-            fit_linear([(0.5, 0.1)])
+            fit_linear([0.5], [0.1])
         with pytest.raises(ValueError):
-            fit_linear([(0.5, 0.1), (0.5, 0.9)])
+            fit_linear([0.5, 0.5], [0.1, 0.9])
 
 
 class TestPredictBeta:
@@ -551,19 +551,19 @@ class TestThresholds:
 
 class TestEstimateDelta:
     def test_all_accepted(self):
-        assert estimate_delta([(0.2, 0.5), (0.1, 0.1)]) == 0.0
+        assert estimate_delta(np.array([0.2, 0.1]), np.array([0.5, 0.1])) == 0.0
 
     def test_half_and_half(self):
-        assert estimate_delta([(0.5, 0.1), (0.1, 0.5)]) == 0.5
+        assert estimate_delta(np.array([0.5, 0.1]), np.array([0.1, 0.5])) == 0.5
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            estimate_delta([])
+            estimate_delta(np.array([]), np.array([]))
 
 
 class TestCalibrationCsv:
     def test_round_trip(self, tmp_path):
-        rows = [(0.1, 0.05, 0.9, 0.8), (0.55, 0.4, 0.3, 0.2)]
+        rows = np.array([(0.1, 0.05, 0.9, 0.8), (0.55, 0.4, 0.3, 0.2)], dtype=PAIRS)
         cal = CalibrationSet(
             rows=rows,
             delta_hat=0.5,
@@ -573,7 +573,9 @@ class TestCalibrationCsv:
         )
         save_calibration(tmp_path, cal)
         back = load_calibration(tmp_path).rows
-        np.testing.assert_allclose(np.array(back), np.array(rows), rtol=1e-8)
+        assert back.dtype == PAIRS
+        for name in PAIRS.names:
+            np.testing.assert_allclose(back[name], rows[name], rtol=1e-8)
 
 
 def reference_kde_l2(samples, lo, hi):

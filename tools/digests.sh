@@ -15,8 +15,9 @@
 # The first line names the numpy version, the machine and the SIMD targets
 # numpy dispatches to, since exp and summation may round differently
 # elsewhere. With --v2048 only the V=2048 runs are made and listed (the five
-# calibration-free policies, the EOS run, the sweep and demo 03, a few
-# seconds); tests/test_digests.py compares them with the checked-in listing.
+# calibration-free policies, the EOS run, the sweep, the trace replay and
+# demo 03, a few seconds); tests/test_digests.py compares them with the
+# checked-in listing.
 #
 # The wall-clock "generated_at" line is removed from report.json and
 # sweep.csv before hashing; every other byte counts. verify.txt ends with
@@ -71,6 +72,29 @@ for p in $POLICIES; do
     echo "{\"oracle\": {\"vocab_size\": 2048}, \"policy\": {\"variant\": \"$p\"},
            \"r_max\": 64, \"n_sequences\": 2}" >"$p.json"
 done
+# A V=2048 trace of 64 logit pairs, made with numpy and json alone rather than
+# the tree's oracle: a Zipf base under a fresh permutation each round, plus
+# independent noise per model. Its last round carries the EOS flag.
+"$PY" - <<'EOF'
+import json
+
+import numpy as np
+
+rng = np.random.default_rng(2048)
+base = -1.5 * np.log(np.arange(1, 2049))
+with open("trace.jsonl", "w") as fh:
+    for t in range(64):
+        shared = base[rng.permutation(2048)]
+        rec = {
+            "slm_logits": (shared + rng.standard_normal(2048)).tolist(),
+            "llm_logits": (shared + rng.standard_normal(2048)).tolist(),
+        }
+        if t == 63:
+            rec["eos"] = True
+        fh.write(json.dumps(rec) + "\n")
+EOF
+echo '{"oracle": {"kind": "trace", "vocab_size": 2048, "trace_path": "trace.jsonl"},
+       "policy": {"variant": "u_hlm"}, "r_max": 64, "n_sequences": 2}' >trace.json
 
 if [ $FULL = 1 ]; then
     hybridlm calibrate --rounds 400 --seed 1 --out cal
@@ -85,6 +109,7 @@ hybridlm sweep --config sweep.json --axis theta --values 0.05,0.2 --fading fixed
 for p in $POLICIES; do
     hybridlm simulate --config "$p.json" --transcript --out "$p"
 done
+hybridlm simulate --config trace.json --transcript --out trace
 if [ $FULL = 1 ]; then
     status=0
     "$PY" -m hybridlm.cli verify --cases 200 >verify.txt || status=$?
@@ -98,9 +123,10 @@ for demo in "${DEMOS[@]}"; do
     "$PY" "$demo" >"demos/$(basename "$demo" .py).txt"
 done
 
-REPORTS="eos/report.json $(for p in $POLICIES; do echo "$p/report.json"; done)"
+REPORTS="eos/report.json trace/report.json $(for p in $POLICIES; do echo "$p/report.json"; done)"
 RUNS="eos/records.jsonl eos/transcript.bin eos/report.json sweep/sweep.csv"
 POLICY_RUNS=$(for p in $POLICIES; do echo "$p/records.jsonl $p/transcript.bin $p/report.json"; done)
+TRACE_RUNS="trace.jsonl trace/records.jsonl trace/transcript.bin trace/report.json"
 if [ $FULL = 1 ]; then
     sed -i '/generated_at/d' tx/report.json tx_report/report.json tx_raw/report.json \
         tx_raw_report/report.json sweep/sweep.csv $REPORTS
@@ -109,8 +135,8 @@ if [ $FULL = 1 ]; then
         cal_big/calibration_pairs.csv cal_big/utv_table.csv cal_big/model.json \
         tx/records.jsonl tx/transcript.bin tx/report.json tx_report/report.json \
         tx_raw/records.jsonl tx_raw/transcript.bin tx_raw/report.json tx_raw_report/report.json \
-        $RUNS verify.txt demos/*.txt $POLICY_RUNS
+        $RUNS verify.txt demos/*.txt $POLICY_RUNS $TRACE_RUNS
 else
     sed -i '/generated_at/d' sweep/sweep.csv $REPORTS
-    sha256sum $RUNS demos/03_compression_bounds.txt $POLICY_RUNS
+    sha256sum $RUNS demos/03_compression_bounds.txt $POLICY_RUNS $TRACE_RUNS
 fi
