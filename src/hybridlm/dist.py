@@ -32,29 +32,7 @@ class ProbVec:
 
     def __post_init__(self) -> None:
         # One copy, so the caller's array is neither aliased nor frozen.
-        p = np.array(self.probs, dtype=np.float64)
-        if p.ndim != 1 or p.size == 0:
-            raise DistributionError("probability vector must be 1-D and non-empty")
-        # A NaN or infinite entry makes the min or the sum non-finite; a
-        # finite vector whose sum overflows is left to the sum check.
-        lo = p.min()
-        total = p.sum()
-        if not (np.isfinite(lo) and np.isfinite(total)) and not np.all(np.isfinite(p)):
-            raise DistributionError("probability vector has non-finite entries")
-        if lo < -NEG_TOL:
-            raise DistributionError(f"negative probability entry: min={lo:.3e}")
-        if lo < 0.0:
-            np.maximum(p, 0.0, out=p)
-            total = p.sum()
-        drift = abs(total - 1.0)
-        if drift > RENORM_TOL:
-            raise DistributionError(f"probabilities sum to {total!r}, expected 1")
-        if drift > SUM_TOL:
-            warnings.warn(
-                f"renormalizing probability vector with drift {drift:.3e}",
-                stacklevel=2,
-            )
-            p /= total
+        p = check_probs(np.array(self.probs, dtype=np.float64))
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
 
@@ -119,6 +97,39 @@ class SortedProbVec:
         tied = np.any(self.probs[1:n] == self.probs[: n - 1])
         order = np.argsort(-self.source[candidates], kind="stable" if tied else None)
         return candidates[order[:k]]
+
+
+def check_probs(p: np.ndarray) -> np.ndarray:
+    """Check a float64 array as a distribution and repair mild drift, in place.
+
+    Raises DistributionError unless ``p`` is 1-D, non-empty and finite, with
+    no entry below -NEG_TOL and a sum within RENORM_TOL of 1. Entries in
+    [-NEG_TOL, 0) become 0, and a sum off by more than SUM_TOL is divided
+    out (with a warning). Returns ``p``. ``ProbVec`` runs this on its copy.
+    """
+    if p.ndim != 1 or p.size == 0:
+        raise DistributionError("probability vector must be 1-D and non-empty")
+    # A NaN or infinite entry makes the min or the sum non-finite; a
+    # finite vector whose sum overflows is left to the sum check.
+    lo = p.min()
+    total = p.sum()
+    if not (np.isfinite(lo) and np.isfinite(total)) and not np.all(np.isfinite(p)):
+        raise DistributionError("probability vector has non-finite entries")
+    if lo < -NEG_TOL:
+        raise DistributionError(f"negative probability entry: min={lo:.3e}")
+    if lo < 0.0:
+        np.maximum(p, 0.0, out=p)
+        total = p.sum()
+    drift = abs(total - 1.0)
+    if drift > RENORM_TOL:
+        raise DistributionError(f"probabilities sum to {total!r}, expected 1")
+    if drift > SUM_TOL:
+        warnings.warn(
+            f"renormalizing probability vector with drift {drift:.3e}",
+            stacklevel=3,
+        )
+        p /= total
+    return p
 
 
 def check_logits(logits: np.ndarray) -> np.ndarray:

@@ -106,6 +106,9 @@ class SyntheticOracle:
             llm = self._inject_eos(llm)
         return RoundInputs(slm_logits=slm, llm_logits=llm)
 
+    def rewind(self) -> None:
+        """Nothing to reset: a round depends on the sequence, not on a position."""
+
     def _inject_eos(self, logits: np.ndarray) -> np.ndarray:
         # Mix a point mass at the EOS token into the softmax output, then
         # return to logit space so downstream softmax recovers the mixture.
@@ -144,6 +147,10 @@ class TraceOracle:
             raise TraceExhausted(f"trace ended after {self._cursor} rounds")
         self._cursor += 1
         return self._records[self._cursor - 1]
+
+    def rewind(self) -> None:
+        """Replay from the trace's first round, without parsing it again."""
+        self._cursor = 0
 
 
 def is_eos(spec: OracleSpec, flagged: bool, token: int) -> bool:
@@ -279,26 +286,29 @@ def _calibration_round(
     with, and whether that token ends the sequence.
 
     The round's vectors live only in this call, so they are freed before the
-    next round's oracle draws; the sorted vector is made last, after the
+    next round's oracle draws. y is made after ``estimate_u`` and the logits
+    are freed once y is made; the sorted vector is made last, after the
     verdict's resampling distribution is freed.
     """
     inputs = oracle.next_round(sequence)
+    flagged = inputs.eos
     x = softmax(inputs.slm_logits)
-    y = softmax(inputs.llm_logits)
     d = sample(x, seeding.round_rng(seed, t, seeding.DRAFT))
     u = estimate_u(inputs.slm_logits, d, ucfg, seeding.round_rng(seed, t, seeding.UNCERTAINTY))
+    y = softmax(inputs.llm_logits)
+    del inputs
     x_d, y_d = float(x.probs[d]), float(y.probs[d])
     row = (u, rejection_prob(x_d, y_d), x_d, y_d)
 
     divergence_tvd = tvd(x, y)
     if not divergence_tvd > 0.0:
-        return row, None, d, is_eos(oracle.spec, inputs.eos, d)
+        return row, None, d, is_eos(oracle.spec, flagged, d)
     token = verify(
         d, x, y, lambda: resample_dist(x, y), seeding.round_rng(seed, t, seeding.VERIFY)
     ).token
     x_sorted = sort_desc(x)
     utv = utv_bound(x_sorted, x_sorted.rank_of(d), k_grid, divergence_tvd)
-    return row, utv, token, is_eos(oracle.spec, inputs.eos, token)
+    return row, utv, token, is_eos(oracle.spec, flagged, token)
 
 
 def csv_cell(v) -> str:

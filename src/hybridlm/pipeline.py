@@ -146,10 +146,9 @@ def run_round(
     policy = cfg.policy
     inputs = oracle_inst.next_round(sequence)
     flagged = inputs.eos
-    y = softmax(inputs.llm_logits)
 
     if policy.variant == "llm_only":
-        token = sample(y, seeding.round_rng(seed, t, seeding.VERIFY))
+        token = sample(softmax(inputs.llm_logits), seeding.round_rng(seed, t, seeding.VERIFY))
         return RoundRecord(
             seq=seq_index,
             round=t,
@@ -160,17 +159,19 @@ def run_round(
 
     x = softmax(inputs.slm_logits)
     d = sample(x, seeding.round_rng(seed, t, seeding.DRAFT))
-    x_d = float(x.probs[d])
-    y_d = float(y.probs[d])
 
     u = None
     if policy.uses_uncertainty:
         u = estimate_u(
             inputs.slm_logits, d, cfg.uncertainty, seeding.round_rng(seed, t, seeding.UNCERTAINTY)
         )
-    # The logits are not read past here. Freeing them keeps a transmitted
-    # round's peak at about six vectors of the vocabulary's size.
+    # y is made after estimate_u, and the logits are not read past here.
+    # Freeing them keeps a transmitted round's peak at about five vectors
+    # of the vocabulary's size.
+    y = softmax(inputs.llm_logits)
     del inputs
+    x_d = float(x.probs[d])
+    y_d = float(y.probs[d])
 
     if not _should_transmit(policy, u, seed, t):
         return RoundRecord(
@@ -297,12 +298,20 @@ def run_sequence(
     calib: CalibrationSet | None = None,
     seq_index: int = 0,
     transcript: list[bytes] | None = None,
+    oracle_inst=None,
 ) -> list[RoundRecord]:
-    """One autoregressive sequence of at most r_max rounds."""
+    """One autoregressive sequence of at most r_max rounds.
+
+    ``oracle_inst`` is the run's oracle, made once by ``run_many`` so a
+    trace is parsed once per run; it is rewound, so a trace replays from
+    its first round in every sequence. Without it, one is made here.
+    """
     retain_heap()
     calib = ensure_calibration(cfg, calib)
     k_star = resolve_k_star(cfg, calib)
-    oracle_inst = make_oracle(cfg.oracle)
+    if oracle_inst is None:
+        oracle_inst = make_oracle(cfg.oracle)
+    oracle_inst.rewind()
     seed = cfg.seed + seq_index
     sequence: list[int] = []
     records: list[RoundRecord] = []
@@ -327,9 +336,10 @@ def run_many(
 ) -> tuple[SimReport, list[RoundRecord]]:
     """All configured sequences plus the aggregate report."""
     calib = ensure_calibration(cfg, calib)
+    oracle_inst = make_oracle(cfg.oracle)
     records: list[RoundRecord] = []
     for i in range(cfg.n_sequences):
-        records.extend(run_sequence(cfg, calib, seq_index=i, transcript=transcript))
+        records.extend(run_sequence(cfg, calib, i, transcript, oracle_inst))
     return metrics(records), records
 
 

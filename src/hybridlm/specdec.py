@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import ProbVec, TokenId, sample
+from .dist import ProbVec, TokenId, check_probs, sample
 
 
 @dataclass(frozen=True)
@@ -121,6 +121,11 @@ def hybrid_output_dist(x: ProbVec, y: ProbVec, q: ProbVec) -> ProbVec:
 
     Equals y exactly when q is the exact resampling distribution.
     """
+    return ProbVec(_hybrid_output_probs(x, y, q))
+
+
+def _hybrid_output_probs(x: ProbVec, y: ProbVec, q: ProbVec) -> np.ndarray:
+    """``hybrid_output_dist``'s probabilities, unchecked, in a new array."""
     beta = rejection_probs(x, y)
     rejected = np.multiply(x.probs, beta)
     reject_mass = float(rejected.sum())
@@ -129,11 +134,16 @@ def hybrid_output_dist(x: ProbVec, y: ProbVec, q: ProbVec) -> ProbVec:
     np.multiply(x.probs, beta, out=beta)
     np.multiply(reject_mass, q.probs, out=rejected)
     np.add(beta, rejected, out=beta)
-    return ProbVec(beta)
+    return beta
 
 
 def round_bias(x: ProbVec, y: ProbVec, q: ProbVec) -> float:
-    """l1 deviation of the hybrid output law from y under resampling dist q."""
-    diff = np.subtract(hybrid_output_dist(x, y, q).probs, y.probs)
+    """l1 deviation of the hybrid output law from y under resampling dist q.
+
+    The law is checked and repaired as ``ProbVec`` would, but in the array
+    that then holds the deviation, so no copy of it is made.
+    """
+    diff = check_probs(_hybrid_output_probs(x, y, q))
+    np.subtract(diff, y.probs, out=diff)
     np.abs(diff, out=diff)
     return float(diff.sum())

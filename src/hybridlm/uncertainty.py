@@ -10,6 +10,7 @@ closed-form expression in the threshold and the density of u.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,11 +115,17 @@ def redraw_brackets(
         scale = VALUE_BUCKETS / span
         if 0.0 < scale < np.inf:
             buckets = VALUE_BUCKETS
-            bucket = np.minimum((z - z_min) * scale, buckets - 1).astype(np.intp)
+            # One float temporary, scaled in place, and a uint8 index (it
+            # holds 0..VALUE_BUCKETS): 1.125 vectors at most, not two.
+            t = z - z_min
+            t *= scale
+            np.minimum(t, buckets - 1, out=t)
+            bucket = t.astype(np.uint8)
+            del t
             edges = z_min + np.arange(buckets + 1) * (span / buckets)
         else:  # a span too wide, too narrow or 0 (no id below cut) to scale
             buckets = 1
-            bucket = np.zeros(n, dtype=np.intp)
+            bucket = np.zeros(n, dtype=np.uint8)
             edges = np.array([z_min, cut])
     bucket[top] = buckets  # exact terms: a bin of their own, dropped below
     n_below = np.bincount(bucket[:d], minlength=buckets + 1)[:buckets].astype(np.float64)
@@ -133,10 +140,11 @@ def redraw_brackets(
     e_lo = np.exp(lo / col - w_max[:, None])
     e_hi = np.exp(hi / col - w_max[:, None])
     e_d = np.exp(z[d] / thetas - w_max)
-    a_top = e_top @ (top < d).astype(np.float64)
-    b_top = e_top @ (top > d).astype(np.float64)
-    a_lo, a_hi = a_top + e_lo @ n_below, a_top + e_hi @ n_below
-    b_lo, b_hi = b_top + e_lo @ n_above, b_top + e_hi @ n_above
+    # top ascends, so its ids below d and above d are two slices.
+    a_top = e_top[:, : np.searchsorted(top, d)].sum(axis=1)
+    b_top = e_top[:, np.searchsorted(top, d, side="right") :].sum(axis=1)
+    a_lo, a_hi = a_top + (e_lo * n_below).sum(axis=1), a_top + (e_hi * n_below).sum(axis=1)
+    b_lo, b_hi = b_top + (e_lo * n_above).sum(axis=1), b_top + (e_hi * n_above).sum(axis=1)
 
     with np.errstate(invalid="ignore"):
         lower_lo = a_lo / (a_lo + e_d + b_hi)
@@ -218,14 +226,26 @@ def estimate_u(
 
 
 def fit_linear(u, beta) -> LinearRejectionModel:
-    """Ordinary least squares of beta on u, two equal-length columns."""
+    """Ordinary least squares of beta on u, two equal-length columns.
+
+    The line comes in closed form from sums about the means, each summed
+    exactly with ``math.fsum``: a = sum(du * dbeta) / sum(du * du) and
+    b = mean(beta) - a * mean(u). No BLAS or LAPACK routine runs.
+    """
     u = np.asarray(u, dtype=np.float64)
     beta = np.asarray(beta, dtype=np.float64)
+    if u.shape != beta.shape or u.ndim != 1:
+        raise ValueError("u and beta must be two columns of equal length")
     if u.size < 2:
         raise ValueError("need at least two calibration pairs")
     if np.ptp(u) == 0.0:
         raise ValueError("degenerate fit: all uncertainty values identical")
-    a, b = np.polyfit(u, beta, 1)
+    n = u.size
+    u_mean = math.fsum(u.tolist()) / n
+    beta_mean = math.fsum(beta.tolist()) / n
+    du = u - u_mean
+    a = math.fsum((du * (beta - beta_mean)).tolist()) / math.fsum((du * du).tolist())
+    b = beta_mean - a * u_mean
     resid = beta - (a * u + b)
     mse = float(np.mean(resid**2))
     ss_tot = float(np.sum((beta - beta.mean()) ** 2))

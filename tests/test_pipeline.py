@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hybridlm import oracle as oracle_module
 from hybridlm import pipeline
 from hybridlm.channel import ChannelSpec
 from hybridlm.config import CalibrationConfig, PolicySpec, RunConfig
@@ -193,9 +194,10 @@ class TestRoundMemory:
             tracemalloc.stop()
         return out, peak / (self.VOCAB * 8)
 
-    def test_transmitted_round_holds_at_most_seven_vectors(self):
-        # The logits, the sorted vector with its prefix sums and the
-        # reconstruction are freed before the record diagnostics allocate.
+    def test_transmitted_round_holds_at_most_five_and_a_half_vectors(self):
+        # y is made after estimate_u; the logits, the sorted vector with its
+        # prefix sums and the reconstruction are freed before the record
+        # diagnostics allocate, and round_bias builds one array.
         cfg = make_cfg("cu_hlm_online", vocab=self.VOCAB, u_th=0.0, r_max=12)
         cal = calibrate(cfg.oracle, 10, cfg.uncertainty, seed=3)
         oracle_inst = make_oracle(cfg.oracle)
@@ -208,15 +210,16 @@ class TestRoundMemory:
             if rec.delta == 1:
                 peaks.append(peak)
         assert len(peaks) >= 6
-        assert max(peaks) <= 7.0
+        assert max(peaks) <= 5.5
 
-    def test_calibrate_round_holds_at_most_nine_and_a_half_vectors(self):
+    def test_calibrate_round_holds_at_most_six_and_a_half_vectors(self):
         # The peak covers the oracle's own base vector too; no round's
-        # vectors outlive it into the next round's oracle draws.
+        # vectors outlive it into the next round's oracle draws, and the
+        # logits are freed once y is made, after estimate_u.
         spec = OracleSpec(vocab_size=self.VOCAB, seed=11)
         cal, peak = self.traced_peak(lambda: calibrate(spec, 8, UncertaintyConfig(m=10), seed=3))
         assert len(cal.rows) == 8
-        assert peak <= 9.5
+        assert peak <= 6.5
 
 
 class TestRecordDict:
@@ -292,6 +295,36 @@ class TestSequenceMechanics:
         )
         recs = run_sequence(cfg)
         assert len(recs) == 5  # exhaustion stops the loop
+
+    def test_trace_parsed_once_per_run(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(1)
+        records = [
+            {
+                "slm_logits": rng.normal(size=8).tolist(),
+                "llm_logits": rng.normal(size=8).tolist(),
+            }
+            for _ in range(6)
+        ]
+        path = tmp_path / "t.jsonl"
+        write_trace(path, records)
+        cfg = RunConfig(
+            oracle=OracleSpec(kind="trace", trace_path=str(path), vocab_size=8),
+            policy=PolicySpec(variant="u_hlm", u_th=0.3),
+            channel=FIXED_CH,
+            uncertainty=UncertaintyConfig(m=10),
+            r_max=100,
+            n_sequences=2,
+            seed=1,
+        )
+        # Each sequence replays from the trace's first round, as a sequence
+        # run on its own does.
+        alone = [r.to_dict() for i in range(2) for r in run_sequence(cfg, seq_index=i)]
+        parses = []
+        real = oracle_module.read_trace
+        monkeypatch.setattr(oracle_module, "read_trace", lambda p: parses.append(p) or real(p))
+        _, recs = run_many(cfg)
+        assert parses == [str(path)]
+        assert len(recs) == 12 and [r.to_dict() for r in recs] == alone
 
     def test_deterministic_repeats(self):
         cfg = make_cfg("cu_hlm_online", u_th=0.5, r_max=30,

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from hybridlm.oracle import (
     CalibrationSet,
     OracleSpec,
     SyntheticOracle,
+    calibrate,
     load_calibration,
     save_calibration,
 )
@@ -417,6 +419,14 @@ class TestBoundedRedraws:
             assert (d in exact) == (rank < EXACT_RANKS)
             assert_brackets_hold(z, d)
             assert_redraws_exact(z, d)
+        # The ends of the exact ids' below-d / above-d split: d is the lowest
+        # or highest exact id, or lies below or above all of them.
+        first, last = int(exact[0]), int(exact[-1])
+        assert 0 < first and last < z.size - 1
+        for d in (first, last, first - 1, last + 1):
+            assert (d in exact) == (d in (first, last))
+            assert_brackets_hold(z, d)
+            assert_redraws_exact(z, d)
 
     def test_degenerate_bucket_spans(self):
         # A span between min(z) and the cut too narrow for VALUE_BUCKETS / span
@@ -507,6 +517,40 @@ class TestFitLinear:
             fit_linear([0.5], [0.1])
         with pytest.raises(ValueError):
             fit_linear([0.5, 0.5], [0.1, 0.9])
+
+    def test_unequal_columns_rejected(self):
+        # A length-1 beta would broadcast against u.
+        with pytest.raises(ValueError, match="equal length"):
+            fit_linear([0.0, 0.5, 1.0], [0.1])
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_exact_rational_ols(self, seed):
+        # u on its natural grid j/20, beta rejection probabilities that rise
+        # with u. b = mean(beta) - a*mean(u) cancels, so its error is
+        # measured against the two terms it is made from.
+        rng = np.random.default_rng(seed)
+        u = rng.integers(0, 21, 2000) / 20
+        beta = np.clip(REF_A * u + REF_B + rng.normal(0.0, 0.2, u.size), 0.0, 1.0)
+        us, bs = [Fraction(v) for v in u.tolist()], [Fraction(v) for v in beta.tolist()]
+        u_mean, beta_mean = sum(us) / len(us), sum(bs) / len(bs)
+        a = sum((x - u_mean) * (y - beta_mean) for x, y in zip(us, bs)) / sum(
+            (x - u_mean) ** 2 for x in us
+        )
+        b = beta_mean - a * u_mean
+        m = fit_linear(u, beta)
+        assert abs(Fraction(m.a) - a) <= Fraction(1e-15) * abs(a)
+        assert abs(Fraction(m.b) - b) <= Fraction(1e-15) * (abs(beta_mean) + abs(a * u_mean))
+
+    def test_calibrate_calls_no_lapack_fit(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK least squares called")
+
+        monkeypatch.setattr(np, "polyfit", refuse)
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        cal = calibrate(OracleSpec(vocab_size=2048, seed=11), 60, UncertaintyConfig(m=10), seed=5)
+        a, b = normal_equations(cal.rows["u"], cal.rows["beta"])
+        assert cal.model.a == pytest.approx(a, abs=1e-12)
+        assert cal.model.b == pytest.approx(b, abs=1e-12)
 
 
 class TestPredictBeta:
