@@ -101,6 +101,7 @@ def cmd_simulate(args) -> int:
         check_transcript_payload(cfg.b_prob, cfg.oracle.vocab_size)
     calib = _calibration(args, cfg)
     transcript: list[bytes] | None = [] if args.transcript else None
+    # run_many calibrates on the fly, if need be, with the oracle it runs.
     report, records = run_many(cfg, calib=calib, transcript=transcript)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -150,7 +151,7 @@ def cmd_sweep(args) -> int:
         for fading in fadings
         for value in values
     ]
-    calib = _calibration(args, cfg)
+    calib = ensure_calibration(cfg, _calibration(args, cfg))
 
     run_point = functools.partial(_sweep_point, calib)
     if args.jobs > 1:
@@ -201,15 +202,20 @@ def cmd_report(args) -> int:
 
 
 def _calibration(args, cfg: RunConfig) -> CalibrationSet | None:
-    """``--calib``'s calibration, else ``ensure_calibration``'s; calibrating says so on stderr."""
-    calib = load_calibration(Path(args.calib)) if args.calib else None
-    if calib is None and needs_calibration(cfg.policy):
+    """``--calib``'s calibration, checked against the config, or None.
+
+    Without one, a policy that needs one is calibrated on the fly by
+    ``ensure_calibration``; that is said here, on stderr.
+    """
+    if args.calib:
+        return ensure_calibration(cfg, load_calibration(Path(args.calib)))
+    if needs_calibration(cfg.policy):
         print(
             f"calibrating {cfg.calibration.n_rounds} rounds on the fly; "
             "pass --calib with a `hybridlm calibrate` output to reuse one",
             file=sys.stderr,
         )
-    return ensure_calibration(cfg, calib)
+    return None
 
 
 def _load(args) -> RunConfig:

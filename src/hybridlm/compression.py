@@ -104,7 +104,7 @@ def reconstruct(c: CompressedVocab) -> ProbVec:
         x_hat[c.draft_id] = c.draft_prob
     else:
         x_hat /= x_hat.sum()
-    return ProbVec(x_hat)
+    return ProbVec.adopt(x_hat)
 
 
 def softplus(z: float, eta: float) -> float:

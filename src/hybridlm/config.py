@@ -68,6 +68,16 @@ class CalibrationConfig:
     seed: int | None = None  # defaults to run seed + 1
     delta_u_gate: float | None = None
 
+    def __post_init__(self) -> None:
+        if self.n_rounds < 2:
+            raise ValueError("calibration.n_rounds must be >= 2")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError("calibration.seed must be >= 0")
+        gate = self.delta_u_gate
+        if gate is not None and not 0.0 <= gate < 1.0:
+            # u lies in [0, 1]: a gate of 1 or more leaves no round to count.
+            raise ValueError("calibration.delta_u_gate must be null or in [0, 1)")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -90,6 +100,11 @@ class RunConfig:
             raise ValueError("n_sequences must be >= 1")
         if self.b_prob < 1:
             raise ValueError("b_prob must be >= 1")
+        if self.b_prob > 53:
+            # 2^b - 1 is exact in float64, and a code fits in int64, only up to 53 bits.
+            raise ValueError("b_prob must be <= 53")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         k_star = self.policy.k_star
         if k_star is not None and k_star > self.oracle.vocab_size:
             raise ValueError(

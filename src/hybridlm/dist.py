@@ -32,7 +32,21 @@ class ProbVec:
 
     def __post_init__(self) -> None:
         # One copy, so the caller's array is neither aliased nor frozen.
-        p = check_probs(np.array(self.probs, dtype=np.float64))
+        self._own(np.array(self.probs, dtype=np.float64))
+
+    @classmethod
+    def adopt(cls, p: np.ndarray) -> "ProbVec":
+        """A ProbVec that holds ``p`` itself, checked and repaired in place, then frozen.
+
+        For a float64 array the library has just built and that nothing
+        else holds: it saves the copy the constructor makes.
+        """
+        v = object.__new__(cls)
+        v._own(p)
+        return v
+
+    def _own(self, p: np.ndarray) -> None:
+        check_probs(p)
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
 
@@ -105,7 +119,8 @@ def check_probs(p: np.ndarray) -> np.ndarray:
     Raises DistributionError unless ``p`` is 1-D, non-empty and finite, with
     no entry below -NEG_TOL and a sum within RENORM_TOL of 1. Entries in
     [-NEG_TOL, 0) become 0, and a sum off by more than SUM_TOL is divided
-    out (with a warning). Returns ``p``. ``ProbVec`` runs this on its copy.
+    out (with a warning). Returns ``p``. ``ProbVec`` runs this on its copy,
+    ``ProbVec.adopt`` on the array it adopts.
     """
     if p.ndim != 1 or p.size == 0:
         raise DistributionError("probability vector must be 1-D and non-empty")
@@ -156,7 +171,7 @@ def softmax(logits: np.ndarray, temperature: float = 1.0) -> ProbVec:
     w -= w.max()
     np.exp(w, out=w)
     w /= w.sum()
-    return ProbVec(w)
+    return ProbVec.adopt(w)
 
 
 def sample(p: ProbVec, rng: np.random.Generator) -> TokenId:

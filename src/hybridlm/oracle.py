@@ -54,6 +54,8 @@ class OracleSpec:
             raise ValueError(f"unknown oracle kind {self.kind!r}")
         if self.vocab_size < 2:
             raise ValueError("vocabulary size must be >= 2")
+        if self.seed < 0:
+            raise ValueError("oracle.seed must be >= 0")
         if self.kind == "synthetic":
             if not self.zipf_s > 0.0:
                 raise ValueError("zipf_s must be positive")
@@ -225,19 +227,23 @@ def calibrate(
     *,
     seed: int,
     delta_u_gate: float | None = None,
+    oracle_inst: SyntheticOracle | TraceOracle | None = None,
 ) -> CalibrationSet:
     """Run the oracle with full two-sided knowledge and fit the policy inputs.
 
     Sequences advance by the exact (uncompressed) verification outcome.
     ``delta_u_gate``, when set, estimates the non-deterministic-acceptance
-    rate only over rounds with uncertainty above the gate.
+    rate only over rounds with uncertainty above the gate. ``oracle_inst``,
+    when given, is ``spec``'s oracle already made, so a trace is not parsed
+    again; it is rewound, so it replays from its first round.
     """
     retain_heap()
     if n_rounds < 2:
         raise ValueError("calibration needs at least two rounds")
     k_grid = default_k_grid(spec.vocab_size)
 
-    oracle = make_oracle(spec)
+    oracle = make_oracle(spec) if oracle_inst is None else oracle_inst
+    oracle.rewind()
     rows: list[tuple] = []  # one PAIRS record per round
     utv_acc = np.zeros(k_grid.size)
     utv_count = 0

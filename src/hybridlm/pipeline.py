@@ -201,8 +201,11 @@ def run_round(
     )
 
     bias = round_bias(x, y, q)
-    tvd_xy = tvd(x, y)
-    tvd_pq = tvd(resample_dist(x, y), q) if tvd_xy > 0.0 else None
+    r = resample_dist(x, y) if tvd(x, y) > 0.0 else None
+    # x and y are not read past here; freeing them before tvd(r, q)
+    # allocates keeps the round's diagnostics to three vectors.
+    del x, y
+    tvd_pq = tvd(r, q) if r is not None else None
 
     token = verdict.token
     return RoundRecord(
@@ -249,11 +252,12 @@ def _payload(
     return compress(x_sorted, k, d), None
 
 
-def calibrate_from_config(cfg: RunConfig, n_rounds: int) -> CalibrationSet:
+def calibrate_from_config(cfg: RunConfig, n_rounds: int, oracle_inst=None) -> CalibrationSet:
     """Calibrate as the config's ``calibration`` section says.
 
     The calibration seed defaults to the run seed + 1, so calibration and
-    simulation rounds draw from different streams.
+    simulation rounds draw from different streams. ``oracle_inst`` is
+    ``calibrate``'s: the run's oracle, replayed from its first round.
     """
     cal = cfg.calibration
     return calibrate(
@@ -262,6 +266,7 @@ def calibrate_from_config(cfg: RunConfig, n_rounds: int) -> CalibrationSet:
         cfg.uncertainty,
         seed=cal.seed if cal.seed is not None else cfg.seed + 1,
         delta_u_gate=cal.delta_u_gate,
+        oracle_inst=oracle_inst,
     )
 
 
@@ -272,17 +277,20 @@ def needs_calibration(policy: PolicySpec) -> bool:
     )
 
 
-def ensure_calibration(cfg: RunConfig, calib: CalibrationSet | None) -> CalibrationSet | None:
+def ensure_calibration(
+    cfg: RunConfig, calib: CalibrationSet | None, oracle_inst=None
+) -> CalibrationSet | None:
     """Calibrate on the fly when the policy needs statistics it wasn't given.
 
     A given calibration that the policy reads must have been made at the
     config's vocabulary size: its table's grid ends at the size it was
-    calibrated at.
+    calibrated at. A calibration made here replays ``oracle_inst``, the
+    run's oracle, when one is given.
     """
     if not needs_calibration(cfg.policy):
         return calib
     if calib is None:
-        return calibrate_from_config(cfg, cfg.calibration.n_rounds)
+        return calibrate_from_config(cfg, cfg.calibration.n_rounds, oracle_inst)
     vocab = cfg.oracle.vocab_size
     calib_vocab = int(calib.utv_k_grid[-1])
     if calib_vocab != vocab:
@@ -307,10 +315,10 @@ def run_sequence(
     its first round in every sequence. Without it, one is made here.
     """
     retain_heap()
-    calib = ensure_calibration(cfg, calib)
-    k_star = resolve_k_star(cfg, calib)
     if oracle_inst is None:
         oracle_inst = make_oracle(cfg.oracle)
+    calib = ensure_calibration(cfg, calib, oracle_inst)
+    k_star = resolve_k_star(cfg, calib)
     oracle_inst.rewind()
     seed = cfg.seed + seq_index
     sequence: list[int] = []
@@ -334,9 +342,13 @@ def run_many(
     calib: CalibrationSet | None = None,
     transcript: list[bytes] | None = None,
 ) -> tuple[SimReport, list[RoundRecord]]:
-    """All configured sequences plus the aggregate report."""
-    calib = ensure_calibration(cfg, calib)
+    """All configured sequences plus the aggregate report.
+
+    One oracle serves the whole run, an on-the-fly calibration included,
+    so a trace is parsed once.
+    """
     oracle_inst = make_oracle(cfg.oracle)
+    calib = ensure_calibration(cfg, calib, oracle_inst)
     records: list[RoundRecord] = []
     for i in range(cfg.n_sequences):
         records.extend(run_sequence(cfg, calib, i, transcript, oracle_inst))

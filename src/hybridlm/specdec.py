@@ -37,15 +37,20 @@ def rejection_prob(x_d: float, y_d: float) -> float:
     return max(0.0, 1.0 - y_d / x_d)
 
 
-def rejection_probs(x: ProbVec, y: ProbVec) -> np.ndarray:
-    """Vector of per-token rejection probabilities; tokens with x_v = 0 get 0."""
+def rejection_probs(x: ProbVec, y: ProbVec, out: np.ndarray | None = None) -> np.ndarray:
+    """Vector of per-token rejection probabilities; tokens with x_v = 0 get 0.
+
+    ``out``, when given, is a float64 array of x's length that receives them.
+    """
     xs = x.probs
-    positive = xs > 0.0
-    beta = np.where(positive, xs, 1.0)
-    np.divide(y.probs, beta, out=beta)  # no zero divisor: x_v = 0 divides by 1
+    zero = xs == 0.0  # a ProbVec has no negative entry
+    beta = np.empty_like(xs) if out is None else out
+    np.copyto(beta, xs)
+    beta[zero] = 1.0  # x_v = 0 divides by 1, not by 0
+    np.divide(y.probs, beta, out=beta)
     np.subtract(1.0, beta, out=beta)
     np.maximum(beta, 0.0, out=beta)
-    beta[~positive] = 0.0
+    beta[zero] = 0.0
     return beta
 
 
@@ -113,7 +118,7 @@ def distorted_resample_dist(x_hat: ProbVec, y: ProbVec) -> tuple[ProbVec, bool]:
     if denom <= 0.0:
         return y, True
     num /= denom
-    return ProbVec(num), False
+    return ProbVec.adopt(num), False
 
 
 def hybrid_output_dist(x: ProbVec, y: ProbVec, q: ProbVec) -> ProbVec:
@@ -121,20 +126,31 @@ def hybrid_output_dist(x: ProbVec, y: ProbVec, q: ProbVec) -> ProbVec:
 
     Equals y exactly when q is the exact resampling distribution.
     """
-    return ProbVec(_hybrid_output_probs(x, y, q))
+    return ProbVec.adopt(_hybrid_output_probs(x, y, q))
+
+
+# Elements of q scaled per step when adding the rejected mass's share, so
+# that step's temporary stays small next to the vocabulary.
+_SLICE = 4096
 
 
 def _hybrid_output_probs(x: ProbVec, y: ProbVec, q: ProbVec) -> np.ndarray:
-    """``hybrid_output_dist``'s probabilities, unchecked, in a new array."""
-    beta = rejection_probs(x, y)
-    rejected = np.multiply(x.probs, beta)
-    reject_mass = float(rejected.sum())
-    # x * (1 - beta) + reject_mass * q, in beta's and rejected's storage.
-    np.subtract(1.0, beta, out=beta)
-    np.multiply(x.probs, beta, out=beta)
-    np.multiply(reject_mass, q.probs, out=rejected)
-    np.add(beta, rejected, out=beta)
-    return beta
+    """``hybrid_output_dist``'s probabilities, unchecked, in a new array.
+
+    x * (1 - beta) + reject_mass * q, built in one full-length array:
+    beta is made twice, once for the rejected mass x * beta and once for
+    the accepted part.
+    """
+    out = rejection_probs(x, y)
+    np.multiply(x.probs, out, out=out)
+    reject_mass = float(out.sum())
+    rejection_probs(x, y, out=out)
+    np.subtract(1.0, out, out=out)
+    np.multiply(x.probs, out, out=out)
+    for i in range(0, out.size, _SLICE):
+        part = out[i : i + _SLICE]
+        part += np.multiply(reject_mass, q.probs[i : i + _SLICE])
+    return out
 
 
 def round_bias(x: ProbVec, y: ProbVec, q: ProbVec) -> float:

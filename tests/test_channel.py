@@ -24,6 +24,7 @@ from hybridlm.config import PolicySpec, RunConfig
 from hybridlm.dist import ProbVec, softmax, sort_desc
 from hybridlm.oracle import OracleSpec
 from hybridlm.pipeline import run_sequence
+from hybridlm.seeding import CHANNEL, round_rng
 
 
 class TestPayload:
@@ -103,6 +104,34 @@ class TestUplinkLatency:
     def test_invalid_snr(self):
         with pytest.raises(ValueError):
             uplink_latency(100, 1e6, 0.0)
+
+
+class TestRayleighUplinkQuantiles:
+    """With X ~ Exp(1), P(tau <= t) = exp(-(2^(bits/(B t)) - 1)/SNR) wherever
+    the SNR floor does not bind, so the law of the uplink time has a closed form.
+
+    Its quantiles are compared, not its mean: E[1/log2(1 + SNR X)] diverges
+    without the 1e-9 floor, so the sample mean wanders from seed to seed
+    while the quantiles hold still.
+    """
+
+    BITS, BANDWIDTH, ROUNDS = 736_000, 10e6, 20_000
+
+    @pytest.mark.parametrize("mean_snr_db", [10.0, -10.0])
+    def test_quantiles_match_closed_form(self, mean_snr_db):
+        spec = ChannelSpec(fading="rayleigh", mean_snr_db=mean_snr_db)
+        tau = np.array([
+            uplink_latency(
+                self.BITS, self.BANDWIDTH, sample_snr(spec, round_rng(3, t, CHANNEL))
+            )
+            for t in range(self.ROUNDS)
+        ])
+        snr = spec.mean_snr_linear
+        for p in (0.05, 0.25, 0.5, 0.75, 0.95):
+            # The closed form solved for the time at which it reaches p.
+            t_p = self.BITS / (self.BANDWIDTH * math.log2(1.0 - snr * math.log(p)))
+            share = np.count_nonzero(tau <= t_p) / self.ROUNDS
+            assert abs(share - p) <= 4.5 * math.sqrt(p * (1.0 - p) / self.ROUNDS)
 
 
 class TestTokenThroughput:

@@ -411,6 +411,48 @@ class TestExitCodes:
         assert err.startswith("config error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "overrides, flags, key",
+        [
+            ({"seed": -1}, [], "seed"),
+            ({"oracle": {"seed": -1}}, [], "oracle.seed"),
+            ({"calibration": {"seed": -1}}, [], "calibration.seed"),
+            ({}, ["--seed", "-1"], "seed"),
+        ],
+        ids=["seed", "oracle_seed", "calibration_seed", "seed_flag"],
+    )
+    def test_negative_seed_fails_before_calibration(
+        self, tmp_path, capsys, monkeypatch, overrides, flags, key
+    ):
+        # A seed keys every random stream, and a stream's key must be >= 0.
+        monkeypatch.setattr(pipeline, "calibrate", lambda *a, **k: pytest.fail("calibrated"))
+        cfg = write_cfg(tmp_path, **overrides)
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", cfg, "--out", str(out), *flags]) == 1
+        assert capsys.readouterr().err == f"config error: {key} must be >= 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "calibration, message",
+        [
+            ({"delta_u_gate": 7.0}, "calibration.delta_u_gate must be null or in [0, 1)"),
+            ({"delta_u_gate": 1.0}, "calibration.delta_u_gate must be null or in [0, 1)"),
+            ({"delta_u_gate": -0.5}, "calibration.delta_u_gate must be null or in [0, 1)"),
+            ({"n_rounds": 1}, "calibration.n_rounds must be >= 2"),
+        ],
+        ids=["gate_seven", "gate_one", "gate_negative", "one_round"],
+    )
+    def test_calibration_section_checked_at_load(
+        self, tmp_path, capsys, monkeypatch, calibration, message
+    ):
+        # No u exceeds a gate of 1 or more, so delta_hat would read 0.0.
+        monkeypatch.setattr(oracle, "make_oracle", lambda *a, **k: pytest.fail("calibrated"))
+        cfg = write_cfg(tmp_path, calibration=calibration)
+        out = tmp_path / "cal"
+        assert main(["calibrate", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "name, bad_row, message",
         [
             ("utv_table.csv", "5", "every row needs 2 values"),
@@ -630,6 +672,24 @@ class TestTraceWorkflow:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         doc = json.loads((out / "report.json").read_text())
         assert doc["report"]["n_rounds"] == 6  # trace exhaustion bounds the run
+
+    def test_on_the_fly_calibration_parses_the_trace_once(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(5)
+        trace = tmp_path / "trace.jsonl"
+        oracle.write_trace(trace, [
+            {"slm_logits": rng.normal(size=16).tolist(), "llm_logits": rng.normal(size=16).tolist()}
+            for _ in range(12)
+        ])
+        cfg = write_cfg(
+            tmp_path,
+            oracle={"kind": "trace", "trace_path": str(trace), "vocab_size": 16},
+            calibration={"n_rounds": 12},
+        )
+        parses = []
+        real = oracle.read_trace
+        monkeypatch.setattr(oracle, "read_trace", lambda p: parses.append(p) or real(p))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 0
+        assert parses == [str(trace)]
 
 
 class TestStartup:

@@ -60,6 +60,13 @@ class TestValidation:
             with pytest.raises(ValueError, match="^eta must be positive$"):
                 PolicySpec(eta=eta)
 
+    @pytest.mark.parametrize("b_prob", [54, 64, 200])
+    def test_b_prob_at_most_53(self, b_prob):
+        # Beyond 53 bits 2^b - 1 is not exact in float64; from 64 the int64 codes wrap.
+        with pytest.raises(ValueError, match=r"^b_prob must be <= 53$"):
+            RunConfig.from_dict({"b_prob": b_prob})
+        assert RunConfig.from_dict({"b_prob": 53}).b_prob == 53
+
     def test_theta_positive(self):
         for theta in (0.0, -0.1, float("nan")):
             with pytest.raises(ValueError, match="theta must be positive"):

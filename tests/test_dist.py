@@ -103,6 +103,17 @@ class TestProbVec:
         assert a.flags.writeable
         np.testing.assert_array_equal(v.probs, before)
 
+    def test_adopted_array_renormalized_in_place_with_warning(self):
+        rng = np.random.default_rng(13)
+        a = rng.dirichlet(np.ones(1000))
+        a *= 1.0 + 5e-8 / a.sum()  # drift between SUM_TOL and RENORM_TOL
+        assert SUM_TOL < abs(a.sum() - 1.0) <= RENORM_TOL
+        expected = probvec_reference(a)
+        with pytest.warns(UserWarning, match="renormalizing"):
+            v = ProbVec.adopt(a)
+        assert v.probs is a and not a.flags.writeable
+        assert np.array_equal(v.probs, expected)
+
     def test_bit_equal_to_reference(self):
         rng = np.random.default_rng(12)
         cases = [x.probs for x, _ in oracle_pairs(2)]
