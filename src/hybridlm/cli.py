@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .channel import check_transcript_payload
 from .config import RunConfig, field_types, from_dict, load_config
-from .oracle import CalibrationSet, csv_cell, load_calibration, save_calibration
+from .oracle import CalibrationSet, csv_cell, load_calibration, make_oracle, save_calibration
 from .pipeline import (
     RoundRecord,
     SimReport,
@@ -127,9 +127,9 @@ def _sweep_config(cfg: RunConfig, fading: str, axis: str, value: str) -> RunConf
     return RunConfig.from_dict(doc)
 
 
-def _sweep_point(calib, point) -> dict:
+def _sweep_point(calib, oracle_inst, point) -> dict:
     cfg, fading, axis, value = point
-    report, _ = run_many(cfg, calib=calib)
+    report, _ = run_many(cfg, calib=calib, oracle_inst=oracle_inst)
     row = {"fading": fading, "axis": axis, "value": value}
     row.update(report.to_dict())
     return row
@@ -151,9 +151,11 @@ def cmd_sweep(args) -> int:
         for fading in fadings
         for value in values
     ]
-    calib = ensure_calibration(cfg, _calibration(args, cfg))
+    calib = _calibration(args, cfg)
+    oracle_inst = make_oracle(cfg.oracle)  # parses a trace once for the calibration and every point
+    calib = ensure_calibration(cfg, calib, oracle_inst)
 
-    run_point = functools.partial(_sweep_point, calib)
+    run_point = functools.partial(_sweep_point, calib, oracle_inst)
     if args.jobs > 1:
         # Imported here: the process pool loads multiprocessing, socket,
         # subprocess and logging, which no other command needs.

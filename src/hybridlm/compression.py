@@ -120,19 +120,6 @@ def softplus(z: float, eta: float) -> float:
     return math.log1p(math.exp(w)) / eta
 
 
-def smoothed_tvd(x: ProbVec, y: ProbVec, eta: float) -> float:
-    """Softplus-smoothed one-sided mass sum(x_i * softplus(y_i/x_i - 1)).
-
-    Upper-approximates tvd(x, y) with per-instance error at most ln2/eta;
-    requires strictly positive x (softmax outputs satisfy this).
-    """
-    xs = x.probs
-    if np.any(xs <= 0.0):
-        raise ValueError("smoothed TVD requires strictly positive device probabilities")
-    out = np.array([softplus(z, eta) for z in y.probs / xs - 1.0])
-    return float((xs * out).sum())
-
-
 def online_denominator(x_d: float, beta_hat: float, eta: float) -> float:
     """Device-only lower bound on the smoothed cross-distribution TVD."""
     if not 0.0 < x_d <= 1.0:

@@ -188,7 +188,10 @@ def read_trace(path: str | Path) -> list[RoundInputs]:
                     rec[key] = check_logits(rec[key])
                 except (TypeError, ValueError) as e:
                     raise ValueError(f"trace {path} line {lineno}: {key}: {e}") from None
-            records.append(RoundInputs(rec["slm_logits"], rec["llm_logits"], bool(rec.get("eos"))))
+            eos = rec.get("eos", False)
+            if not isinstance(eos, bool):
+                raise ValueError(f"trace {path} line {lineno}: eos: expected true or false")
+            records.append(RoundInputs(rec["slm_logits"], rec["llm_logits"], eos))
     if not records:
         raise ValueError(f"trace {path} contains no records")
     if len({n for r in records for n in (r.slm_logits.size, r.llm_logits.size)}) != 1:

@@ -200,11 +200,9 @@ def run_round(
         d, c_wire.draft_prob, y_d, q, seeding.round_rng(seed, t, seeding.VERIFY)
     )
 
-    bias = round_bias(x, y, q)
-    r = resample_dist(x, y) if tvd(x, y) > 0.0 else None
-    # x and y are not read past here; freeing them before tvd(r, q)
-    # allocates keeps the round's diagnostics to three vectors.
-    del x, y
+    tvd_xy = tvd(x, y)
+    r = resample_dist(x, y) if tvd_xy > 0.0 else None
+    del x, y  # freed before tvd(r, q) allocates: the diagnostics hold three vectors
     tvd_pq = tvd(r, q) if r is not None else None
 
     token = verdict.token
@@ -219,7 +217,7 @@ def run_round(
         tau_comm_s=tau_comm,
         verdict="accepted" if verdict.accepted else "rejected",
         fallback_used=fallback,
-        bias=bias,
+        bias=round_bias(tvd_xy, tvd_pq),
         tvd_pq=tvd_pq,
         bound_at_selection=bound_at_selection,
         token=token,
@@ -341,13 +339,14 @@ def run_many(
     cfg: RunConfig,
     calib: CalibrationSet | None = None,
     transcript: list[bytes] | None = None,
+    oracle_inst=None,
 ) -> tuple[SimReport, list[RoundRecord]]:
     """All configured sequences plus the aggregate report.
 
     One oracle serves the whole run, an on-the-fly calibration included,
-    so a trace is parsed once.
+    so a trace is parsed once: ``oracle_inst``, or one made here.
     """
-    oracle_inst = make_oracle(cfg.oracle)
+    oracle_inst = make_oracle(cfg.oracle) if oracle_inst is None else oracle_inst
     calib = ensure_calibration(cfg, calib, oracle_inst)
     records: list[RoundRecord] = []
     for i in range(cfg.n_sequences):

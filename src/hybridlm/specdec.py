@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import ProbVec, TokenId, check_probs, sample
+from .dist import ProbVec, TokenId, sample, tvd
 
 
 @dataclass(frozen=True)
@@ -35,23 +35,6 @@ def rejection_prob(x_d: float, y_d: float) -> float:
     if y_d < 0.0:
         raise ValueError("server-side probability must be non-negative")
     return max(0.0, 1.0 - y_d / x_d)
-
-
-def rejection_probs(x: ProbVec, y: ProbVec, out: np.ndarray | None = None) -> np.ndarray:
-    """Vector of per-token rejection probabilities; tokens with x_v = 0 get 0.
-
-    ``out``, when given, is a float64 array of x's length that receives them.
-    """
-    xs = x.probs
-    zero = xs == 0.0  # a ProbVec has no negative entry
-    beta = np.empty_like(xs) if out is None else out
-    np.copyto(beta, xs)
-    beta[zero] = 1.0  # x_v = 0 divides by 1, not by 0
-    np.divide(y.probs, beta, out=beta)
-    np.subtract(1.0, beta, out=beta)
-    np.maximum(beta, 0.0, out=beta)
-    beta[zero] = 0.0
-    return beta
 
 
 def accepts(x_d: float, y_d: float, rng: np.random.Generator) -> bool:
@@ -124,42 +107,18 @@ def distorted_resample_dist(x_hat: ProbVec, y: ProbVec) -> tuple[ProbVec, bool]:
 def hybrid_output_dist(x: ProbVec, y: ProbVec, q: ProbVec) -> ProbVec:
     """Per-token law of the full accept/resample process with resampling dist q.
 
+    A draft v is kept with mass min(x_v, y_v), and a rejection, of total
+    mass tvd(x, y), draws from q: the law is min(x, y) + tvd(x, y) * q.
     Equals y exactly when q is the exact resampling distribution.
     """
-    return ProbVec.adopt(_hybrid_output_probs(x, y, q))
+    return ProbVec.adopt(np.minimum(x.probs, y.probs) + tvd(x, y) * q.probs)
 
 
-# Elements of q scaled per step when adding the rejected mass's share, so
-# that step's temporary stays small next to the vocabulary.
-_SLICE = 4096
+def round_bias(tvd_xy: float, tvd_pq: float | None) -> float:
+    """l1 deviation of the hybrid output law from y: 2 * tvd(x, y) * tvd(p, q).
 
-
-def _hybrid_output_probs(x: ProbVec, y: ProbVec, q: ProbVec) -> np.ndarray:
-    """``hybrid_output_dist``'s probabilities, unchecked, in a new array.
-
-    x * (1 - beta) + reject_mass * q, built in one full-length array:
-    beta is made twice, once for the rejected mass x * beta and once for
-    the accepted part.
+    The law minus y is tvd(x, y) * (q - p), p the exact resampling
+    distribution. ``tvd_pq`` is None when x = y: no draft is rejected, and
+    the law is y itself.
     """
-    out = rejection_probs(x, y)
-    np.multiply(x.probs, out, out=out)
-    reject_mass = float(out.sum())
-    rejection_probs(x, y, out=out)
-    np.subtract(1.0, out, out=out)
-    np.multiply(x.probs, out, out=out)
-    for i in range(0, out.size, _SLICE):
-        part = out[i : i + _SLICE]
-        part += np.multiply(reject_mass, q.probs[i : i + _SLICE])
-    return out
-
-
-def round_bias(x: ProbVec, y: ProbVec, q: ProbVec) -> float:
-    """l1 deviation of the hybrid output law from y under resampling dist q.
-
-    The law is checked and repaired as ``ProbVec`` would, but in the array
-    that then holds the deviation, so no copy of it is made.
-    """
-    diff = check_probs(_hybrid_output_probs(x, y, q))
-    np.subtract(diff, y.probs, out=diff)
-    np.abs(diff, out=diff)
-    return float(diff.sum())
+    return 0.0 if tvd_pq is None else 2.0 * tvd_xy * tvd_pq

@@ -17,7 +17,7 @@ import numpy as np
 from .compression import (
     compress,
     reconstruct,
-    smoothed_tvd,
+    softplus,
     tail_gap_after_fill,
     utv_bound,
     utv_bound_online,
@@ -61,10 +61,21 @@ def correlated_pair(rng: np.random.Generator, n: int, zipf_s: float = 1.2) -> tu
     return softmax(za), softmax(zb)
 
 
+def hybrid_law_reference(x: ProbVec, y: ProbVec, q: ProbVec) -> np.ndarray:
+    """Brute-force output law of accept/resample with resampling dist q, token
+    by token: a draft v with x_v > 0 is rejected with rejection_prob(x_v, y_v),
+    the rule ``accepts`` runs, and kept otherwise; the rejected mass draws from q."""
+    xs, ys = x.probs.tolist(), y.probs.tolist()
+    beta = [rejection_prob(x_v, y_v) if x_v > 0.0 else 0.0 for x_v, y_v in zip(xs, ys)]
+    law = np.array([x_v * (1.0 - b) for x_v, b in zip(xs, beta)])
+    return law + math.fsum(x_v * b for x_v, b in zip(xs, beta)) * q.probs
+
+
 def check_unbiasedness(
     n_cases: int, seed: int = 0, vocabs: tuple[int, ...] = (2, 8, 64), tol: float = 1e-10
 ) -> SuiteResult:
-    """Hybrid output law equals the server law under exact resampling."""
+    """The token-by-token output law equals the server law under exact
+    resampling, and the closed form ``hybrid_output_dist`` equals that law."""
     rng = np.random.default_rng(seed)
     failures = 0
     worst = math.inf
@@ -73,9 +84,10 @@ def check_unbiasedness(
         for _ in range(n_cases):
             x = ProbVec(rng.dirichlet(np.ones(vocab)))
             y = ProbVec(rng.dirichlet(np.ones(vocab)))
-            out = hybrid_output_dist(x, y, resample_dist(x, y))
-            dev = float(np.max(np.abs(out.probs - y.probs)))
-            margin = tol - dev
+            q = resample_dist(x, y)
+            law = hybrid_law_reference(x, y, q)
+            closed = hybrid_output_dist(x, y, q).probs
+            margin = tol - float(max(np.abs(law - y.probs).max(), np.abs(closed - law).max()))
             worst = min(worst, margin)
             failures += margin < 0.0
             total += 1
@@ -123,6 +135,18 @@ def check_tvd_bound_dominance(
             done += 1
             total += 1
     return SuiteResult("tvd_bound_dominance", total, failures, worst)
+
+
+def smoothed_tvd(x: ProbVec, y: ProbVec, eta: float) -> float:
+    """Softplus-smoothed one-sided mass sum(x_i * softplus(y_i/x_i - 1)).
+
+    Upper-approximates tvd(x, y) with per-instance error at most ln2/eta;
+    requires strictly positive x (softmax outputs satisfy this).
+    """
+    xs = x.probs
+    if np.any(xs <= 0.0):
+        raise ValueError("smoothed TVD requires strictly positive device probabilities")
+    return float((xs * np.array([softplus(z, eta) for z in y.probs / xs - 1.0])).sum())
 
 
 def check_online_bound_dominance(

@@ -247,6 +247,7 @@ class TestSweep:
 
     def test_oversized_k_fails_before_calibration(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(oracle, "make_oracle", lambda *a, **k: pytest.fail("calibrated"))
+        monkeypatch.setattr(cli, "make_oracle", lambda *a, **k: pytest.fail("calibrated"))
         cfg = write_cfg(tmp_path, policy={"variant": "cu_hlm_offline"})
         out = tmp_path / "sw"
         argv = ["sweep", "--config", cfg, "--out", str(out), "--axis", "k", "--values", "4,5000"]
@@ -690,6 +691,53 @@ class TestTraceWorkflow:
         monkeypatch.setattr(oracle, "read_trace", lambda p: parses.append(p) or real(p))
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 0
         assert parses == [str(trace)]
+
+    @pytest.mark.parametrize("eos", ["false", 0, 1, None], ids=["string", "zero", "one", "null"])
+    def test_non_boolean_eos_fails_before_any_round(self, tmp_path, capsys, monkeypatch, eos):
+        rng = np.random.default_rng(7)
+        records = [
+            {"slm_logits": rng.normal(size=16).tolist(), "llm_logits": rng.normal(size=16).tolist()}
+            for _ in range(6)
+        ]
+        records[1]["eos"] = False
+        records[2]["eos"] = eos
+        trace = tmp_path / "trace.jsonl"
+        oracle.write_trace(trace, records)
+        cfg = write_cfg(
+            tmp_path,
+            oracle={"kind": "trace", "trace_path": str(trace), "vocab_size": 16},
+            policy={"variant": "hlm"},
+        )
+        monkeypatch.setattr(pipeline, "run_round", lambda *a, **k: pytest.fail("a round ran"))
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: trace {trace} line 3: eos: expected true or false\n"
+        assert not out.exists()
+
+    def test_sweep_parses_the_trace_once(self, tmp_path, monkeypatch):
+        # The calibration and all four points share one oracle.
+        rng = np.random.default_rng(6)
+        trace = tmp_path / "trace.jsonl"
+        oracle.write_trace(trace, [
+            {"slm_logits": rng.normal(size=16).tolist(), "llm_logits": rng.normal(size=16).tolist()}
+            for _ in range(12)
+        ])
+        cfg = write_cfg(
+            tmp_path,
+            oracle={"kind": "trace", "trace_path": str(trace), "vocab_size": 16},
+            calibration={"n_rounds": 12},
+        )
+        argv = ["sweep", "--config", cfg, "--axis", "u_th", "--values", "0.0,0.3,0.6,0.9"]
+        parses = []
+        real = oracle.read_trace
+        monkeypatch.setattr(oracle, "read_trace", lambda p: parses.append(p) or real(p))
+        assert main([*argv, "--out", str(tmp_path / "sw1"), "--jobs", "1"]) == 0
+        assert parses == [str(trace)]
+        assert main([*argv, "--out", str(tmp_path / "sw2"), "--jobs", "2"]) == 0
+        rows1 = (tmp_path / "sw1" / "sweep.csv").read_text().splitlines()[1:]
+        rows2 = (tmp_path / "sw2" / "sweep.csv").read_text().splitlines()[1:]
+        assert len(rows1) == 5 and rows1 == rows2
 
 
 class TestStartup:

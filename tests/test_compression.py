@@ -14,7 +14,6 @@ from hybridlm.compression import (
     reconstruct,
     select_k_offline,
     select_k_online,
-    smoothed_tvd,
     softplus,
     tail_gap_after_fill,
     utv_bound,
@@ -31,6 +30,7 @@ from hybridlm.oracle import (
 )
 from hybridlm.specdec import distorted_resample_dist, resample_dist
 from hybridlm.uncertainty import LinearRejectionModel
+from hybridlm.verification import smoothed_tvd
 
 MODEL = LinearRejectionModel(a=0.815, b=-0.066, mse=0.0, r2=1.0)
 

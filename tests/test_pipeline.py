@@ -199,8 +199,9 @@ class TestRoundMemory:
     def test_transmitted_round_holds_at_most_four_and_a_half_vectors(self):
         # y is made after estimate_u; the logits, the sorted vector with its
         # prefix sums and the reconstruction are freed before the record
-        # diagnostics allocate, round_bias builds one array, and x and y are
-        # freed before tvd(r, q). No ProbVec copies an array the round built.
+        # diagnostics allocate, x and y are freed before tvd(r, q), and
+        # round_bias is a product of the two TVDs. No ProbVec copies an
+        # array the round built.
         cfg = make_cfg("cu_hlm_online", vocab=self.VOCAB, u_th=0.0, r_max=12)
         cal = calibrate(cfg.oracle, 10, cfg.uncertainty, seed=3)
         oracle_inst = make_oracle(cfg.oracle)
@@ -485,12 +486,8 @@ class TestTelemetryReplay:
         from hybridlm.compression import compress, reconstruct, utv_bound
         from hybridlm.dist import sample, softmax, sort_desc, tvd
         from hybridlm.oracle import make_oracle
-        from hybridlm.specdec import (
-            distorted_resample_dist,
-            resample_dist,
-            round_bias,
-            verify_draft,
-        )
+        from hybridlm.specdec import distorted_resample_dist, resample_dist, verify_draft
+        from hybridlm.verification import hybrid_law_reference
 
         cfg = make_cfg(
             "cu_hlm_online",
@@ -522,7 +519,8 @@ class TestTelemetryReplay:
             x_hat = reconstruct(compress(s, rec.k_used, d))
             q, fallback = distorted_resample_dist(x_hat, y)
             assert fallback == rec.fallback_used
-            assert rec.bias == pytest.approx(round_bias(x, y, q), abs=1e-12)
+            law = hybrid_law_reference(x, y, q)
+            assert rec.bias == pytest.approx(float(np.abs(law - y.probs).sum()), abs=1e-12)
             if tvd(x, y) > 0:
                 p = resample_dist(x, y)
                 assert rec.tvd_pq == pytest.approx(tvd(p, q), abs=1e-12)

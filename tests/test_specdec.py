@@ -11,32 +11,15 @@ from hybridlm.specdec import (
     distorted_resample_dist,
     hybrid_output_dist,
     rejection_prob,
-    rejection_probs,
     resample_dist,
     round_bias,
     verify,
 )
+from hybridlm.verification import hybrid_law_reference
 
 
-# The earlier whole-array expressions of the vector functions, which the
-# in-place versions must match bit for bit.
-
-
-def rejection_probs_reference(x, y):
-    xs = x.probs
-    with np.errstate(divide="ignore", invalid="ignore"):
-        beta = np.where(xs > 0.0, 1.0 - y.probs / np.where(xs > 0.0, xs, 1.0), 0.0)
-    return np.maximum(beta, 0.0)
-
-
-def hybrid_output_dist_reference(x, y, q):
-    beta = rejection_probs_reference(x, y)
-    reject_mass = float((x.probs * beta).sum())
-    return ProbVec(x.probs * (1.0 - beta) + reject_mass * q.probs)
-
-
-def round_bias_reference(x, y, q):
-    return float(np.abs(hybrid_output_dist_reference(x, y, q).probs - y.probs).sum())
+# The earlier whole-array expression of distorted_resample_dist, which the
+# in-place version must match bit for bit.
 
 
 def distorted_resample_dist_reference(x_hat, y):
@@ -85,6 +68,14 @@ def brute_force_bias(x, y, q):
     return total
 
 
+def bias_from_tvds(x, y, q):
+    """round_bias from the two TVDs a round has, as run_round calls it:
+    tvd(p, q) is None when x = y."""
+    tvd_xy = tvd(x, y)
+    tvd_pq = tvd(resample_dist(x, y), q) if tvd_xy > 0.0 else None
+    return round_bias(tvd_xy, tvd_pq)
+
+
 def enumerate_two_stage_law(x, y, q):
     """Brute-force outcome law: loop every draft, branch accept/reject."""
     n = len(x)
@@ -126,19 +117,23 @@ class TestRejectionProb:
             rejection_prob(0.0, 0.5)
 
     def test_vectorized_matches_scalar(self):
+        # The closed form min(x, y) + tvd(x, y) * q against the law built
+        # token by token from the scalar rule.
         rng = np.random.default_rng(0)
         x = ProbVec(rng.dirichlet(np.ones(16)))
         y = ProbVec(rng.dirichlet(np.ones(16)))
-        beta = rejection_probs(x, y)
-        for i in range(16):
-            assert beta[i] == pytest.approx(rejection_prob(x.probs[i], y.probs[i]))
+        q = ProbVec(rng.dirichlet(np.ones(16)))
+        law = hybrid_output_dist(x, y, q)
+        np.testing.assert_allclose(law.probs, hybrid_law_reference(x, y, q), rtol=0, atol=1e-15)
 
     def test_vectorized_zero_entries(self):
+        # A token with x_v = 0 is never drafted: its mass is its share of the rejections.
         x = ProbVec(np.array([0.0, 1.0]))
         y = ProbVec(np.array([0.5, 0.5]))
-        beta = rejection_probs(x, y)
-        assert beta[0] == 0.0
-        assert beta[1] == pytest.approx(0.5)
+        q = ProbVec(np.array([0.25, 0.75]))
+        expected = [0.5 * 0.25, 0.5 + 0.5 * 0.75]
+        assert np.array_equal(hybrid_law_reference(x, y, q), expected)
+        assert np.array_equal(hybrid_output_dist(x, y, q).probs, expected)
 
 
 class TestVerify:
@@ -290,12 +285,15 @@ class TestRoundBias:
         for _ in range(20):
             x = ProbVec(rng.dirichlet(np.ones(16)))
             y = ProbVec(rng.dirichlet(np.ones(16)))
-            assert round_bias(x, y, resample_dist(x, y)) < 1e-12
+            p = resample_dist(x, y)
+            assert bias_from_tvds(x, y, p) < 1e-12
+            assert bias_from_tvds(x, y, p) == pytest.approx(brute_force_bias(x, y, p), abs=1e-12)
 
     def test_zero_when_x_equals_y(self):
         x = ProbVec(np.array([0.4, 0.6]))
         q = ProbVec(np.array([0.9, 0.1]))
-        assert round_bias(x, x, q) == 0.0
+        assert bias_from_tvds(x, x, q) == 0.0
+        assert brute_force_bias(x, x, q) == 0.0
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(37)
@@ -304,41 +302,46 @@ class TestRoundBias:
             x = ProbVec(rng.dirichlet(np.ones(n)))
             y = ProbVec(rng.dirichlet(np.ones(n)))
             q = ProbVec(rng.dirichlet(np.ones(n)))
-            assert round_bias(x, y, q) == pytest.approx(
+            assert bias_from_tvds(x, y, q) == pytest.approx(
                 brute_force_bias(x, y, q), abs=1e-12
             )
 
     def test_equals_twice_reject_mass_times_tvd(self):
         # The bias collapses to 2 * (total reject mass) * tvd(p, q): both the
-        # accepted mass and y - min(x, y) cancel exactly.
+        # accepted mass and y - min(x, y) cancel exactly. The reject mass,
+        # summed from the scalar rule, is tvd(x, y).
         rng = np.random.default_rng(41)
         for _ in range(100):
             x = ProbVec(rng.dirichlet(np.ones(12)))
             y = ProbVec(rng.dirichlet(np.ones(12)))
             q = ProbVec(rng.dirichlet(np.ones(12)))
             p = resample_dist(x, y)
-            reject_mass = float((x.probs * rejection_probs(x, y)).sum())
+            reject_mass = sum(
+                xv * rejection_prob(xv, yv) for xv, yv in zip(x.probs, y.probs)
+            )
+            assert reject_mass == pytest.approx(tvd(x, y), abs=1e-15)
             expected = 2.0 * reject_mass * tvd(p, q)
-            assert round_bias(x, y, q) == pytest.approx(expected, abs=1e-12)
+            assert bias_from_tvds(x, y, q) == pytest.approx(expected, abs=1e-12)
+            assert brute_force_bias(x, y, q) == pytest.approx(expected, abs=1e-12)
 
     def test_zero_iff_no_reject_mass_or_q_equals_p(self):
         x = ProbVec(np.array([0.4, 0.6]))
         y = ProbVec(np.array([0.4, 0.6]))
-        assert round_bias(x, y, ProbVec(np.array([1.0, 0.0]))) == 0.0
+        q = ProbVec(np.array([1.0, 0.0]))
+        assert bias_from_tvds(x, y, q) == 0.0
+        assert brute_force_bias(x, y, q) == 0.0
 
         x = ProbVec(np.array([0.7, 0.3]))
         y = ProbVec(np.array([0.3, 0.7]))
         p = resample_dist(x, y)
-        assert round_bias(x, y, p) < 1e-15
+        assert bias_from_tvds(x, y, p) < 1e-15
+        assert brute_force_bias(x, y, p) < 1e-15
         q = ProbVec(np.array([0.5, 0.5]))
-        assert round_bias(x, y, q) > 1e-3
+        assert bias_from_tvds(x, y, q) > 1e-3
+        assert bias_from_tvds(x, y, q) == pytest.approx(brute_force_bias(x, y, q), abs=1e-12)
 
 
 class TestBitEqualToReference:
-    def test_rejection_probs(self):
-        for x, _, y in reference_cases():
-            assert np.array_equal(rejection_probs(x, y), rejection_probs_reference(x, y))
-
     def test_distorted_resample_dist(self):
         for x, x_hat, y in reference_cases():
             for a in (x, x_hat):
@@ -354,11 +357,14 @@ class TestBitEqualToReference:
             assert distorted_resample_dist_reference(y, y) == (q, fallback)
 
     def test_hybrid_output_dist_and_round_bias(self):
+        # The closed forms against the law built token by token, per entry,
+        # and the bias against that law's l1 deviation from y.
         for x, x_hat, y in reference_cases():
             q, _ = distorted_resample_dist(x_hat, y)
             for resample in (q, y):
-                assert np.array_equal(
-                    hybrid_output_dist(x, y, resample).probs,
-                    hybrid_output_dist_reference(x, y, resample).probs,
+                law = hybrid_law_reference(x, y, resample)
+                np.testing.assert_allclose(
+                    hybrid_output_dist(x, y, resample).probs, law, rtol=0, atol=1e-15
                 )
-                assert round_bias(x, y, resample) == round_bias_reference(x, y, resample)
+                bias = float(np.abs(law - y.probs).sum())
+                assert bias_from_tvds(x, y, resample) == pytest.approx(bias, abs=1e-12)

@@ -51,6 +51,14 @@ class TestSuites:
         res = check_unbiasedness(50, seed=4)
         assert res.passed and res.worst_margin > 0
 
+    def test_hybrid_law_returning_x_caught_by_unbiasedness_suite(self, monkeypatch):
+        # With the closed form, the suite's own check is the token-by-token
+        # law; a mutant hybrid_output_dist must not pass it.
+        monkeypatch.setattr(verification, "hybrid_output_dist", lambda x, y, q: x)
+        res = check_unbiasedness(50, seed=4)
+        assert not res.passed
+        assert res.worst_margin < 0
+
     def test_online_dominance_margins(self):
         res = check_online_bound_dominance(50, seed=5, etas=(10.0,))
         assert res.passed
