@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import functools
 import json
 import sys
 from datetime import datetime, timezone
@@ -88,8 +87,10 @@ def cmd_calibrate(args) -> int:
     cal = calibrate_from_config(cfg, n_rounds)
     out = Path(args.out)
     save_calibration(out, cal)
+    ran = len(cal.rows)
+    ended = f" (the trace ended before the {n_rounds} asked)" if ran < n_rounds else ""
     print(
-        f"calibrated {n_rounds} rounds: a={cal.model.a:.4f} b={cal.model.b:.4f} "
+        f"calibrated {ran} rounds{ended}: a={cal.model.a:.4f} b={cal.model.b:.4f} "
         f"r2={cal.model.r2:.4f} delta={cal.delta_hat:.4f} -> {out}"
     )
     return 0
@@ -127,8 +128,19 @@ def _sweep_config(cfg: RunConfig, fading: str, axis: str, value: str) -> RunConf
     return RunConfig.from_dict(doc)
 
 
-def _sweep_point(calib, oracle_inst, point) -> dict:
+# The calibration and oracle every grid point of a sweep shares, set once per
+# process by _init_sweep_worker, so a task carries only its grid point.
+_SWEEP_INPUTS: tuple = (None, None)
+
+
+def _init_sweep_worker(calib, oracle_inst) -> None:
+    global _SWEEP_INPUTS
+    _SWEEP_INPUTS = (calib, oracle_inst)
+
+
+def _sweep_point(point) -> dict:
     cfg, fading, axis, value = point
+    calib, oracle_inst = _SWEEP_INPUTS
     report, _ = run_many(cfg, calib=calib, oracle_inst=oracle_inst)
     row = {"fading": fading, "axis": axis, "value": value}
     row.update(report.to_dict())
@@ -155,16 +167,22 @@ def cmd_sweep(args) -> int:
     oracle_inst = make_oracle(cfg.oracle)  # parses a trace once for the calibration and every point
     calib = ensure_calibration(cfg, calib, oracle_inst)
 
-    run_point = functools.partial(_sweep_point, calib, oracle_inst)
+    shared = (calib, oracle_inst)
     if args.jobs > 1:
         # Imported here: the process pool loads multiprocessing, socket,
         # subprocess and logging, which no other command needs.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(run_point, points))
+        with ProcessPoolExecutor(
+            max_workers=args.jobs, initializer=_init_sweep_worker, initargs=shared
+        ) as pool:
+            rows = list(pool.map(_sweep_point, points))
     else:
-        rows = [run_point(p) for p in points]
+        _init_sweep_worker(*shared)
+        try:
+            rows = [_sweep_point(p) for p in points]
+        finally:
+            _init_sweep_worker(None, None)  # the oracle is not kept past the command
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

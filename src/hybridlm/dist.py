@@ -50,10 +50,6 @@ class ProbVec:
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
 
-    @classmethod
-    def uniform(cls, n: int) -> "ProbVec":
-        return cls(np.full(n, 1.0 / n))
-
     def __len__(self) -> int:
         return self.probs.size
 

@@ -75,29 +75,32 @@ class RoundInputs:
 
 
 class SyntheticOracle:
-    """Deterministic logit-pair generator keyed by (seed, sequence so far)."""
+    """Deterministic logit-pair generator keyed by (seed, sequence so far).
+
+    It holds only its spec: each round builds its own Zipf base, so no
+    vocabulary-sized array lives between rounds or travels in a pickle.
+    """
 
     def __init__(self, spec: OracleSpec):
         self.spec = spec
-        v = spec.vocab_size
-        self._base_sorted = -spec.zipf_s * np.log(np.arange(1, v + 1, dtype=np.float64))
 
     def next_round(self, sequence: list[int]) -> RoundInputs:
         spec = self.spec
+        v = spec.vocab_size
         fp = seeding.sequence_fingerprint(sequence)
-        perm = seeding.context_rng(spec.seed, fp, seeding.ORACLE_PERM).permutation(
-            spec.vocab_size
-        )
-        base = np.empty(spec.vocab_size)
-        base[perm] = self._base_sorted
+        perm = seeding.context_rng(spec.seed, fp, seeding.ORACLE_PERM).permutation(v)
+        # The rank-ordered base -s·log(r), r = 1..V, built in place, then
+        # scattered by the permutation; both are freed before the noise draws.
+        ranked = np.arange(1.0, v + 1.0)
+        np.log(ranked, out=ranked)
+        ranked *= -spec.zipf_s
+        base = np.empty(v)
+        base[perm] = ranked
+        del perm, ranked
         # Each model's noise, scaled and shifted by base in place; multiplying
         # by a divergence of 1.0 would change no float, so it is skipped.
-        slm = seeding.context_rng(spec.seed, fp, seeding.ORACLE_NOISE_SLM).standard_normal(
-            spec.vocab_size
-        )
-        llm = seeding.context_rng(spec.seed, fp, seeding.ORACLE_NOISE_LLM).standard_normal(
-            spec.vocab_size
-        )
+        slm = seeding.context_rng(spec.seed, fp, seeding.ORACLE_NOISE_SLM).standard_normal(v)
+        llm = seeding.context_rng(spec.seed, fp, seeding.ORACLE_NOISE_LLM).standard_normal(v)
         if spec.divergence != 1.0:
             slm *= spec.divergence
             llm *= spec.divergence

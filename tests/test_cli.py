@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import multiprocessing
 import os
 import platform
 import subprocess
@@ -72,6 +73,25 @@ class TestCalibrate:
         main(["calibrate", "--config", cfg_path, "--out", str(out2)])
         for name in ("calibration_pairs.csv", "utv_table.csv", "model.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_reports_the_rounds_a_trace_ran(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        trace = tmp_path / "trace.jsonl"
+        oracle.write_trace(trace, [
+            {"slm_logits": rng.normal(size=16).tolist(), "llm_logits": rng.normal(size=16).tolist()}
+            for _ in range(12)
+        ])
+        cfg = write_cfg(
+            tmp_path, oracle={"kind": "trace", "trace_path": str(trace), "vocab_size": 16}
+        )
+        out = tmp_path / "cal"
+        argv = ["calibrate", "--config", cfg, "--out", str(out), "--rounds"]
+        assert main([*argv, "50"]) == 0
+        said = capsys.readouterr().out
+        assert said.startswith("calibrated 12 rounds (the trace ended before the 50 asked): a=")
+        assert len(load_calibration(out).rows) == 12
+        assert main([*argv, "12"]) == 0
+        assert capsys.readouterr().out.startswith("calibrated 12 rounds: a=")
 
     def test_zero_divergence_near_zero_model(self, tmp_path):
         cfg = write_cfg(tmp_path, oracle={"divergence": 0.0})
@@ -716,7 +736,9 @@ class TestTraceWorkflow:
         assert not out.exists()
 
     def test_sweep_parses_the_trace_once(self, tmp_path, monkeypatch):
-        # The calibration and all four points share one oracle.
+        # The calibration and all four points share one oracle. --jobs hands
+        # it to each worker through the pool's initializer, not in every
+        # task, so under fork it is never pickled.
         rng = np.random.default_rng(6)
         trace = tmp_path / "trace.jsonl"
         oracle.write_trace(trace, [
@@ -729,12 +751,18 @@ class TestTraceWorkflow:
             calibration={"n_rounds": 12},
         )
         argv = ["sweep", "--config", cfg, "--axis", "u_th", "--values", "0.0,0.3,0.6,0.9"]
-        parses = []
+        parses, pickles = [], []
         real = oracle.read_trace
         monkeypatch.setattr(oracle, "read_trace", lambda p: parses.append(p) or real(p))
+        monkeypatch.setattr(
+            oracle.TraceOracle,
+            "__reduce_ex__",
+            lambda self, protocol: pickles.append(self) or object.__reduce_ex__(self, protocol),
+        )
         assert main([*argv, "--out", str(tmp_path / "sw1"), "--jobs", "1"]) == 0
         assert parses == [str(trace)]
         assert main([*argv, "--out", str(tmp_path / "sw2"), "--jobs", "2"]) == 0
+        assert len(pickles) == (0 if multiprocessing.get_start_method() == "fork" else 2)
         rows1 = (tmp_path / "sw1" / "sweep.csv").read_text().splitlines()[1:]
         rows2 = (tmp_path / "sw2" / "sweep.csv").read_text().splitlines()[1:]
         assert len(rows1) == 5 and rows1 == rows2

@@ -89,7 +89,7 @@ class TestCompress:
         assert c.draft_in_topk
 
     def test_k_out_of_range(self):
-        s = sort_desc(ProbVec.uniform(4))
+        s = sort_desc(ProbVec(np.full(4, 1.0 / 4)))
         for bad in (0, 5):
             with pytest.raises(ValueError):
                 compress(s, bad, d=0)
@@ -332,7 +332,7 @@ class TestTailGapClosedForm:
             )
 
     def test_zero_at_full_k(self):
-        s = sort_desc(ProbVec.uniform(10))
+        s = sort_desc(ProbVec(np.full(10, 1.0 / 10)))
         assert tail_gap_after_fill(s, np.array([10]), 0)[0] == 0.0
 
     def test_non_increasing_in_k(self):

@@ -232,7 +232,7 @@ class TestTvd:
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            tvd(ProbVec.uniform(2), ProbVec.uniform(3))
+            tvd(ProbVec(np.full(2, 1.0 / 2)), ProbVec(np.full(3, 1.0 / 3)))
 
     def test_bit_equal_to_reference(self):
         pairs = list(oracle_pairs(3))
@@ -453,7 +453,7 @@ class TestArgsortFreeRanks:
         np.testing.assert_array_equal(s.top_ids(4), [2, 1, 3, 4])
 
     def test_out_of_range(self):
-        s = sort_desc(ProbVec.uniform(4))
+        s = sort_desc(ProbVec(np.full(4, 1.0 / 4)))
         for bad in (-1, 4):
             with pytest.raises(ValueError):
                 s.rank_of(bad)

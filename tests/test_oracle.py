@@ -1,11 +1,13 @@
 """Tests for the synthetic/trace oracles and calibration."""
 
+import pickle
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from hybridlm import seeding
 from hybridlm.dist import softmax, sort_desc, tvd
 from hybridlm.oracle import (
     EOS_TOKEN,
@@ -128,6 +130,39 @@ class TestSyntheticOracle:
         kept = [0, 1, 3]
         np.testing.assert_array_equal(out[kept], np.log(x[kept]))
         assert out[2] == pytest.approx(np.log(0.75) - 800.0 - np.log(np.exp(w).sum()))
+
+    @pytest.mark.parametrize("eos", [0.0, 0.05])
+    @pytest.mark.parametrize("div", [0.0, 1.0, 2.5])
+    @pytest.mark.parametrize("zipf", [1.5, 4.0])
+    @pytest.mark.parametrize("vocab", [2, 4097, 32_000])
+    def test_base_built_per_round_matches_cached_base(self, vocab, zipf, div, eos):
+        # The reference caches the rank-ordered base -s·log(r) once and
+        # scatters it through the round's permutation before adding noise.
+        spec = synth(vocab=vocab, zipf=zipf, div=div, eos=eos, seed=9)
+        base_sorted = -zipf * np.log(np.arange(1, vocab + 1, dtype=np.float64))
+        o = SyntheticOracle(spec)
+        for sequence in ([], [3, 1]):
+            fp = seeding.sequence_fingerprint(sequence)
+            base = np.empty(vocab)
+            perm = seeding.context_rng(spec.seed, fp, seeding.ORACLE_PERM).permutation(vocab)
+            base[perm] = base_sorted
+            ri = o.next_round(sequence)
+            for key, got in (
+                (seeding.ORACLE_NOISE_SLM, ri.slm_logits),
+                (seeding.ORACLE_NOISE_LLM, ri.llm_logits),
+            ):
+                noise = seeding.context_rng(spec.seed, fp, key).standard_normal(vocab)
+                want = noise * div + base
+                if eos > 0.0:
+                    want = o._inject_eos(want)
+                np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_holds_only_its_spec(self):
+        # No vocabulary-sized array lives between rounds or travels in a pickle.
+        spec = synth(vocab=32_000)
+        o = make_oracle(spec)
+        assert vars(o) == {"spec": spec}
+        assert len(pickle.dumps(o)) < 1024
 
 
 class TestTraceOracle:

@@ -231,14 +231,21 @@ class TestRoundMemory:
         for v in (x, x_hat, q):
             assert v.probs.base is None and not v.probs.flags.writeable
 
-    def test_calibrate_round_holds_at_most_five_and_a_half_vectors(self):
-        # The peak covers the oracle's own base vector too; no round's
-        # vectors outlive it into the next round's oracle draws, and the
-        # logits are freed once y is made, after estimate_u.
+    def test_calibrate_round_holds_at_most_four_and_a_half_vectors(self):
+        # No round's vectors outlive it into the next round's oracle draws,
+        # and the logits are freed once y is made, after estimate_u.
         spec = OracleSpec(vocab_size=self.VOCAB, seed=11)
         cal, peak = self.traced_peak(lambda: calibrate(spec, 8, UncertaintyConfig(m=10), seed=3))
         assert len(cal.rows) == 8
-        assert peak <= 5.5
+        assert peak <= 4.5
+
+    def test_next_round_holds_at_most_three_vectors(self):
+        # The oracle is made inside the trace: it holds no vector of its own,
+        # and the permutation and rank-ordered base are freed before the
+        # two noise vectors are drawn.
+        spec = OracleSpec(vocab_size=self.VOCAB, seed=11)
+        _, peak = self.traced_peak(lambda: make_oracle(spec).next_round([1, 2]))
+        assert peak <= 3.25
 
 
 class TestRecordDict:

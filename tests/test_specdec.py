@@ -253,7 +253,7 @@ class TestHybridOutputDist:
     def test_degenerate_one_hot(self):
         x = ProbVec(np.eye(4)[2])
         y = ProbVec(np.eye(4)[2])
-        out = hybrid_output_dist(x, y, ProbVec.uniform(4))
+        out = hybrid_output_dist(x, y, ProbVec(np.full(4, 1.0 / 4)))
         np.testing.assert_allclose(out.probs, y.probs, atol=1e-15)
 
     def test_matches_two_stage_enumeration(self):
