@@ -9,14 +9,17 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .compression import CompressedVocab
 
-# Deep fades keep rounds finite rather than stalling the simulation.
+# Deep fades keep rounds finite rather than stalling the simulation, and
+# the ceiling keeps a strong draw at a mean SNR near the float limit finite.
 SNR_FLOOR = 1e-9
+SNR_CEIL = sys.float_info.max
 
 FADING_KINDS = ("fixed", "rayleigh", "rician")
 
@@ -33,10 +36,14 @@ class ChannelSpec:
             raise ValueError(f"fading must be one of {FADING_KINDS}, got {self.fading!r}")
         if not self.bandwidth_hz > 0.0:
             raise ValueError("bandwidth must be positive")
+        for name in ("mean_snr_db", "rician_k_db"):
+            db = getattr(self, name)
+            if not math.isfinite(db_to_linear(db)):
+                raise ValueError(f"{name} must have a finite linear value, got {db!r} dB")
 
     @property
     def mean_snr_linear(self) -> float:
-        return 10.0 ** (self.mean_snr_db / 10.0)
+        return db_to_linear(self.mean_snr_db)
 
 
 @dataclass(frozen=True)
@@ -49,6 +56,14 @@ class LatencySpec:
             raise ValueError("compute latencies must be positive")
 
 
+def db_to_linear(db: float) -> float:
+    """10^(db/10), or inf where that overflows a float."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 def payload_bits(n_entries: int, b_prob: int, vocab_size: int) -> int:
     """Uplink payload for n transmitted records of a b_prob-bit probability
     and a ceil(log2 V)-bit token index."""
@@ -58,20 +73,20 @@ def payload_bits(n_entries: int, b_prob: int, vocab_size: int) -> int:
 
 
 def sample_snr(spec: ChannelSpec, rng: np.random.Generator) -> float:
-    """One block-fading SNR draw, floored to keep latency finite."""
+    """One block-fading SNR draw in [SNR_FLOOR, SNR_CEIL], so latency and records stay finite."""
     mean = spec.mean_snr_linear
     if spec.fading == "fixed":
         snr = mean
     elif spec.fading == "rayleigh":
         snr = mean * rng.exponential(1.0)
     else:
-        k = 10.0 ** (spec.rician_k_db / 10.0)
+        k = db_to_linear(spec.rician_k_db)
         los = math.sqrt(k / (k + 1.0))
         sigma = math.sqrt(1.0 / (2.0 * (k + 1.0)))
         re = los + rng.normal(0.0, sigma)
         im = rng.normal(0.0, sigma)
         snr = mean * (re * re + im * im)
-    return float(max(snr, SNR_FLOOR))
+    return float(min(max(snr, SNR_FLOOR), SNR_CEIL))
 
 
 def uplink_latency(bits: int, bandwidth_hz: float, snr_linear: float) -> float:

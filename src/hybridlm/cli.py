@@ -12,6 +12,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -24,6 +25,7 @@ from .pipeline import (
     SimReport,
     calibrate_from_config,
     ensure_calibration,
+    fork_map,
     metrics,
     needs_calibration,
     run_many,
@@ -103,7 +105,7 @@ def cmd_simulate(args) -> int:
     calib = _calibration(args, cfg)
     transcript: list[bytes] | None = [] if args.transcript else None
     # run_many calibrates on the fly, if need be, with the oracle it runs.
-    report, records = run_many(cfg, calib=calib, transcript=transcript)
+    report, records = run_many(cfg, calib=calib, transcript=transcript, workers=_usable_cpus())
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_records(records, out / "records.jsonl")
@@ -128,19 +130,8 @@ def _sweep_config(cfg: RunConfig, fading: str, axis: str, value: str) -> RunConf
     return RunConfig.from_dict(doc)
 
 
-# The calibration and oracle every grid point of a sweep shares, set once per
-# process by _init_sweep_worker, so a task carries only its grid point.
-_SWEEP_INPUTS: tuple = (None, None)
-
-
-def _init_sweep_worker(calib, oracle_inst) -> None:
-    global _SWEEP_INPUTS
-    _SWEEP_INPUTS = (calib, oracle_inst)
-
-
-def _sweep_point(point) -> dict:
+def _sweep_point(point, calib, oracle_inst) -> dict:
     cfg, fading, axis, value = point
-    calib, oracle_inst = _SWEEP_INPUTS
     report, _ = run_many(cfg, calib=calib, oracle_inst=oracle_inst)
     row = {"fading": fading, "axis": axis, "value": value}
     row.update(report.to_dict())
@@ -167,23 +158,9 @@ def cmd_sweep(args) -> int:
     oracle_inst = make_oracle(cfg.oracle)  # parses a trace once for the calibration and every point
     calib = ensure_calibration(cfg, calib, oracle_inst)
 
-    shared = (calib, oracle_inst)
-    if args.jobs > 1:
-        # Imported here: the process pool loads multiprocessing, socket,
-        # subprocess and logging, which no other command needs.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(
-            max_workers=args.jobs, initializer=_init_sweep_worker, initargs=shared
-        ) as pool:
-            rows = list(pool.map(_sweep_point, points))
-    else:
-        _init_sweep_worker(*shared)
-        try:
-            rows = [_sweep_point(p) for p in points]
-        finally:
-            _init_sweep_worker(None, None)  # the oracle is not kept past the command
-
+    # Forked workers inherit the calibration and the oracle; a point's
+    # sequences run in its worker's process.
+    rows = fork_map(lambda p: _sweep_point(p, calib, oracle_inst), points, args.jobs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "sweep.csv"
@@ -236,6 +213,14 @@ def _calibration(args, cfg: RunConfig) -> CalibrationSet | None:
             file=sys.stderr,
         )
     return None
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _load(args) -> RunConfig:

@@ -15,7 +15,14 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-from .channel import ChannelSpec, LatencySpec
+from .channel import (
+    SNR_FLOOR,
+    ChannelSpec,
+    LatencySpec,
+    payload_bits,
+    round_latency,
+    uplink_latency,
+)
 from .oracle import OracleSpec
 from .uncertainty import UncertaintyConfig
 
@@ -109,6 +116,18 @@ class RunConfig:
         if k_star is not None and k_star > self.oracle.vocab_size:
             raise ValueError(
                 f"k_star must be <= vocab_size ({self.oracle.vocab_size}), got {k_star}"
+            )
+        # The slowest round sends every entry at the SNR floor; a record
+        # holding an infinite latency could not be read back by `report`.
+        bits = payload_bits(self.oracle.vocab_size, self.b_prob, self.oracle.vocab_size)
+        try:
+            tau_comm = uplink_latency(bits, self.channel.bandwidth_hz, SNR_FLOOR)
+        except ZeroDivisionError:  # the uplink rate underflows to 0
+            tau_comm = math.inf
+        if not math.isfinite(round_latency(self.latency, tau_comm)):
+            raise ValueError(
+                "a round's worst-case time overflows: tau_slm_s + tau_llm_s + "
+                f"{bits} bits over bandwidth_hz at the SNR floor must be finite"
             )
 
     def to_dict(self) -> dict:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hybridlm.channel import (
+    SNR_CEIL,
     ChannelSpec,
     LatencySpec,
     check_transcript_payload,
@@ -84,9 +85,24 @@ class TestSampleSnr:
         rng = np.random.default_rng(4)
         assert all(sample_snr(spec, rng) >= 1e-9 for _ in range(100))
 
+    @pytest.mark.parametrize("fading", ["rayleigh", "rician"])
+    def test_ceiling(self, fading):
+        # A mean of 1e308 (3080 dB) is accepted; a draw above about 1.8 times
+        # it would overflow to inf, and the record would hold Infinity.
+        spec = ChannelSpec(fading=fading, mean_snr_db=3080.0, rician_k_db=0.0)
+        rng = np.random.default_rng(5)
+        draws = [sample_snr(spec, rng) for _ in range(500)]
+        assert all(math.isfinite(s) for s in draws) and max(draws) == SNR_CEIL
+
     def test_bad_fading_kind(self):
         with pytest.raises(ValueError):
             ChannelSpec(fading="awgn")
+
+    @pytest.mark.parametrize("key", ["mean_snr_db", "rician_k_db"])
+    def test_db_value_must_have_a_finite_linear_value(self, key):
+        with pytest.raises(ValueError, match=rf"^{key} must have a finite linear value, got 4000"):
+            ChannelSpec(**{key: 4000.0})
+        assert getattr(ChannelSpec(**{key: 3080.0}), key) == 3080.0
 
 
 class TestUplinkLatency:

@@ -1,7 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
 import json
-import multiprocessing
 import os
 import platform
 import subprocess
@@ -183,6 +182,51 @@ class TestSimulate:
         ]
         if any(r["delta"] == 1 for r in records):
             assert len(blob) >= 10
+
+
+class TestParallelRuns:
+    @staticmethod
+    def _cpus(monkeypatch, n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+    @pytest.mark.parametrize("cpus, n_sequences", [(1, 5), (2, 5), (3, 5), (8, 3), (3, 1)])
+    def test_simulate_forks_one_less_than_cpus_or_sequences(
+        self, tmp_path, monkeypatch, cpus, n_sequences
+    ):
+        self._cpus(monkeypatch, cpus)
+        forks = []
+        real = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(real()) or forks[-1])
+        cfg = write_cfg(tmp_path, policy={"variant": "hlm"}, r_max=3, n_sequences=n_sequences)
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--transcript"]) == 0
+        assert len(forks) == min(cpus, n_sequences) - 1
+        # A single process writes the same bytes.
+        monkeypatch.setattr(os, "fork", real)
+        self._cpus(monkeypatch, 1)
+        main(["simulate", "--config", cfg, "--out", str(tmp_path / "one"), "--transcript"])
+        for name in ("records.jsonl", "transcript.bin"):
+            assert (out / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_failing_sequence_gives_the_same_error_for_any_cpu_count(
+        self, tmp_path, capsys, monkeypatch, cpus
+    ):
+        # Sequence 1 runs in a forked child whenever there is more than one CPU.
+        real = pipeline.run_sequence
+
+        def run_sequence(cfg, calib=None, seq_index=0, *args, **kwargs):
+            if seq_index == 1:
+                raise ValueError("sequence 1 failed")
+            return real(cfg, calib, seq_index, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "run_sequence", run_sequence)
+        self._cpus(monkeypatch, cpus)
+        cfg = write_cfg(tmp_path, policy={"variant": "hlm"}, r_max=3, n_sequences=3)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 1
+        assert capsys.readouterr().err == "config error: sequence 1 failed\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestSweep:
@@ -430,6 +474,33 @@ class TestExitCodes:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"channel": {"mean_snr_db": 4000}}, "mean_snr_db must have a finite linear value"),
+            (
+                {"channel": {"fading": "rician", "rician_k_db": 4000}},
+                "rician_k_db must have a finite linear value",
+            ),
+            ({"latency": {"tau_slm_s": 1e308, "tau_llm_s": 1e308}}, "a round's worst-case time"),
+            ({"channel": {"bandwidth_hz": 1e-300}}, "a round's worst-case time"),
+            ({"channel": {"bandwidth_hz": 1e-320}}, "a round's worst-case time"),
+        ],
+        ids=["mean_snr_db", "rician_k_db", "latency", "bandwidth", "bandwidth_subnormal"],
+    )
+    def test_overflowing_value_fails_before_any_round(
+        self, tmp_path, capsys, monkeypatch, overrides, message
+    ):
+        # Each once ended in an OverflowError at the first transmitted round,
+        # or wrote "latency_s": Infinity, which `report` then rejected.
+        monkeypatch.setattr(pipeline, "run_round", lambda *a, **k: pytest.fail("a round ran"))
+        cfg = write_cfg(tmp_path, policy={"variant": "hlm"}, **overrides)
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}") and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "overrides, flags, key",
@@ -736,9 +807,9 @@ class TestTraceWorkflow:
         assert not out.exists()
 
     def test_sweep_parses_the_trace_once(self, tmp_path, monkeypatch):
-        # The calibration and all four points share one oracle. --jobs hands
-        # it to each worker through the pool's initializer, not in every
-        # task, so under fork it is never pickled.
+        # The calibration and all four points share one oracle. --jobs
+        # workers are forked and inherit it, so it is never pickled, under
+        # any multiprocessing start method.
         rng = np.random.default_rng(6)
         trace = tmp_path / "trace.jsonl"
         oracle.write_trace(trace, [
@@ -762,7 +833,7 @@ class TestTraceWorkflow:
         assert main([*argv, "--out", str(tmp_path / "sw1"), "--jobs", "1"]) == 0
         assert parses == [str(trace)]
         assert main([*argv, "--out", str(tmp_path / "sw2"), "--jobs", "2"]) == 0
-        assert len(pickles) == (0 if multiprocessing.get_start_method() == "fork" else 2)
+        assert pickles == []
         rows1 = (tmp_path / "sw1" / "sweep.csv").read_text().splitlines()[1:]
         rows2 = (tmp_path / "sw2" / "sweep.csv").read_text().splitlines()[1:]
         assert len(rows1) == 5 and rows1 == rows2
@@ -787,18 +858,25 @@ class TestStartup:
         assert proc.stdout.strip() == "False"
 
 
-    def test_cli_import_leaves_process_pool_unloaded(self):
-        # Only sweep --jobs uses the pool; it imports multiprocessing,
-        # socket, subprocess and logging.
+    def test_cli_import_leaves_process_pool_unloaded(self, tmp_path):
+        # Parallel simulate and sweep --jobs runs fork through fork_map; a
+        # process pool would load multiprocessing, socket, subprocess and logging.
+        cfg = write_cfg(tmp_path, policy={"variant": "hlm"}, r_max=4, n_sequences=2)
+        sim, sweep = str(tmp_path / "sim"), str(tmp_path / "sweep")
         code = (
             "import sys, hybridlm.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules))); "
+            f"hybridlm.cli.main(['simulate', '--config', {cfg!r}, '--out', {sim!r}]); "
+            f"hybridlm.cli.main(['sweep', '--config', {cfg!r}, '--out', {sweep!r}, "
+            "'--axis', 'snr_db', '--values', '0,10', '--jobs', '2']); "
             "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env()
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 4 and lines[0] == lines[-1] == "[]", lines
 
     def test_calibrate_leaves_numpy_ma_unloaded(self, tmp_path):
         # np.unique imports numpy.ma (about 1.25 MB); default_k_grid avoids it.

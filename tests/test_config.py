@@ -2,6 +2,7 @@
 
 import pytest
 
+from hybridlm.channel import ChannelSpec, LatencySpec
 from hybridlm.config import CalibrationConfig, PolicySpec, RunConfig
 from hybridlm.oracle import OracleSpec
 from hybridlm.pipeline import run_sequence
@@ -82,6 +83,18 @@ class TestValidation:
         ):
             with pytest.raises(ValueError, match=rf"^{key}: expected "):
                 RunConfig.from_json(doc % literal)
+
+    def test_worst_round_time_must_be_finite(self):
+        # tau_slm_s + tau_llm_s + payload_bits(V, 8, V) / (bandwidth_hz * log2(1 + SNR_FLOOR))
+        for kw in (
+            {"latency": LatencySpec(tau_slm_s=1e308, tau_llm_s=1e308)},
+            {"channel": ChannelSpec(bandwidth_hz=1e-300)},
+            {"channel": ChannelSpec(bandwidth_hz=5e-324)},  # the rate underflows to 0
+        ):
+            with pytest.raises(ValueError, match="^a round's worst-case time overflows"):
+                RunConfig(**kw)
+        RunConfig(latency=LatencySpec(tau_slm_s=1e307, tau_llm_s=1e307))
+        RunConfig(channel=ChannelSpec(bandwidth_hz=1e-290))
 
     def test_run_ranges(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,14 @@ from hybridlm.config import CalibrationConfig, PolicySpec, RunConfig
 from hybridlm.compression import compress, reconstruct
 from hybridlm.dist import SortedProbVec, softmax, sort_desc
 from hybridlm.oracle import OracleSpec, calibrate, make_oracle, write_trace
-from hybridlm.pipeline import RoundRecord, metrics, run_many, run_round, run_sequence
+from hybridlm.pipeline import (
+    RoundRecord,
+    fork_map,
+    metrics,
+    run_many,
+    run_round,
+    run_sequence,
+)
 from hybridlm.specdec import distorted_resample_dist
 from hybridlm.uncertainty import UncertaintyConfig
 
@@ -408,6 +416,88 @@ class TestSequenceMechanics:
         toks0 = [r.token for r in recs if r.seq == 0]
         toks1 = [r.token for r in recs if r.seq == 1]
         assert toks0 != toks1
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkMap:
+    @pytest.mark.parametrize("kind", ["synthetic", "trace"])
+    def test_outputs_equal_for_any_worker_count(self, tmp_path, kind):
+        if kind == "trace":
+            rng = np.random.default_rng(8)
+            path = tmp_path / "t.jsonl"
+            write_trace(path, [
+                {
+                    "slm_logits": rng.normal(scale=2.0, size=32).tolist(),
+                    "llm_logits": rng.normal(scale=2.0, size=32).tolist(),
+                }
+                for _ in range(9)
+            ])
+            spec = OracleSpec(kind="trace", trace_path=str(path), vocab_size=32)
+        else:
+            spec = OracleSpec(vocab_size=128, zipf_s=1.0, eos_prob=0.05, seed=3)
+        cfg = RunConfig(
+            oracle=spec,
+            policy=PolicySpec(variant="u_hlm", u_th=0.3),
+            channel=ChannelSpec(fading="rayleigh"),
+            uncertainty=UncertaintyConfig(m=10),
+            r_max=12,
+            n_sequences=5,
+            seed=2,
+        )
+        outputs = []
+        for workers in (1, 2, 3):
+            transcript = []
+            report, records = run_many(cfg, transcript=transcript, workers=workers)
+            outputs.append((
+                "".join(r.to_json() + "\n" for r in records),
+                json.dumps(report.to_dict()),
+                b"".join(transcript),
+            ))
+        assert outputs[0][2] and {r.seq for r in records} == set(range(5))
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        _no_children_left()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_results_in_item_order(self, workers):
+        assert fork_map(lambda i: i * i, range(7), workers) == [i * i for i in range(7)]
+        assert fork_map(lambda i: i, [], workers) == []
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("bad", [{4}, {2, 4}, {1, 3}], ids=["child", "two_children", "parent"])
+    def test_exception_of_the_lowest_failing_item_is_raised(self, workers, bad):
+        # With 3 workers, this process takes items 0 and 3, child 1 takes 1 and
+        # 4, child 2 takes 2 and 5; the list comprehension raises at min(bad).
+        def fn(i):
+            if i in bad:
+                raise KeyError(f"item {i}")
+            return i
+
+        with pytest.raises(KeyError, match=f"item {min(bad)}"):
+            fork_map(fn, range(6), workers)
+        _no_children_left()
+
+    def test_child_that_dies_without_a_result(self):
+        def fn(i):
+            if i == 1:
+                os._exit(7)
+            return i
+
+        with pytest.raises(ChildProcessError, match="ended with status 7"):
+            fork_map(fn, range(4), 2)
+        _no_children_left()
+
+    @pytest.mark.parametrize("workers, items", [(1, 5), (3, 5), (8, 3), (4, 1)])
+    def test_min_of_workers_and_items_processes(self, monkeypatch, workers, items):
+        forks = []
+        real = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(real()) or forks[-1])
+        pids = fork_map(lambda i: os.getpid(), range(items), workers)
+        assert len(set(pids)) == min(workers, items) == len(forks) + 1
+        _no_children_left()
 
 
 class TestMetrics:
