@@ -12,7 +12,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -20,12 +19,12 @@ from pathlib import Path
 from .channel import check_transcript_payload
 from .config import RunConfig, field_types, from_dict, load_config
 from .oracle import CalibrationSet, csv_cell, load_calibration, make_oracle, save_calibration
+from .parallel import fork_map, usable_cpus
 from .pipeline import (
     RoundRecord,
     SimReport,
     calibrate_from_config,
     ensure_calibration,
-    fork_map,
     metrics,
     needs_calibration,
     run_many,
@@ -86,7 +85,7 @@ def _read_records(path: Path) -> list[RoundRecord]:
 def cmd_calibrate(args) -> int:
     cfg = _load(args)
     n_rounds = cfg.calibration.n_rounds if args.rounds is None else args.rounds
-    cal = calibrate_from_config(cfg, n_rounds)
+    cal = calibrate_from_config(cfg, n_rounds, workers=usable_cpus())
     out = Path(args.out)
     save_calibration(out, cal)
     ran = len(cal.rows)
@@ -105,7 +104,7 @@ def cmd_simulate(args) -> int:
     calib = _calibration(args, cfg)
     transcript: list[bytes] | None = [] if args.transcript else None
     # run_many calibrates on the fly, if need be, with the oracle it runs.
-    report, records = run_many(cfg, calib=calib, transcript=transcript, workers=_usable_cpus())
+    report, records = run_many(cfg, calib=calib, transcript=transcript, workers=usable_cpus())
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_records(records, out / "records.jsonl")
@@ -156,7 +155,7 @@ def cmd_sweep(args) -> int:
     ]
     calib = _calibration(args, cfg)
     oracle_inst = make_oracle(cfg.oracle)  # parses a trace once for the calibration and every point
-    calib = ensure_calibration(cfg, calib, oracle_inst)
+    calib = ensure_calibration(cfg, calib, oracle_inst, args.jobs)
 
     # Forked workers inherit the calibration and the oracle; a point's
     # sequences run in its worker's process.
@@ -213,14 +212,6 @@ def _calibration(args, cfg: RunConfig) -> CalibrationSet | None:
             file=sys.stderr,
         )
     return None
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity set, where the OS has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 def _load(args) -> RunConfig:

@@ -23,6 +23,7 @@ from . import seeding
 from .compression import default_k_grid, utv_bound
 from .dist import check_logits, sample, softmax, sort_desc, tvd
 from .heap import retain_heap
+from .parallel import fork_map
 from .specdec import rejection_prob, resample_dist, verify
 from .uncertainty import (
     LinearRejectionModel,
@@ -33,6 +34,10 @@ from .uncertainty import (
 )
 
 EOS_TOKEN = 0
+
+# The number of shards a calibration is split into by default. It is fixed,
+# not the host's core count, so the calibration files never depend on the host.
+CALIBRATION_SEQUENCES = 1
 
 
 class TraceExhausted(Exception):
@@ -111,7 +116,7 @@ class SyntheticOracle:
             llm = self._inject_eos(llm)
         return RoundInputs(slm_logits=slm, llm_logits=llm)
 
-    def rewind(self) -> None:
+    def rewind(self, start: int = 0) -> None:
         """Nothing to reset: a round depends on the sequence, not on a position."""
 
     def _inject_eos(self, logits: np.ndarray) -> np.ndarray:
@@ -153,9 +158,9 @@ class TraceOracle:
         self._cursor += 1
         return self._records[self._cursor - 1]
 
-    def rewind(self) -> None:
-        """Replay from the trace's first round, without parsing it again."""
-        self._cursor = 0
+    def rewind(self, start: int = 0) -> None:
+        """Replay from round ``start`` of the trace, without parsing it again."""
+        self._cursor = start
 
 
 def is_eos(spec: OracleSpec, flagged: bool, token: int) -> bool:
@@ -234,43 +239,47 @@ def calibrate(
     seed: int,
     delta_u_gate: float | None = None,
     oracle_inst: SyntheticOracle | TraceOracle | None = None,
+    n_sequences: int = CALIBRATION_SEQUENCES,
+    workers: int = 1,
 ) -> CalibrationSet:
     """Run the oracle with full two-sided knowledge and fit the policy inputs.
 
     Sequences advance by the exact (uncompressed) verification outcome.
+    The rounds are split into ``n_sequences`` shards: shard i runs the
+    global rounds [⌊n·i/S⌋, ⌊n·(i+1)/S⌋) as one sequence from the empty
+    context, each round keyed by its global index. The shards are shared
+    among ``workers`` processes by ``fork_map``; their rows are joined, and
+    their bound vectors summed, in global round order, so the result is
+    the same for any number of workers. A trace ignores the sequence, so
+    its calibration is the same for any ``n_sequences`` too.
+
     ``delta_u_gate``, when set, estimates the non-deterministic-acceptance
     rate only over rounds with uncertainty above the gate. ``oracle_inst``,
     when given, is ``spec``'s oracle already made, so a trace is not parsed
-    again; it is rewound, so it replays from its first round.
+    again; each shard rewinds it to its own first round.
     """
     retain_heap()
     if n_rounds < 2:
         raise ValueError("calibration needs at least two rounds")
+    if n_sequences < 1:
+        raise ValueError("calibration needs at least one sequence")
     k_grid = default_k_grid(spec.vocab_size)
-
     oracle = make_oracle(spec) if oracle_inst is None else oracle_inst
-    oracle.rewind()
-    rows: list[tuple] = []  # one PAIRS record per round
-    utv_acc = np.zeros(k_grid.size)
-    utv_count = 0
-    sequence: list[int] = []
 
-    for t in range(n_rounds):
-        try:
-            row, utv, token, eos = _calibration_round(oracle, sequence, ucfg, k_grid, seed, t)
-        except TraceExhausted:
-            break
-        rows.append(row)
-        if utv is not None:
-            utv_acc += utv
-            utv_count += 1
-        if eos:
-            sequence = []
-        else:
-            sequence.append(token)
-
+    edges = [n_rounds * i // n_sequences for i in range(n_sequences + 1)]
+    shards = [range(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
+    parts = fork_map(
+        lambda rounds: _calibration_shard(oracle, rounds, ucfg, k_grid, seed), shards, workers
+    )
+    rows = [row for shard_rows, _ in parts for row in shard_rows]
     if len(rows) < 2:
         raise ValueError("calibration produced fewer than two usable rounds")
+    utv_acc = np.zeros(k_grid.size)
+    utv_count = 0
+    for _, utvs in parts:
+        for utv in utvs:
+            utv_acc += utv
+        utv_count += len(utvs)
 
     rows = np.array(rows, dtype=PAIRS)
     gated = rows if delta_u_gate is None else rows[rows["u"] > delta_u_gate]
@@ -283,6 +292,35 @@ def calibrate(
         utv_values=utv_values,
         model=fit_linear(rows["u"], rows["beta"]),
     )
+
+
+def _calibration_shard(
+    oracle: SyntheticOracle | TraceOracle,
+    rounds: range,
+    ucfg: UncertaintyConfig,
+    k_grid: np.ndarray,
+    seed: int,
+) -> tuple[list[tuple[float, ...]], np.ndarray]:
+    """One shard's ``PAIRS`` records and its rounds' bound vectors (one row each,
+    for the rounds with x != y), in round order. A sequence that ends starts
+    again from the empty context; a trace that ends ends the shard."""
+    oracle.rewind(rounds.start)
+    rows: list[tuple[float, ...]] = []
+    utvs: list[np.ndarray] = []
+    sequence: list[int] = []
+    for t in rounds:
+        try:
+            row, utv, token, eos = _calibration_round(oracle, sequence, ucfg, k_grid, seed, t)
+        except TraceExhausted:
+            break
+        rows.append(row)
+        if utv is not None:
+            utvs.append(utv)
+        if eos:
+            sequence = []
+        else:
+            sequence.append(token)
+    return rows, np.array(utvs).reshape(len(utvs), k_grid.size)
 
 
 def _calibration_round(

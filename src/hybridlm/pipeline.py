@@ -15,9 +15,6 @@ metric only and never influences decisions.
 from __future__ import annotations
 
 import json
-import os
-import pickle
-import sys
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -42,6 +39,7 @@ from .config import PolicySpec, RunConfig
 from .dist import ProbVec, TokenId, sample, softmax, sort_desc, tvd
 from .heap import retain_heap
 from .oracle import CalibrationSet, TraceExhausted, calibrate, is_eos, make_oracle
+from .parallel import fork_map
 from .specdec import accepts, distorted_resample_dist, resample_dist, round_bias, verify_draft
 from .uncertainty import estimate_u
 
@@ -253,8 +251,11 @@ def _payload(
     return compress(x_sorted, k, d), None
 
 
-def calibrate_from_config(cfg: RunConfig, n_rounds: int, oracle_inst=None) -> CalibrationSet:
-    """Calibrate as the config's ``calibration`` section says.
+def calibrate_from_config(
+    cfg: RunConfig, n_rounds: int, oracle_inst=None, workers: int = 1
+) -> CalibrationSet:
+    """Calibrate as the config's ``calibration`` section says, its shards
+    shared among ``workers`` processes.
 
     The calibration seed defaults to the run seed + 1, so calibration and
     simulation rounds draw from different streams. ``oracle_inst`` is
@@ -268,6 +269,7 @@ def calibrate_from_config(cfg: RunConfig, n_rounds: int, oracle_inst=None) -> Ca
         seed=cal.seed if cal.seed is not None else cfg.seed + 1,
         delta_u_gate=cal.delta_u_gate,
         oracle_inst=oracle_inst,
+        workers=workers,
     )
 
 
@@ -279,19 +281,19 @@ def needs_calibration(policy: PolicySpec) -> bool:
 
 
 def ensure_calibration(
-    cfg: RunConfig, calib: CalibrationSet | None, oracle_inst=None
+    cfg: RunConfig, calib: CalibrationSet | None, oracle_inst=None, workers: int = 1
 ) -> CalibrationSet | None:
     """Calibrate on the fly when the policy needs statistics it wasn't given.
 
     A given calibration that the policy reads must have been made at the
     config's vocabulary size: its table's grid ends at the size it was
     calibrated at. A calibration made here replays ``oracle_inst``, the
-    run's oracle, when one is given.
+    run's oracle, when one is given, in up to ``workers`` processes.
     """
     if not needs_calibration(cfg.policy):
         return calib
     if calib is None:
-        return calibrate_from_config(cfg, cfg.calibration.n_rounds, oracle_inst)
+        return calibrate_from_config(cfg, cfg.calibration.n_rounds, oracle_inst, workers)
     vocab = cfg.oracle.vocab_size
     calib_vocab = int(calib.utv_k_grid[-1])
     if calib_vocab != vocab:
@@ -349,12 +351,13 @@ def run_many(
 
     One oracle serves the whole run, an on-the-fly calibration included,
     so a trace is parsed once: ``oracle_inst``, or one made here. The
-    sequences are shared among ``workers`` processes by ``fork_map``; each
-    is keyed by its own index and rewinds the oracle, so the records and
-    transcript are the same for any number of workers.
+    sequences, and the shards of that calibration, are shared among
+    ``workers`` processes by ``fork_map``; each sequence is keyed by its own
+    index and rewinds the oracle, so the records and transcript are the
+    same for any number of workers.
     """
     oracle_inst = make_oracle(cfg.oracle) if oracle_inst is None else oracle_inst
-    calib = ensure_calibration(cfg, calib, oracle_inst)
+    calib = ensure_calibration(cfg, calib, oracle_inst, workers)
 
     def one(i: int) -> tuple[list[RoundRecord], list[bytes] | None]:
         part = None if transcript is None else []
@@ -366,99 +369,6 @@ def run_many(
         if part is not None:
             transcript.extend(part)
     return metrics(records), records
-
-
-def fork_map(fn, items, workers: int) -> list:
-    """``[fn(i) for i in items]``, computed by up to ``workers`` processes.
-
-    With W = min(workers, len(items)), this process takes items 0, W, 2W, …
-    and child j of the W − 1 made by ``os.fork`` takes items j, j + W, ….
-    A child sends back its pickled results, or the first exception it met,
-    through a pipe, and leaves by ``os._exit``. Every child is reaped
-    before this returns or raises. Of the exceptions met, the one of the
-    lowest item raises here, which is the one the list comprehension would
-    raise. With W = 1, or where ``os.fork`` is missing, this is the list
-    comprehension.
-
-    ``fn`` is inherited, not pickled; its results and exceptions must pickle.
-    """
-    items = list(items)
-    w = min(workers, len(items))
-    if w <= 1 or not hasattr(os, "fork"):
-        return [fn(i) for i in items]
-    sys.stdout.flush()  # else a child would write this process's buffered output again
-    sys.stderr.flush()
-    pids: list[int] = []  # children not yet reaped
-    fds: list[int] = []  # pipe read ends not yet read
-    try:
-        for j in range(1, w):
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                os.close(read_fd)
-                _serve_share(fn, items, j, w, write_fd)
-            os.close(write_fd)
-            pids.append(pid)
-            fds.append(read_fd)
-        outcomes = [_share(fn, items, 0, w)]
-        blobs = []
-        while fds:
-            with open(fds.pop(0), "rb") as fh:
-                blobs.append(fh.read())
-        for blob in blobs:
-            _, status = os.waitpid(pids[0], 0)
-            pid = pids.pop(0)
-            if status != 0:
-                code = os.waitstatus_to_exitcode(status)
-                raise ChildProcessError(f"fork_map worker {pid} ended with status {code}")
-            outcomes.append(pickle.loads(blob))
-    finally:
-        for fd in fds:
-            os.close(fd)
-        for pid in pids:
-            os.waitpid(pid, 0)
-    failed = [(i, exc) for i, exc in outcomes if i is not None]
-    if failed:
-        raise min(failed, key=lambda f: f[0])[1]
-    results = [None] * len(items)
-    for j, (_, share) in enumerate(outcomes):
-        results[j::w] = share
-    return results
-
-
-def _share(fn, items: list, j: int, w: int) -> tuple:
-    """Worker j's items: (None, their results), or (index, exception) of the first that raised."""
-    results = []
-    for i in range(j, len(items), w):
-        try:
-            results.append(fn(items[i]))
-        except Exception as e:
-            return i, e
-    return None, results
-
-
-def _serve_share(fn, items: list, j: int, w: int, write_fd: int):
-    """A forked child's whole life: worker j's outcome, pickled into ``write_fd``.
-
-    It exits 0 once the outcome is written. Anything that stops that, such
-    as an exception that does not pickle, is printed to stderr and exits 1.
-    """
-    code = 1
-    try:
-        data = pickle.dumps(_share(fn, items, j, w), pickle.HIGHEST_PROTOCOL)
-        with open(write_fd, "wb") as fh:
-            fh.write(data)
-        code = 0
-    except BaseException:
-        import traceback
-
-        traceback.print_exc()
-    finally:
-        try:
-            sys.stdout.flush()
-            sys.stderr.flush()
-        finally:
-            os._exit(code)
 
 
 def metrics(records: list[RoundRecord]) -> SimReport:

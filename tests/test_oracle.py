@@ -1,5 +1,6 @@
 """Tests for the synthetic/trace oracles and calibration."""
 
+import os
 import pickle
 import tracemalloc
 import warnings
@@ -286,6 +287,95 @@ class TestCalibrate:
     def test_too_few_rounds(self):
         with pytest.raises(ValueError):
             calibrate(synth(), 1, UncertaintyConfig(), seed=0)
+
+
+def calibration_files(cal, out):
+    save_calibration(out, cal)
+    names = ("calibration_pairs.csv", "utv_table.csv", "model.json")
+    return [(out / name).read_bytes() for name in names]
+
+
+def trace_spec(tmp_path, rounds=12, vocab=16):
+    rng = np.random.default_rng(4)
+    path = tmp_path / "trace.jsonl"
+    write_trace(path, [
+        {key: rng.normal(size=vocab).tolist() for key in ("slm_logits", "llm_logits")}
+        for _ in range(rounds)
+    ])
+    return OracleSpec(kind="trace", trace_path=str(path), vocab_size=vocab)
+
+
+def no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestCalibrationShards:
+    @pytest.mark.parametrize("kind", ["synthetic", "trace"])
+    def test_files_equal_for_any_worker_count(self, tmp_path, kind):
+        if kind == "synthetic":
+            spec = synth(vocab=128, eos=0.05, seed=3)
+        else:
+            spec = trace_spec(tmp_path, 40)
+        files = [
+            calibration_files(
+                calibrate(spec, 37, UncertaintyConfig(m=10), seed=2, n_sequences=8, workers=w),
+                tmp_path / f"w{w}",
+            )
+            for w in (1, 2, 3)
+        ]
+        assert files[1] == files[0] and files[2] == files[0]
+        no_children_left()
+
+    @pytest.mark.parametrize("n_rounds", [12, 50])
+    def test_trace_files_equal_for_any_shard_count(self, tmp_path, n_rounds):
+        # A trace round ignores the sequence, so where the shards reset it
+        # changes nothing; at 50 rounds the trace ends inside shard 1 of 3.
+        spec = trace_spec(tmp_path, 12)
+
+        def files(s):
+            cal = calibrate(
+                spec, n_rounds, UncertaintyConfig(m=10), seed=2, n_sequences=s, workers=2
+            )
+            assert len(cal.rows) == 12
+            return calibration_files(cal, tmp_path / f"s{s}")
+
+        one = files(1)
+        assert files(3) == one and files(8) == one
+
+    @pytest.mark.parametrize("n_rounds", [2, 3, 7, 8, 13])
+    def test_one_row_per_round_when_shards_outnumber_rounds(self, n_rounds):
+        cal = calibrate(synth(vocab=64, div=2.0, seed=1), n_rounds, UncertaintyConfig(m=10),
+                        seed=4, n_sequences=8)
+        assert len(cal.rows) == n_rounds
+
+    def test_first_shard_is_a_one_sequence_calibration(self):
+        # Shard 0 of 2 runs rounds 0..19 from the empty context, as a
+        # one-sequence calibration of 20 rounds does.
+        spec, ucfg = synth(vocab=64, eos=0.1, seed=6), UncertaintyConfig(m=5)
+        halves = calibrate(spec, 40, ucfg, seed=9, n_sequences=2)
+        first = calibrate(spec, 20, ucfg, seed=9, n_sequences=1)
+        whole = calibrate(spec, 40, ucfg, seed=9, n_sequences=1)
+        assert halves.rows[:20].tobytes() == first.rows.tobytes() == whole.rows[:20].tobytes()
+        assert halves.rows[20:].tobytes() != whole.rows[20:].tobytes()
+
+    @pytest.mark.parametrize("workers, n_sequences, n_rounds, forked", [
+        (1, 8, 40, 0), (2, 8, 40, 1), (3, 8, 40, 2), (8, 3, 40, 2), (8, 8, 2, 1),
+    ])
+    def test_at_most_min_of_workers_and_shards_processes(
+        self, monkeypatch, workers, n_sequences, n_rounds, forked
+    ):
+        forks = []
+        real = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(real()) or forks[-1])
+        calibrate(synth(vocab=64, div=2.0, seed=1), n_rounds, UncertaintyConfig(m=10), seed=4,
+                  n_sequences=n_sequences, workers=workers)
+        assert len(forks) == forked
+        no_children_left()
+
+    def test_no_shard_is_an_error(self):
+        with pytest.raises(ValueError, match="at least one sequence"):
+            calibrate(synth(), 10, UncertaintyConfig(), seed=0, n_sequences=0)
 
 
 class TestCalibrationDirectory:

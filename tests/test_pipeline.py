@@ -16,14 +16,8 @@ from hybridlm.config import CalibrationConfig, PolicySpec, RunConfig
 from hybridlm.compression import compress, reconstruct
 from hybridlm.dist import SortedProbVec, softmax, sort_desc
 from hybridlm.oracle import OracleSpec, calibrate, make_oracle, write_trace
-from hybridlm.pipeline import (
-    RoundRecord,
-    fork_map,
-    metrics,
-    run_many,
-    run_round,
-    run_sequence,
-)
+from hybridlm.parallel import fork_map
+from hybridlm.pipeline import RoundRecord, metrics, run_many, run_round, run_sequence
 from hybridlm.specdec import distorted_resample_dist
 from hybridlm.uncertainty import UncertaintyConfig
 
@@ -239,9 +233,11 @@ class TestRoundMemory:
         for v in (x, x_hat, q):
             assert v.probs.base is None and not v.probs.flags.writeable
 
-    def test_calibrate_round_holds_at_most_four_and_a_half_vectors(self):
+    def test_calibrate_round_holds_at_most_four_and_a_half_vectors(self, monkeypatch):
         # No round's vectors outlive it into the next round's oracle draws,
-        # and the logits are freed once y is made, after estimate_u.
+        # and the logits are freed once y is made, after estimate_u. The
+        # library's calibrate runs its shards in this process.
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("calibrate forked"))
         spec = OracleSpec(vocab_size=self.VOCAB, seed=11)
         cal, peak = self.traced_peak(lambda: calibrate(spec, 8, UncertaintyConfig(m=10), seed=3))
         assert len(cal.rows) == 8
