@@ -37,7 +37,7 @@ EOS_TOKEN = 0
 
 # The number of shards a calibration is split into by default. It is fixed,
 # not the host's core count, so the calibration files never depend on the host.
-CALIBRATION_SEQUENCES = 1
+CALIBRATION_SEQUENCES = 8
 
 
 class TraceExhausted(Exception):
@@ -343,8 +343,9 @@ def _calibration_round(
     inputs = oracle.next_round(sequence)
     flagged = inputs.eos
     x = softmax(inputs.slm_logits)
-    d = sample(x, seeding.round_rng(seed, t, seeding.DRAFT))
-    u = estimate_u(inputs.slm_logits, d, ucfg, seeding.round_rng(seed, t, seeding.UNCERTAINTY))
+    d = sample(x, seeding.round_rng(seed, t, seeding.CALIBRATION_DRAFT))
+    u_rng = seeding.round_rng(seed, t, seeding.CALIBRATION_UNCERTAINTY)
+    u = estimate_u(inputs.slm_logits, d, ucfg, u_rng)
     y = softmax(inputs.llm_logits)
     del inputs
     x_d, y_d = float(x.probs[d]), float(y.probs[d])
@@ -353,9 +354,8 @@ def _calibration_round(
     divergence_tvd = tvd(x, y)
     if not divergence_tvd > 0.0:
         return row, None, d, is_eos(oracle.spec, flagged, d)
-    token = verify(
-        d, x, y, lambda: resample_dist(x, y), seeding.round_rng(seed, t, seeding.VERIFY)
-    ).token
+    verify_rng = seeding.round_rng(seed, t, seeding.CALIBRATION_VERIFY)
+    token = verify(d, x, y, lambda: resample_dist(x, y), verify_rng).token
     x_sorted = sort_desc(x)
     utv = utv_bound(x_sorted, x_sorted.rank_of(d), k_grid, divergence_tvd)
     return row, utv, token, is_eos(oracle.spec, flagged, token)

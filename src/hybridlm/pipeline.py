@@ -254,8 +254,8 @@ def _payload(
 def calibrate_from_config(
     cfg: RunConfig, n_rounds: int, oracle_inst=None, workers: int = 1
 ) -> CalibrationSet:
-    """Calibrate as the config's ``calibration`` section says, its shards
-    shared among ``workers`` processes.
+    """Calibrate as the config's ``calibration`` section says, in
+    ``oracle.calibrate``'s fixed shards shared among ``workers`` processes.
 
     The calibration seed defaults to the run seed + 1, so calibration and
     simulation rounds draw from different streams. ``oracle_inst`` is

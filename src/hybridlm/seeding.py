@@ -20,6 +20,13 @@ CHANNEL = 3
 VERIFY = 4
 COUNTERFACTUAL = 5
 
+# Calibration rounds draw from streams of their own: a simulation sequence is
+# keyed by the run seed + its index, and the calibration seed defaults to the
+# run seed + 1, so shared ids would make sequence 1 redraw calibration rounds.
+CALIBRATION_DRAFT = 6
+CALIBRATION_UNCERTAINTY = 7
+CALIBRATION_VERIFY = 8
+
 # Oracle substreams are keyed by context fingerprint instead of round index.
 ORACLE_PERM = 10
 ORACLE_NOISE_SLM = 11

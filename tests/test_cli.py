@@ -92,6 +92,12 @@ class TestCalibrate:
         assert main([*argv, "12"]) == 0
         assert capsys.readouterr().out.startswith("calibrated 12 rounds: a=")
 
+    def test_two_rounds_give_two_rows(self, cfg_path, tmp_path):
+        # Eight shards over two rounds: six are empty and are skipped.
+        out = tmp_path / "cal"
+        assert main(["calibrate", "--config", cfg_path, "--rounds", "2", "--out", str(out)]) == 0
+        assert len(load_calibration(out).rows) == 2
+
     def test_zero_divergence_near_zero_model(self, tmp_path):
         cfg = write_cfg(tmp_path, oracle={"divergence": 0.0})
         out = tmp_path / "cal0"
@@ -225,6 +231,61 @@ class TestParallelRuns:
         cfg = write_cfg(tmp_path, policy={"variant": "hlm"}, r_max=3, n_sequences=3)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 1
         assert capsys.readouterr().err == "config error: sequence 1 failed\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8, 12])
+    def test_calibrate_forks_one_less_than_cpus_or_shards(self, tmp_path, monkeypatch, cpus):
+        self._cpus(monkeypatch, cpus)
+        forks = []
+        real = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(real()) or forks[-1])
+        out = tmp_path / "cal"
+        assert main(["calibrate", "--config", write_cfg(tmp_path), "--out", str(out)]) == 0
+        assert len(forks) == min(cpus, 8) - 1
+        monkeypatch.setattr(os, "fork", real)
+        self._cpus(monkeypatch, 1)
+        main(["calibrate", "--config", write_cfg(tmp_path), "--out", str(tmp_path / "one")])
+        for name in ("calibration_pairs.csv", "utv_table.csv", "model.json"):
+            assert (out / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_on_the_fly_calibration_forks_with_the_run(
+        self, tmp_path, monkeypatch, command
+    ):
+        # simulate calibrates on the usable CPUs, sweep on its --jobs.
+        self._cpus(monkeypatch, 3)
+        forks = []
+        real = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(real()) or forks[-1])
+        cfg = write_cfg(tmp_path, calibration={"n_rounds": 40}, r_max=3)
+        argv = [command, "--config", cfg, "--out", str(tmp_path / "out")]
+        if command == "sweep":
+            argv += ["--axis", "snr_db", "--values", "0,10", "--jobs", "2"]
+        assert main(argv) == 0
+        # 3 processes calibrate; one sequence, or two points on 2 jobs.
+        assert len(forks) == (2 if command == "simulate" else 1 + 1)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_failing_shard_gives_the_same_error_for_any_cpu_count(
+        self, tmp_path, capsys, monkeypatch, cpus
+    ):
+        # Of 150 rounds in 8 shards, round 20 is in shard 1 and round 100 in
+        # shard 5; both run in a forked child whenever there is more than one CPU.
+        real = oracle._calibration_round
+
+        def calibration_round(oracle_inst, sequence, ucfg, k_grid, seed, t):
+            if t in (20, 100):
+                raise ValueError(f"round {t} failed")
+            return real(oracle_inst, sequence, ucfg, k_grid, seed, t)
+
+        monkeypatch.setattr(oracle, "_calibration_round", calibration_round)
+        self._cpus(monkeypatch, cpus)
+        out = tmp_path / "cal"
+        assert main(["calibrate", "--config", write_cfg(tmp_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "config error: round 20 failed\n"
+        assert not out.exists()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 

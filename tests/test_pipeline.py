@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from hybridlm import oracle as oracle_module
-from hybridlm import pipeline
+from hybridlm import pipeline, seeding
 from hybridlm.channel import ChannelSpec
 from hybridlm.config import CalibrationConfig, PolicySpec, RunConfig
 from hybridlm.compression import compress, reconstruct
@@ -154,6 +154,32 @@ class TestUncertaintyGatedPolicies:
         )
         rep, recs = run_many(cfg)
         assert rep.n_rounds == 20
+
+
+class TestCalibrationStreams:
+    def test_calibration_and_simulation_draw_disjoint_keys(self, monkeypatch):
+        # The calibration seed defaults to the run seed + 1, sequence 1's seed.
+        cfg = make_cfg(
+            "cu_hlm_online", u_th=0.3, r_max=20, n_sequences=4,
+            calibration=CalibrationConfig(n_rounds=40),
+        )
+        keys = []
+        real = seeding.round_rng
+        monkeypatch.setattr(seeding, "round_rng", lambda *key: keys.append(key) or real(*key))
+        cal = pipeline.calibrate_from_config(cfg, cfg.calibration.n_rounds)
+        calibration_keys = set(keys)
+        keys.clear()
+        _, recs = run_many(cfg, calib=cal)
+        assert len(calibration_keys) >= 40 * 2 and {r.seq for r in recs} == set(range(4))
+        assert not calibration_keys & set(keys)
+
+    def test_on_the_fly_calibration_equal_for_any_worker_count(self):
+        cfg = make_cfg(
+            "cu_hlm_online", u_th=0.3, r_max=10, n_sequences=2,
+            calibration=CalibrationConfig(n_rounds=60),
+        )
+        runs = [run_many(cfg, workers=w)[1] for w in (1, 3)]
+        assert [r.to_json() for r in runs[0]] == [r.to_json() for r in runs[1]]
 
 
 class TestArgsortFreeRounds:
