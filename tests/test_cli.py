@@ -234,17 +234,21 @@ class TestParallelRuns:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    @staticmethod
+    def _forks(monkeypatch) -> list:
+        """The pids ``os.fork`` returns in the parent from here on."""
+        forks = []
+        real = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(real()) or forks[-1])
+        return forks
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8, 12])
     def test_calibrate_forks_one_less_than_cpus_or_shards(self, tmp_path, monkeypatch, cpus):
         self._cpus(monkeypatch, cpus)
-        forks = []
-        real = os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(real()) or forks[-1])
+        forks = self._forks(monkeypatch)
         out = tmp_path / "cal"
         assert main(["calibrate", "--config", write_cfg(tmp_path), "--out", str(out)]) == 0
         assert len(forks) == min(cpus, 8) - 1
-        monkeypatch.setattr(os, "fork", real)
         self._cpus(monkeypatch, 1)
         main(["calibrate", "--config", write_cfg(tmp_path), "--out", str(tmp_path / "one")])
         for name in ("calibration_pairs.csv", "utv_table.csv", "model.json"):
@@ -256,15 +260,14 @@ class TestParallelRuns:
     ):
         # simulate calibrates on the usable CPUs, sweep on its --jobs.
         self._cpus(monkeypatch, 3)
-        forks = []
-        real = os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(real()) or forks[-1])
+        forks = self._forks(monkeypatch)
         cfg = write_cfg(tmp_path, calibration={"n_rounds": 40}, r_max=3)
         argv = [command, "--config", cfg, "--out", str(tmp_path / "out")]
         if command == "sweep":
             argv += ["--axis", "snr_db", "--values", "0,10", "--jobs", "2"]
         assert main(argv) == 0
-        # 3 processes calibrate; one sequence, or two points on 2 jobs.
+        # simulate: 3 processes calibrate, one runs the sequence. sweep: 2
+        # calibrate, then 2 share the two points.
         assert len(forks) == (2 if command == "simulate" else 1 + 1)
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
