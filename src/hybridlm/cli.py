@@ -101,10 +101,10 @@ def cmd_simulate(args) -> int:
     cfg = _load(args)
     if args.transcript:
         check_transcript_payload(cfg.b_prob, cfg.oracle.vocab_size)
-    calib = _calibration(args, cfg)
+    oracle_inst = make_oracle(cfg.oracle)
+    calib = _calibration(args, cfg, oracle_inst)
     transcript: list[bytes] | None = [] if args.transcript else None
-    # run_many calibrates on the fly, if need be, with the oracle it runs.
-    report, records = run_many(cfg, calib=calib, transcript=transcript, workers=usable_cpus())
+    report, records = run_many(cfg, calib, transcript, oracle_inst, workers=usable_cpus())
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_records(records, out / "records.jsonl")
@@ -144,8 +144,6 @@ def cmd_sweep(args) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ValueError("sweep needs at least one value")
-    if args.jobs < 1:
-        raise ValueError("sweep needs --jobs >= 1")
     fadings = [f.strip() for f in (args.fading or cfg.channel.fading).split(",")]
     # Every grid point is built (and so validated) before calibration starts.
     points = [
@@ -153,13 +151,11 @@ def cmd_sweep(args) -> int:
         for fading in fadings
         for value in values
     ]
-    calib = _calibration(args, cfg)
     oracle_inst = make_oracle(cfg.oracle)  # parses a trace once for the calibration and every point
-    calib = ensure_calibration(cfg, calib, oracle_inst, args.jobs)
-
+    calib = _calibration(args, cfg, oracle_inst)
     # Forked workers inherit the calibration and the oracle; a point's
     # sequences run in its worker's process.
-    rows = fork_map(lambda p: _sweep_point(p, calib, oracle_inst), points, args.jobs)
+    rows = fork_map(lambda p: _sweep_point(p, calib, oracle_inst), points, usable_cpus())
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "sweep.csv"
@@ -197,21 +193,19 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _calibration(args, cfg: RunConfig) -> CalibrationSet | None:
-    """``--calib``'s calibration, checked against the config, or None.
-
-    Without one, a policy that needs one is calibrated on the fly by
-    ``ensure_calibration``; that is said here, on stderr.
+def _calibration(args, cfg: RunConfig, oracle_inst) -> CalibrationSet | None:
+    """The run's calibration, from ``ensure_calibration``: ``--calib``'s,
+    checked against the config, or, for a policy that needs one, one made
+    on the fly from ``oracle_inst`` on the usable CPUs, as said on stderr.
     """
-    if args.calib:
-        return ensure_calibration(cfg, load_calibration(Path(args.calib)))
-    if needs_calibration(cfg.policy):
+    calib = load_calibration(Path(args.calib)) if args.calib else None
+    if calib is None and needs_calibration(cfg.policy):
         print(
             f"calibrating {cfg.calibration.n_rounds} rounds on the fly; "
             "pass --calib with a `hybridlm calibrate` output to reuse one",
             file=sys.stderr,
         )
-    return None
+    return ensure_calibration(cfg, calib, oracle_inst, usable_cpus())
 
 
 def _load(args) -> RunConfig:
@@ -256,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", type=str, required=True, help=f"one of {tuple(SWEEP_AXES)}")
     p.add_argument("--values", type=str, required=True, help="comma-separated axis values")
     p.add_argument("--fading", type=str, default=None, help="comma-separated fading kinds")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
     p.add_argument("--calib", type=str, default=None, help="calibration directory")
     p.set_defaults(func=cmd_sweep)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -163,13 +164,17 @@ def field_types(cls) -> dict[str, tuple[type, bool]]:
 
 
 def _json_scalar_fits(value, tp: type) -> bool:
-    # An integer literal is a valid float; true/false are booleans only; json
-    # reads NaN, Infinity and overflowing literals as floats that no field takes.
+    # true/false are booleans only. An int field takes an int64. A float field
+    # takes a finite number: not NaN (no comparison holds), nor Infinity or an
+    # overflowing decimal literal, which json reads as floats, nor an integer
+    # literal beyond the float range.
     if isinstance(value, bool):
         return tp is bool
-    if isinstance(value, float) and not math.isfinite(value):
-        return False
-    return isinstance(value, {int: int, float: (int, float), str: str}.get(tp, ()))
+    if tp is int:
+        return isinstance(value, int) and -(2**63) <= value < 2**63
+    if tp is float:
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return tp is str and isinstance(value, str)
 
 
 def from_dict(cls, d, prefix: str = "", path: str = ""):
@@ -192,7 +197,7 @@ def from_dict(cls, d, prefix: str = "", path: str = ""):
         if is_dataclass(tp):
             value = from_dict(tp, value, prefix, where + ".")
         elif not ((value is None and optional) or _json_scalar_fits(value, tp)):
-            expected = ("finite " if tp is float else "") + tp.__name__
+            expected = {float: "finite float", int: "int64"}.get(tp, tp.__name__)
             expected += " or null" if optional else ""
             raise ValueError(f"{prefix}{where}: expected {expected}, got {value!r}")
         kwargs[key] = value

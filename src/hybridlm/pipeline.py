@@ -74,9 +74,14 @@ class RoundRecord:
     eos: bool
 
     def __post_init__(self) -> None:
-        for name in ("seq", "round", "token"):
+        for name in ("seq", "round", "token", "payload_bits", "tau_comm_s"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name}: must be >= 0, got {getattr(self, name)!r}")
+        # Every round costs tau_slm or tau_llm, both > 0.
+        if not self.latency_s > 0:
+            raise ValueError(f"latency_s: must be > 0, got {self.latency_s!r}")
+        if self.k_used is not None and self.k_used < 1:
+            raise ValueError(f"k_used: must be >= 1, got {self.k_used!r}")
         if self.delta not in (0, 1):
             raise ValueError(f"delta: must be 0 or 1, got {self.delta!r}")
         if self.verdict not in VERDICTS:
@@ -139,12 +144,12 @@ def run_round(
     oracle_inst,
     cfg: RunConfig,
     calib: CalibrationSet | None,
-    seed: int,
     seq_index: int = 0,
     k_star: int | None = None,
     transcript: list[bytes] | None = None,
 ) -> RoundRecord:
     policy = cfg.policy
+    seed = cfg.seed + seq_index
     inputs = oracle_inst.next_round(sequence)
     flagged = inputs.eos
 
@@ -306,31 +311,23 @@ def ensure_calibration(
 
 def run_sequence(
     cfg: RunConfig,
-    calib: CalibrationSet | None = None,
+    oracle_inst,
+    calib: CalibrationSet | None,
+    k_star: int | None,
     seq_index: int = 0,
     transcript: list[bytes] | None = None,
-    oracle_inst=None,
 ) -> list[RoundRecord]:
-    """One autoregressive sequence of at most r_max rounds.
+    """One autoregressive sequence of at most r_max rounds, on inputs ``run_many`` resolved.
 
-    ``oracle_inst`` is the run's oracle, made once by ``run_many`` so a
-    trace is parsed once per run; it is rewound, so a trace replays from
-    its first round in every sequence. Without it, one is made here.
+    The oracle is rewound, so a trace replays from its first round in every sequence.
     """
     retain_heap()
-    if oracle_inst is None:
-        oracle_inst = make_oracle(cfg.oracle)
-    calib = ensure_calibration(cfg, calib, oracle_inst)
-    k_star = resolve_k_star(cfg, calib)
     oracle_inst.rewind()
-    seed = cfg.seed + seq_index
     sequence: list[int] = []
     records: list[RoundRecord] = []
     for t in range(cfg.r_max):
         try:
-            rec = run_round(
-                t, sequence, oracle_inst, cfg, calib, seed, seq_index, k_star, transcript
-            )
+            rec = run_round(t, sequence, oracle_inst, cfg, calib, seq_index, k_star, transcript)
         except TraceExhausted:
             break
         records.append(rec)
@@ -349,19 +346,20 @@ def run_many(
 ) -> tuple[SimReport, list[RoundRecord]]:
     """All configured sequences plus the aggregate report.
 
-    One oracle serves the whole run, an on-the-fly calibration included,
-    so a trace is parsed once: ``oracle_inst``, or one made here. The
-    sequences, and the shards of that calibration, are shared among
-    ``workers`` processes by ``fork_map``; each sequence is keyed by its own
-    index and rewinds the oracle, so the records and transcript are the
-    same for any number of workers.
+    The run's oracle (``oracle_inst``, or one made here), calibration and
+    offline k* are resolved here, once, so a trace is parsed once. The
+    sequences, and the shards of an on-the-fly calibration, are shared
+    among ``workers`` processes by ``fork_map``; each sequence is keyed by
+    its own index and rewinds the oracle, so the records and transcript are
+    the same for any number of workers.
     """
     oracle_inst = make_oracle(cfg.oracle) if oracle_inst is None else oracle_inst
     calib = ensure_calibration(cfg, calib, oracle_inst, workers)
+    k_star = resolve_k_star(cfg, calib)
 
     def one(i: int) -> tuple[list[RoundRecord], list[bytes] | None]:
         part = None if transcript is None else []
-        return run_sequence(cfg, calib, i, part, oracle_inst), part
+        return run_sequence(cfg, oracle_inst, calib, k_star, i, part), part
 
     records: list[RoundRecord] = []
     for seq_records, part in fork_map(one, range(cfg.n_sequences), workers):

@@ -24,7 +24,7 @@ from hybridlm.compression import compress, reconstruct
 from hybridlm.config import PolicySpec, RunConfig
 from hybridlm.dist import ProbVec, softmax, sort_desc
 from hybridlm.oracle import OracleSpec
-from hybridlm.pipeline import run_sequence
+from hybridlm.pipeline import run_many
 from hybridlm.seeding import CHANNEL, round_rng
 
 
@@ -169,7 +169,7 @@ class TestTokenThroughput:
             latency=self.LAT,
             r_max=20,
         )
-        recs = run_sequence(cfg)
+        recs = run_many(cfg)[1]
         skipped = [r for r in recs if r.verdict == "skipped"]
         sent = [r for r in recs if r.verdict != "skipped"]
         assert skipped and sent

@@ -221,10 +221,10 @@ class TestParallelRuns:
         # Sequence 1 runs in a forked child whenever there is more than one CPU.
         real = pipeline.run_sequence
 
-        def run_sequence(cfg, calib=None, seq_index=0, *args, **kwargs):
+        def run_sequence(cfg, oracle_inst, calib, k_star, seq_index=0, *args, **kwargs):
             if seq_index == 1:
                 raise ValueError("sequence 1 failed")
-            return real(cfg, calib, seq_index, *args, **kwargs)
+            return real(cfg, oracle_inst, calib, k_star, seq_index, *args, **kwargs)
 
         monkeypatch.setattr(pipeline, "run_sequence", run_sequence)
         self._cpus(monkeypatch, cpus)
@@ -258,17 +258,17 @@ class TestParallelRuns:
     def test_on_the_fly_calibration_forks_with_the_run(
         self, tmp_path, monkeypatch, command
     ):
-        # simulate calibrates on the usable CPUs, sweep on its --jobs.
+        # Both calibrate on the usable CPUs, then share their one sequence
+        # or their two points among them.
         self._cpus(monkeypatch, 3)
         forks = self._forks(monkeypatch)
         cfg = write_cfg(tmp_path, calibration={"n_rounds": 40}, r_max=3)
         argv = [command, "--config", cfg, "--out", str(tmp_path / "out")]
         if command == "sweep":
-            argv += ["--axis", "snr_db", "--values", "0,10", "--jobs", "2"]
+            argv += ["--axis", "snr_db", "--values", "0,10"]
         assert main(argv) == 0
-        # simulate: 3 processes calibrate, one runs the sequence. sweep: 2
-        # calibrate, then 2 share the two points.
-        assert len(forks) == (2 if command == "simulate" else 1 + 1)
+        # 3 processes calibrate; one runs the sequence, or 2 share the points.
+        assert len(forks) == (min(3, 8) - 1) + (min(3, 1 if command == "simulate" else 2) - 1)
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_failing_shard_gives_the_same_error_for_any_cpu_count(
@@ -391,17 +391,18 @@ class TestSweep:
         k_star = cli._sweep_config(cfg, "rayleigh", "k", "4").policy.k_star
         assert k_star == 4 and type(k_star) is int
 
-    def test_jobs_parallel_same_output(self, cfg_path, tmp_path):
-        out1, out2 = tmp_path / "sj1", tmp_path / "sj2"
+    def test_parallel_same_output(self, cfg_path, tmp_path, monkeypatch):
         argv = [
             "sweep", "--config", cfg_path, "--axis", "snr_db",
             "--values=-5,5", "--fading", "fixed,rayleigh",
         ]
-        main(argv + ["--out", str(out1), "--jobs", "1"])
-        main(argv + ["--out", str(out2), "--jobs", "2"])
-        body1 = (out1 / "sweep.csv").read_text().splitlines()[1:]
-        body2 = (out2 / "sweep.csv").read_text().splitlines()[1:]
-        assert body1 == body2
+        bodies = []
+        for cpus in (1, 2, 3):
+            TestParallelRuns._cpus(monkeypatch, cpus)
+            out = tmp_path / f"sw{cpus}"
+            assert main(argv + ["--out", str(out)]) == 0
+            bodies.append((out / "sweep.csv").read_bytes().split(b"\n", 1)[1])
+        assert len(bodies[0].splitlines()) == 5 and bodies[1] == bodies[0] == bodies[2]
 
 
 class TestVerify:
@@ -749,11 +750,20 @@ class TestExitCodes:
             json.dumps({**GOOD_RECORD.to_dict(), "token": -3}),
             json.dumps({**GOOD_RECORD.to_dict(), "latency_s": float("nan")}),
             json.dumps({**GOOD_RECORD.to_dict(), "eos": None}),
+            json.dumps({**GOOD_RECORD.to_dict(), "payload_bits": 10**400}),
+            json.dumps({**GOOD_RECORD.to_dict(), "latency_s": 10**400}),
+            json.dumps({**GOOD_RECORD.to_dict(), "latency_s": 0}),
+            json.dumps({**GOOD_RECORD.to_dict(), "latency_s": -1.0}),
+            json.dumps({**GOOD_RECORD.to_dict(), "tau_comm_s": -1e-3}),
+            json.dumps({**GOOD_RECORD.to_dict(), "payload_bits": -8}),
+            json.dumps({**GOOD_RECORD.to_dict(), "k_used": 0}),
         ],
         ids=[
             "missing_fields", "extra_key", "mistyped_value", "not_an_object", "not_json",
             "delta_out_of_range", "unknown_verdict", "negative_seq", "negative_round",
-            "negative_token", "latency_nan", "eos_null",
+            "negative_token", "latency_nan", "eos_null", "payload_bits_400_digits",
+            "latency_400_digits", "latency_zero", "latency_negative", "tau_comm_negative",
+            "payload_bits_negative", "k_used_zero",
         ],
     )
     def test_malformed_jsonl_record(self, tmp_path, capsys, monkeypatch, line):
@@ -783,10 +793,8 @@ class TestExitCodes:
         "argv, message",
         [
             (["calibrate", "--rounds", "0"], "calibration needs at least two rounds"),
-            (["sweep", "--axis", "u_th", "--values", "0.5", "--jobs", "0"], "sweep needs --jobs"),
-            (["sweep", "--axis", "u_th", "--values", "0.5", "--jobs", "-2"], "sweep needs --jobs"),
         ],
-        ids=["calibrate_zero_rounds", "sweep_zero_jobs", "sweep_negative_jobs"],
+        ids=["calibrate_zero_rounds"],
     )
     def test_nonpositive_count_flag(self, cfg_path, tmp_path, capsys, monkeypatch, argv, message):
         # calibrate checks its round count before it builds the oracle.
@@ -871,9 +879,9 @@ class TestTraceWorkflow:
         assert not out.exists()
 
     def test_sweep_parses_the_trace_once(self, tmp_path, monkeypatch):
-        # The calibration and all four points share one oracle. --jobs
-        # workers are forked and inherit it, so it is never pickled, under
-        # any multiprocessing start method.
+        # The calibration and all four points share one oracle. The workers
+        # of a run on more than one CPU are forked and inherit it, so it is
+        # never pickled, under any multiprocessing start method.
         rng = np.random.default_rng(6)
         trace = tmp_path / "trace.jsonl"
         oracle.write_trace(trace, [
@@ -894,13 +902,15 @@ class TestTraceWorkflow:
             "__reduce_ex__",
             lambda self, protocol: pickles.append(self) or object.__reduce_ex__(self, protocol),
         )
-        assert main([*argv, "--out", str(tmp_path / "sw1"), "--jobs", "1"]) == 0
-        assert parses == [str(trace)]
-        assert main([*argv, "--out", str(tmp_path / "sw2"), "--jobs", "2"]) == 0
+        bodies = []
+        for cpus in (1, 2, 3):
+            TestParallelRuns._cpus(monkeypatch, cpus)
+            out = tmp_path / f"sw{cpus}"
+            assert main([*argv, "--out", str(out)]) == 0
+            assert parses == [str(trace)] * cpus
+            bodies.append((out / "sweep.csv").read_bytes().split(b"\n", 1)[1])
         assert pickles == []
-        rows1 = (tmp_path / "sw1" / "sweep.csv").read_text().splitlines()[1:]
-        rows2 = (tmp_path / "sw2" / "sweep.csv").read_text().splitlines()[1:]
-        assert len(rows1) == 5 and rows1 == rows2
+        assert len(bodies[0].splitlines()) == 5 and bodies[1] == bodies[0] == bodies[2]
 
 
 class TestStartup:
@@ -923,7 +933,7 @@ class TestStartup:
 
 
     def test_cli_import_leaves_process_pool_unloaded(self, tmp_path):
-        # Parallel simulate and sweep --jobs runs fork through fork_map; a
+        # Parallel simulate and sweep runs fork through fork_map; a
         # process pool would load multiprocessing, socket, subprocess and logging.
         cfg = write_cfg(tmp_path, policy={"variant": "hlm"}, r_max=4, n_sequences=2)
         sim, sweep = str(tmp_path / "sim"), str(tmp_path / "sweep")
@@ -932,7 +942,7 @@ class TestStartup:
             "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules))); "
             f"hybridlm.cli.main(['simulate', '--config', {cfg!r}, '--out', {sim!r}]); "
             f"hybridlm.cli.main(['sweep', '--config', {cfg!r}, '--out', {sweep!r}, "
-            "'--axis', 'snr_db', '--values', '0,10', '--jobs', '2']); "
+            "'--axis', 'snr_db', '--values', '0,10']); "
             "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
         )
         proc = subprocess.run(

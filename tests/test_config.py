@@ -5,7 +5,7 @@ import pytest
 from hybridlm.channel import ChannelSpec, LatencySpec
 from hybridlm.config import CalibrationConfig, PolicySpec, RunConfig
 from hybridlm.oracle import OracleSpec
-from hybridlm.pipeline import run_sequence
+from hybridlm.pipeline import run_many
 
 
 class TestDefaults:
@@ -30,7 +30,7 @@ class TestDefaults:
             policy=PolicySpec(variant="hlm"),
             r_max=3,
         )
-        assert {r.payload_bits for r in run_sequence(cfg)} == {1024 * (8 + 10)}
+        assert {r.payload_bits for r in run_many(cfg)[1]} == {1024 * (8 + 10)}
 
 
 class TestValidation:
@@ -73,9 +73,14 @@ class TestValidation:
             with pytest.raises(ValueError, match="theta must be positive"):
                 PolicySpec(theta=theta)
 
-    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    @pytest.mark.parametrize(
+        "literal",
+        ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
+        ids=["NaN", "Infinity", "-Infinity", "1e400", "int_400_digits"],
+    )
     def test_non_finite_float_names_its_key(self, literal):
-        # json reads these literals as floats; an int-typed field rejects them too.
+        # json reads the first four as floats, which an int-typed field rejects
+        # too; the 400-digit integer is neither an int64 nor a finite float.
         for doc, key in (
             ('{"channel": {"mean_snr_db": %s}}', "channel.mean_snr_db"),
             ('{"calibration": {"delta_u_gate": %s}}', "calibration.delta_u_gate"),

@@ -236,7 +236,7 @@ class TestRoundMemory:
         sequence, peaks = [], []
         for t in range(cfg.r_max):
             rec, peak = self.traced_peak(
-                lambda: run_round(t, sequence, oracle_inst, cfg, cal, cfg.seed)
+                lambda: run_round(t, sequence, oracle_inst, cfg, cal)
             )
             sequence.append(rec.token)
             if rec.delta == 1:
@@ -313,7 +313,7 @@ class TestRecordDict:
 
 class TestSequenceMechanics:
     def test_r_max_one(self):
-        recs = run_sequence(make_cfg("hlm", r_max=1))
+        recs = run_many(make_cfg("hlm", r_max=1))[1]
         assert len(recs) == 1
 
     def test_eos_stops_sequence(self):
@@ -327,7 +327,7 @@ class TestSequenceMechanics:
             r_max=200,
             seed=5,
         )
-        recs = run_sequence(cfg)
+        recs = run_many(cfg)[1]
         assert len(recs) < 200
         assert recs[-1].token == 0 and recs[-1].eos
 
@@ -349,8 +349,24 @@ class TestSequenceMechanics:
             r_max=100,
             seed=1,
         )
-        recs = run_sequence(cfg)
+        recs = run_many(cfg)[1]
         assert len(recs) == 5  # exhaustion stops the loop
+
+    def test_run_inputs_resolved_once_per_run(self, monkeypatch):
+        # The oracle, the calibration and the offline k* are resolved by
+        # run_many, not once per sequence.
+        calls = []
+        for name in ("make_oracle", "ensure_calibration", "resolve_k_star"):
+            real = getattr(pipeline, name)
+            monkeypatch.setattr(
+                pipeline, name, lambda *a, _n=name, _f=real, **k: calls.append(_n) or _f(*a, **k)
+            )
+        cfg = make_cfg(
+            "cu_hlm_offline", r_max=4, n_sequences=3, calibration=CalibrationConfig(n_rounds=40)
+        )
+        _, recs = run_many(cfg, workers=1)
+        assert {r.seq for r in recs} == {0, 1, 2}
+        assert sorted(calls) == ["ensure_calibration", "make_oracle", "resolve_k_star"]
 
     def test_trace_parsed_once_per_run(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(1)
@@ -374,7 +390,11 @@ class TestSequenceMechanics:
         )
         # Each sequence replays from the trace's first round, as a sequence
         # run on its own does.
-        alone = [r.to_dict() for i in range(2) for r in run_sequence(cfg, seq_index=i)]
+        alone = [
+            r.to_dict()
+            for i in range(2)
+            for r in run_sequence(cfg, make_oracle(cfg.oracle), None, None, seq_index=i)
+        ]
         parses = []
         real = oracle_module.read_trace
         monkeypatch.setattr(oracle_module, "read_trace", lambda p: parses.append(p) or real(p))
