@@ -24,7 +24,7 @@ from hybridlm.uncertainty import LinearRejectionModel
 
 vocab = 2048
 spec = OracleSpec(kind="synthetic", vocab_size=vocab, zipf_s=4.0, divergence=1.0, seed=9)
-inputs = SyntheticOracle(spec).next_round([])
+inputs = SyntheticOracle(spec).next_round([], 0)
 x = softmax(inputs.slm_logits)
 y = softmax(inputs.llm_logits)
 rng = np.random.default_rng(5)

@@ -84,12 +84,11 @@ def _read_records(path: Path) -> list[RoundRecord]:
 
 def cmd_calibrate(args) -> int:
     cfg = _load(args)
-    n_rounds = cfg.calibration.n_rounds if args.rounds is None else args.rounds
-    cal = calibrate_from_config(cfg, n_rounds, workers=usable_cpus())
+    cal = calibrate_from_config(cfg, workers=usable_cpus())
     out = Path(args.out)
     save_calibration(out, cal)
-    ran = len(cal.rows)
-    ended = f" (the trace ended before the {n_rounds} asked)" if ran < n_rounds else ""
+    ran, asked = len(cal.rows), cfg.calibration.n_rounds
+    ended = f" (the trace ended before the {asked} asked)" if ran < asked else ""
     print(
         f"calibrated {ran} rounds{ended}: a={cal.model.a:.4f} b={cal.model.b:.4f} "
         f"r2={cal.model.r2:.4f} delta={cal.delta_hat:.4f} -> {out}"
@@ -170,12 +169,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _load(args)  # validates the config even though suites are config-free
-    del cfg
     # Imported here: no other command runs the suites.
     from .verification import run_all_suites
 
-    results = run_all_suites(args.cases, seed=args.seed or 0, bound_scale=args.debug_scale_bound)
+    results = run_all_suites(args.cases, seed=args.seed, bound_scale=args.debug_scale_bound)
     for res in results:
         print(res.line())
     if any(not r.passed for r in results):
@@ -209,10 +206,14 @@ def _calibration(args, cfg: RunConfig, oracle_inst) -> CalibrationSet | None:
 
 
 def _load(args) -> RunConfig:
-    cfg = load_config(args.config)
+    """``--config``'s run config with ``--seed`` and ``calibrate --rounds`` set
+    as its ``seed`` and ``calibration.n_rounds`` keys, decoded as the file is."""
+    doc = load_config(args.config).to_dict()
     if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    return cfg
+        doc["seed"] = args.seed
+    if getattr(args, "rounds", None) is not None:
+        doc["calibration"]["n_rounds"] = args.rounds
+    return RunConfig.from_dict(doc)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -254,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="run the analytic self-check suites")
-    common(p)
+    p.add_argument("--seed", type=int, default=0, help="suite seed")
     p.add_argument("--cases", type=int, default=1000, help="cases per suite")
     p.add_argument(
         "--debug-scale-bound",
@@ -265,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("report", help="aggregate a record stream into a report")
-    common(p)
+    p.add_argument("--out", type=str, default="out", help="output directory")
     p.add_argument("--records", type=str, required=True, help="records.jsonl")
     p.set_defaults(func=cmd_report)
 

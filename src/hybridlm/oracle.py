@@ -1,9 +1,10 @@
 """Distribution sources standing in for the device and server models.
 
-The synthetic oracle produces correlated long-tailed logit pairs: a shared
-Zipf-shaped base (under a context-keyed rank permutation) plus independent
-per-model noise scaled by a divergence knob. A trace oracle replays logit
-pairs dumped from real models as JSONL. Calibration runs the oracle with
+A round is keyed by the sequence so far and the round index t. The synthetic
+oracle produces correlated long-tailed logit pairs: a shared Zipf-shaped
+base (under a context-keyed rank permutation) plus independent per-model
+noise scaled by a divergence knob. A trace oracle's round t is line t of
+logit pairs dumped from real models as JSONL. Calibration runs the oracle with
 full knowledge of both sides to fit the uncertainty-rejection line, estimate
 the non-deterministic-acceptance rate, and tabulate the expected compression
 bound per candidate k.
@@ -41,7 +42,7 @@ CALIBRATION_SEQUENCES = 8
 
 
 class TraceExhausted(Exception):
-    """Raised when a trace oracle runs out of recorded rounds."""
+    """Raised when a round is asked past the end of a trace."""
 
 
 @dataclass(frozen=True)
@@ -59,6 +60,9 @@ class OracleSpec:
             raise ValueError(f"unknown oracle kind {self.kind!r}")
         if self.vocab_size < 2:
             raise ValueError("vocabulary size must be >= 2")
+        if self.vocab_size > 2**32:
+            # seeding.sequence_fingerprint packs token ids as uint32.
+            raise ValueError("vocabulary size must be <= 2**32")
         if self.seed < 0:
             raise ValueError("oracle.seed must be >= 0")
         if self.kind == "synthetic":
@@ -80,7 +84,8 @@ class RoundInputs:
 
 
 class SyntheticOracle:
-    """Deterministic logit-pair generator keyed by (seed, sequence so far).
+    """Deterministic logit-pair generator keyed by (seed, sequence so far);
+    the round index is ignored.
 
     It holds only its spec: each round builds its own Zipf base, so no
     vocabulary-sized array lives between rounds or travels in a pickle.
@@ -89,7 +94,7 @@ class SyntheticOracle:
     def __init__(self, spec: OracleSpec):
         self.spec = spec
 
-    def next_round(self, sequence: list[int]) -> RoundInputs:
+    def next_round(self, sequence: list[int], t: int) -> RoundInputs:
         spec = self.spec
         v = spec.vocab_size
         fp = seeding.sequence_fingerprint(sequence)
@@ -116,9 +121,6 @@ class SyntheticOracle:
             llm = self._inject_eos(llm)
         return RoundInputs(slm_logits=slm, llm_logits=llm)
 
-    def rewind(self, start: int = 0) -> None:
-        """Nothing to reset: a round depends on the sequence, not on a position."""
-
     def _inject_eos(self, logits: np.ndarray) -> np.ndarray:
         # Mix a point mass at the EOS token into the softmax output, then
         # return to logit space so downstream softmax recovers the mixture.
@@ -139,12 +141,11 @@ class SyntheticOracle:
 
 
 class TraceOracle:
-    """Sequential replay of recorded logit pairs."""
+    """Recorded logit pairs: round t is line t of the trace, whatever the sequence."""
 
     def __init__(self, spec: OracleSpec):
         self.spec = spec
         self._records = read_trace(spec.trace_path)
-        self._cursor = 0
         trace_vocab = self._records[0].slm_logits.size
         if trace_vocab != spec.vocab_size:
             raise ValueError(
@@ -152,15 +153,10 @@ class TraceOracle:
                 f"configured {spec.vocab_size}; payload widths would be wrong"
             )
 
-    def next_round(self, sequence: list[int]) -> RoundInputs:
-        if self._cursor >= len(self._records):
-            raise TraceExhausted(f"trace ended after {self._cursor} rounds")
-        self._cursor += 1
-        return self._records[self._cursor - 1]
-
-    def rewind(self, start: int = 0) -> None:
-        """Replay from round ``start`` of the trace, without parsing it again."""
-        self._cursor = start
+    def next_round(self, sequence: list[int], t: int) -> RoundInputs:
+        if t >= len(self._records):
+            raise TraceExhausted(f"trace ended after {len(self._records)} rounds")
+        return self._records[t]
 
 
 def is_eos(spec: OracleSpec, flagged: bool, token: int) -> bool:
@@ -256,7 +252,7 @@ def calibrate(
     ``delta_u_gate``, when set, estimates the non-deterministic-acceptance
     rate only over rounds with uncertainty above the gate. ``oracle_inst``,
     when given, is ``spec``'s oracle already made, so a trace is not parsed
-    again; each shard rewinds it to its own first round.
+    again.
     """
     retain_heap()
     if n_rounds < 2:
@@ -304,7 +300,6 @@ def _calibration_shard(
     """One shard's ``PAIRS`` records and its rounds' bound vectors (one row each,
     for the rounds with x != y), in round order. A sequence that ends starts
     again from the empty context; a trace that ends ends the shard."""
-    oracle.rewind(rounds.start)
     rows: list[tuple[float, ...]] = []
     utvs: list[np.ndarray] = []
     sequence: list[int] = []
@@ -340,7 +335,7 @@ def _calibration_round(
     are freed once y is made; the sorted vector is made last, after the
     verdict's resampling distribution is freed.
     """
-    inputs = oracle.next_round(sequence)
+    inputs = oracle.next_round(sequence, t)
     flagged = inputs.eos
     x = softmax(inputs.slm_logits)
     d = sample(x, seeding.round_rng(seed, t, seeding.CALIBRATION_DRAFT))

@@ -150,7 +150,7 @@ def run_round(
 ) -> RoundRecord:
     policy = cfg.policy
     seed = cfg.seed + seq_index
-    inputs = oracle_inst.next_round(sequence)
+    inputs = oracle_inst.next_round(sequence, t)
     flagged = inputs.eos
 
     if policy.variant == "llm_only":
@@ -256,20 +256,18 @@ def _payload(
     return compress(x_sorted, k, d), None
 
 
-def calibrate_from_config(
-    cfg: RunConfig, n_rounds: int, oracle_inst=None, workers: int = 1
-) -> CalibrationSet:
+def calibrate_from_config(cfg: RunConfig, oracle_inst=None, workers: int = 1) -> CalibrationSet:
     """Calibrate as the config's ``calibration`` section says, in
     ``oracle.calibrate``'s fixed shards shared among ``workers`` processes.
 
     The calibration seed defaults to the run seed + 1, so calibration and
     simulation rounds draw from different streams. ``oracle_inst`` is
-    ``calibrate``'s: the run's oracle, replayed from its first round.
+    ``calibrate``'s: the run's oracle, already made.
     """
     cal = cfg.calibration
     return calibrate(
         cfg.oracle,
-        n_rounds,
+        cal.n_rounds,
         cfg.uncertainty,
         seed=cal.seed if cal.seed is not None else cfg.seed + 1,
         delta_u_gate=cal.delta_u_gate,
@@ -292,13 +290,13 @@ def ensure_calibration(
 
     A given calibration that the policy reads must have been made at the
     config's vocabulary size: its table's grid ends at the size it was
-    calibrated at. A calibration made here replays ``oracle_inst``, the
+    calibrated at. A calibration made here runs ``oracle_inst``, the
     run's oracle, when one is given, in up to ``workers`` processes.
     """
     if not needs_calibration(cfg.policy):
         return calib
     if calib is None:
-        return calibrate_from_config(cfg, cfg.calibration.n_rounds, oracle_inst, workers)
+        return calibrate_from_config(cfg, oracle_inst, workers)
     vocab = cfg.oracle.vocab_size
     calib_vocab = int(calib.utv_k_grid[-1])
     if calib_vocab != vocab:
@@ -317,12 +315,8 @@ def run_sequence(
     seq_index: int = 0,
     transcript: list[bytes] | None = None,
 ) -> list[RoundRecord]:
-    """One autoregressive sequence of at most r_max rounds, on inputs ``run_many`` resolved.
-
-    The oracle is rewound, so a trace replays from its first round in every sequence.
-    """
+    """One autoregressive sequence of at most r_max rounds, on inputs ``run_many`` resolved."""
     retain_heap()
-    oracle_inst.rewind()
     sequence: list[int] = []
     records: list[RoundRecord] = []
     for t in range(cfg.r_max):
@@ -350,8 +344,8 @@ def run_many(
     offline k* are resolved here, once, so a trace is parsed once. The
     sequences, and the shards of an on-the-fly calibration, are shared
     among ``workers`` processes by ``fork_map``; each sequence is keyed by
-    its own index and rewinds the oracle, so the records and transcript are
-    the same for any number of workers.
+    its own index, so the records and transcript are the same for any
+    number of workers.
     """
     oracle_inst = make_oracle(cfg.oracle) if oracle_inst is None else oracle_inst
     calib = ensure_calibration(cfg, calib, oracle_inst, workers)

@@ -406,18 +406,14 @@ class TestSweep:
 
 
 class TestVerify:
-    def test_passes_by_default(self, cfg_path):
-        assert main(["verify", "--config", cfg_path, "--cases", "50"]) == 0
+    def test_passes_by_default(self):
+        assert main(["verify", "--cases", "50"]) == 0
 
-    def test_tampered_bound_detected(self, cfg_path):
-        rc = main([
-            "verify", "--config", cfg_path, "--cases", "50",
-            "--debug-scale-bound", "0.4",
-        ])
-        assert rc == 2
+    def test_tampered_bound_detected(self):
+        assert main(["verify", "--cases", "50", "--debug-scale-bound", "0.4"]) == 2
 
-    def test_zero_cases_is_config_error(self, cfg_path):
-        assert main(["verify", "--config", cfg_path, "--cases", "0"]) == 1
+    def test_zero_cases_is_config_error(self):
+        assert main(["verify", "--cases", "0"]) == 1
 
 
 class TestExitCodes:
@@ -792,7 +788,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["calibrate", "--rounds", "0"], "calibration needs at least two rounds"),
+            (["calibrate", "--rounds", "0"], "calibration.n_rounds must be >= 2"),
         ],
         ids=["calibrate_zero_rounds"],
     )
@@ -804,6 +800,48 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {message}") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "overrides, flags",
+        [({"seed": 10**30}, []), ({}, ["--seed", str(10**30)])],
+        ids=["seed_key", "seed_flag"],
+    )
+    def test_seed_flag_is_decoded_as_the_seed_key(
+        self, tmp_path, capsys, monkeypatch, overrides, flags
+    ):
+        # --seed is the config's seed key: a value beyond int64 fails the same
+        # way from either place, before any round runs.
+        monkeypatch.setattr(pipeline, "run_round", lambda *a, **k: pytest.fail("a round ran"))
+        cfg = write_cfg(tmp_path, policy={"variant": "hlm"}, **overrides)
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", cfg, "--out", str(out), *flags]) == 1
+        assert capsys.readouterr().err == f"config error: seed: expected int64, got {10**30}\n"
+        assert not (out / "report.json").exists()
+
+    def test_oversized_vocabulary_fails_at_load(self, tmp_path, capsys, monkeypatch):
+        # No oracle is made: a round at this vocabulary would need tens of GB.
+        for module in (cli, oracle, pipeline):
+            monkeypatch.setattr(module, "make_oracle", lambda *a, **k: pytest.fail("ran"))
+        for vocab_size in (2**32 + 1, 2**62):
+            cfg = write_cfg(tmp_path, oracle={"vocab_size": vocab_size})
+            out = tmp_path / "x"
+            assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+            assert capsys.readouterr().err == "config error: vocabulary size must be <= 2**32\n"
+            assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "--records", "r.jsonl", "--config", "/no/such.json"],
+            ["report", "--records", "r.jsonl", "--seed", "99999"],
+            ["verify", "--config", "/no/such.json"],
+            ["verify", "--out", "rep"],
+        ],
+        ids=["report_config", "report_seed", "verify_config", "verify_out"],
+    )
+    def test_flags_a_command_would_not_read_are_usage_errors(self, capsys, argv):
+        assert main(argv) == 1
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}\n" in capsys.readouterr().err
 
     def test_missing_records_file_is_io_error(self, tmp_path):
         rc = main(["report", "--records", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path)])

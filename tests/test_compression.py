@@ -149,7 +149,7 @@ class TestReconstruct:
         o = SyntheticOracle(OracleSpec())
         seq = []
         for t in range(3):
-            x = softmax(o.next_round(seq).slm_logits)
+            x = softmax(o.next_round(seq, t).slm_logits)
             zeroed = x.probs.copy()
             zeroed[::5] = 0.0
             for p in (x, ProbVec(zeroed / zeroed.sum())):

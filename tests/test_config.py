@@ -61,6 +61,14 @@ class TestValidation:
             with pytest.raises(ValueError, match="^eta must be positive$"):
                 PolicySpec(eta=eta)
 
+    @pytest.mark.parametrize("vocab_size", [2**32 + 1, 2**62])
+    def test_vocab_size_at_most_2_to_32(self, vocab_size):
+        # Token ids are fingerprinted as uint32. Only the document is decoded
+        # here: one round at such a vocabulary would need tens of GB.
+        with pytest.raises(ValueError, match=r"^vocabulary size must be <= 2\*\*32$"):
+            RunConfig.from_dict({"oracle": {"vocab_size": vocab_size}})
+        assert RunConfig.from_dict({"oracle": {"vocab_size": 2**32}}).oracle.vocab_size == 2**32
+
     @pytest.mark.parametrize("b_prob", [54, 64, 200])
     def test_b_prob_at_most_53(self, b_prob):
         # Beyond 53 bits 2^b - 1 is not exact in float64; from 64 the int64 codes wrap.

@@ -47,7 +47,7 @@ def oracle_pairs(n_rounds):
     o = SyntheticOracle(OracleSpec())
     seq = []
     for t in range(n_rounds):
-        ri = o.next_round(seq)
+        ri = o.next_round(seq, t)
         yield softmax(ri.slm_logits), softmax(ri.llm_logits)
         seq.append(t)
 

@@ -55,22 +55,22 @@ class TestOracleSpec:
 class TestSyntheticOracle:
     def test_zero_divergence_identical_models(self):
         o = SyntheticOracle(synth(div=0.0))
-        ri = o.next_round([1, 2, 3])
+        ri = o.next_round([1, 2, 3], 3)
         np.testing.assert_array_equal(ri.slm_logits, ri.llm_logits)
         x = softmax(ri.slm_logits)
         y = softmax(ri.llm_logits)
         assert tvd(x, y) == 0.0
 
-    def test_deterministic_given_seed_and_sequence(self):
-        a = SyntheticOracle(synth(seed=5)).next_round([4, 9])
-        b = SyntheticOracle(synth(seed=5)).next_round([4, 9])
+    def test_deterministic_given_seed_and_sequence_whatever_the_round(self):
+        a = SyntheticOracle(synth(seed=5)).next_round([4, 9], 2)
+        b = SyntheticOracle(synth(seed=5)).next_round([4, 9], 700)
         np.testing.assert_array_equal(a.slm_logits, b.slm_logits)
         np.testing.assert_array_equal(a.llm_logits, b.llm_logits)
 
     def test_different_sequences_differ(self):
         o = SyntheticOracle(synth(seed=5))
-        a = o.next_round([1])
-        b = o.next_round([2])
+        a = o.next_round([1], 1)
+        b = o.next_round([2], 1)
         assert not np.array_equal(a.slm_logits, b.slm_logits)
 
     def test_divergence_monotone_in_mean_tvd(self):
@@ -80,7 +80,7 @@ class TestSyntheticOracle:
             seq = []
             vals = []
             for t in range(300):
-                ri = o.next_round(seq)
+                ri = o.next_round(seq, t)
                 vals.append(tvd(softmax(ri.slm_logits), softmax(ri.llm_logits)))
                 seq.append(t % 512)
             tvds[div] = np.mean(vals)
@@ -95,7 +95,7 @@ class TestSyntheticOracle:
             o = SyntheticOracle(synth(vocab=1024, zipf=zipf, div=1.0, seed=3))
             seq = []
             for t in range(20):
-                ri = o.next_round(seq)
+                ri = o.next_round(seq, t)
                 s = sort_desc(softmax(ri.slm_logits))
                 masses = s.prefix[1:]
                 assert np.all(np.diff(masses) >= 0)
@@ -104,7 +104,7 @@ class TestSyntheticOracle:
 
     def test_eos_mass_injected(self):
         o = SyntheticOracle(synth(vocab=64, eos=0.25, seed=1))
-        ri = o.next_round([])
+        ri = o.next_round([], 0)
         x = softmax(ri.slm_logits)
         assert x.probs[EOS_TOKEN] >= 0.25 - 1e-9
 
@@ -114,7 +114,7 @@ class TestSyntheticOracle:
         o = SyntheticOracle(synth(vocab=2048, zipf=100.0, eos=0.05, seed=1))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ri = o.next_round([])
+            ri = o.next_round([], 0)
         for z in (ri.slm_logits, ri.llm_logits):
             assert np.all(np.isfinite(z))
             assert softmax(z).probs[EOS_TOKEN] >= 0.05 - 1e-9
@@ -147,7 +147,7 @@ class TestSyntheticOracle:
             base = np.empty(vocab)
             perm = seeding.context_rng(spec.seed, fp, seeding.ORACLE_PERM).permutation(vocab)
             base[perm] = base_sorted
-            ri = o.next_round(sequence)
+            ri = o.next_round(sequence, len(sequence))
             for key, got in (
                 (seeding.ORACLE_NOISE_SLM, ri.slm_logits),
                 (seeding.ORACLE_NOISE_LLM, ri.llm_logits),
@@ -185,17 +185,26 @@ class TestTraceOracle:
         path, records = self._write(tmp_path)
         o = TraceOracle(OracleSpec(kind="trace", trace_path=str(path), vocab_size=4))
         for i, rec in enumerate(records):
-            ri = o.next_round(list(range(i)))
+            ri = o.next_round(list(range(i)), i)
             np.testing.assert_allclose(ri.slm_logits, rec["slm_logits"])
             assert ri.eos == bool(rec.get("eos", False))
 
     def test_exhaustion_signal(self, tmp_path):
         path, _ = self._write(tmp_path, n=2)
         o = TraceOracle(OracleSpec(kind="trace", trace_path=str(path), vocab_size=4))
-        o.next_round([])
-        o.next_round([0])
+        o.next_round([], 0)
+        o.next_round([0], 1)
         with pytest.raises(TraceExhausted):
-            o.next_round([0, 1])
+            o.next_round([0, 1], 2)
+
+    def test_round_t_is_line_t_whatever_was_asked_before(self, tmp_path):
+        path, records = self._write(tmp_path, n=4)
+        o = TraceOracle(OracleSpec(kind="trace", trace_path=str(path), vocab_size=4))
+        for t in (3, 0, 3):
+            ri = o.next_round([], t)
+            np.testing.assert_array_equal(ri.slm_logits, records[t]["slm_logits"])
+            np.testing.assert_array_equal(ri.llm_logits, records[t]["llm_logits"])
+            assert ri.eos == (t == 3)
 
     def test_make_oracle_dispatch(self, tmp_path):
         path, _ = self._write(tmp_path)

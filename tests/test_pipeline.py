@@ -166,7 +166,7 @@ class TestCalibrationStreams:
         keys = []
         real = seeding.round_rng
         monkeypatch.setattr(seeding, "round_rng", lambda *key: keys.append(key) or real(*key))
-        cal = pipeline.calibrate_from_config(cfg, cfg.calibration.n_rounds)
+        cal = pipeline.calibrate_from_config(cfg)
         calibration_keys = set(keys)
         keys.clear()
         _, recs = run_many(cfg, calib=cal)
@@ -246,7 +246,7 @@ class TestRoundMemory:
 
     def test_builders_allocate_their_output_and_no_copy(self):
         # Each builds its output in one new array and adopts it as a ProbVec.
-        ri = make_oracle(OracleSpec(vocab_size=self.VOCAB, seed=11)).next_round([])
+        ri = make_oracle(OracleSpec(vocab_size=self.VOCAB, seed=11)).next_round([], 0)
         x, peak = self.traced_peak(lambda: softmax(ri.slm_logits))
         assert peak < 1.25
         y = softmax(ri.llm_logits)
@@ -274,7 +274,7 @@ class TestRoundMemory:
         # and the permutation and rank-ordered base are freed before the
         # two noise vectors are drawn.
         spec = OracleSpec(vocab_size=self.VOCAB, seed=11)
-        _, peak = self.traced_peak(lambda: make_oracle(spec).next_round([1, 2]))
+        _, peak = self.traced_peak(lambda: make_oracle(spec).next_round([1, 2], 2))
         assert peak <= 3.25
 
 
@@ -425,7 +425,7 @@ class TestSequenceMechanics:
         )
         # The calibration replays the trace from its first round, as one
         # made with an oracle of its own does; so do both sequences.
-        cal = pipeline.calibrate_from_config(cfg, cfg.calibration.n_rounds)
+        cal = pipeline.calibrate_from_config(cfg)
         expected = [r.to_dict() for r in run_many(cfg, calib=cal)[1]]
         parses = []
         real = oracle_module.read_trace
@@ -643,7 +643,7 @@ class TestTelemetryReplay:
         tokens = [r.token for r in recs]
         checked = 0
         for t, rec in enumerate(recs):
-            inputs = oracle_inst.next_round(tokens[:t])
+            inputs = oracle_inst.next_round(tokens[:t], t)
             x = softmax(inputs.slm_logits)
             y = softmax(inputs.llm_logits)
             d = sample(x, seeding.round_rng(cfg.seed, t, seeding.DRAFT))

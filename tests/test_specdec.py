@@ -36,7 +36,7 @@ def reference_cases():
     rng = np.random.default_rng(21)
     seq = []
     for t in range(3):
-        ri = o.next_round(seq)
+        ri = o.next_round(seq, t)
         x, y = softmax(ri.slm_logits), softmax(ri.llm_logits)
         d = int(np.argmax(x.probs))
         yield x, reconstruct(compress(sort_desc(x), 16 << t, d)), y

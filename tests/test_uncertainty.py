@@ -200,7 +200,7 @@ def oracle_rounds():
     oracle = SyntheticOracle(OracleSpec())
     rounds = []
     for sequence in ([], [5], [5, 17]):
-        z = oracle.next_round(sequence).slm_logits
+        z = oracle.next_round(sequence, len(sequence)).slm_logits
         rounds.append((z, sort_desc(softmax(z)).perm))
     return rounds
 
@@ -208,7 +208,7 @@ def oracle_rounds():
 @pytest.fixture(scope="module")
 def large_round():
     """A V=262144 synthetic-oracle round: SLM logits and their descending order."""
-    z = SyntheticOracle(OracleSpec(vocab_size=262_144)).next_round([]).slm_logits
+    z = SyntheticOracle(OracleSpec(vocab_size=262_144)).next_round([], 0).slm_logits
     return z, sort_desc(softmax(z)).perm
 
 
