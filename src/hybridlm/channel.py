@@ -41,10 +41,6 @@ class ChannelSpec:
             if not math.isfinite(db_to_linear(db)):
                 raise ValueError(f"{name} must have a finite linear value, got {db!r} dB")
 
-    @property
-    def mean_snr_linear(self) -> float:
-        return db_to_linear(self.mean_snr_db)
-
 
 @dataclass(frozen=True)
 class LatencySpec:
@@ -74,7 +70,7 @@ def payload_bits(n_entries: int, b_prob: int, vocab_size: int) -> int:
 
 def sample_snr(spec: ChannelSpec, rng: np.random.Generator) -> float:
     """One block-fading SNR draw in [SNR_FLOOR, SNR_CEIL], so latency and records stay finite."""
-    mean = spec.mean_snr_linear
+    mean = db_to_linear(spec.mean_snr_db)
     if spec.fading == "fixed":
         snr = mean
     elif spec.fading == "rayleigh":
@@ -91,8 +87,6 @@ def sample_snr(spec: ChannelSpec, rng: np.random.Generator) -> float:
 
 def uplink_latency(bits: int, bandwidth_hz: float, snr_linear: float) -> float:
     """Shannon-capacity transmission time; zero bits cost zero seconds."""
-    if bits == 0:
-        return 0.0
     if not snr_linear > 0.0:
         raise ValueError("SNR must be positive")
     return bits / (bandwidth_hz * math.log2(1.0 + snr_linear))

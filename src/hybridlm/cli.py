@@ -55,7 +55,7 @@ def _timestamp() -> str:
 def _write_records(records: list[RoundRecord], path: Path) -> None:
     with open(path, "w") as fh:
         for r in records:
-            fh.write(r.to_json() + "\n")
+            fh.write(json.dumps(r.to_dict()) + "\n")
 
 
 def _write_report(out: Path, report: SimReport, **sections) -> None:
@@ -125,7 +125,7 @@ def _sweep_config(cfg: RunConfig, fading: str, axis: str, value: str) -> RunConf
     doc = cfg.to_dict()
     doc["channel"]["fading"] = fading
     doc[section][field] = tp(value)
-    return RunConfig.from_dict(doc)
+    return from_dict(RunConfig, doc)
 
 
 def _sweep_point(point, calib, oracle_inst) -> dict:
@@ -213,7 +213,7 @@ def _load(args) -> RunConfig:
         doc["seed"] = args.seed
     if getattr(args, "rounds", None) is not None:
         doc["calibration"]["n_rounds"] = args.rounds
-    return RunConfig.from_dict(doc)
+    return from_dict(RunConfig, doc)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -283,7 +283,7 @@ def main(argv=None) -> int:
             return 0
         print(e, file=sys.stderr)
         return 1
-    except (ValueError, KeyError, json.JSONDecodeError) as e:
+    except (ValueError, KeyError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
     except OSError as e:

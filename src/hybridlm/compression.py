@@ -188,7 +188,6 @@ class KSelection:
 
     k_star: int
     bound_value_at_k: float
-    saturated: bool = False
 
 
 def select_k_offline(
@@ -206,7 +205,7 @@ def select_k_offline(
         raise ValueError("table grid and values must be non-empty and equal length")
     ok = np.nonzero(vals <= theta)[0]
     if ok.size == 0:
-        return KSelection(vocab_size, float(vals[-1]), saturated=True)
+        return KSelection(vocab_size, float(vals[-1]))
     j = int(ok[0])
     if j == 0:
         return KSelection(int(k_grid[0]), float(vals[0]))
@@ -239,10 +238,10 @@ def select_k_online(
     away. Raising k past the draft's rank leaves the untransmitted set as it
     was. At k = |V| the numerator is zero, so any theta > 0 is met.
     """
+    if not theta > 0.0:
+        raise ValueError("theta must be positive")
     vocab = len(x_sorted)
     beta_hat = predict_beta(model, u)
-    if not theta > 0.0:
-        return KSelection(vocab, 0.0, saturated=True)
 
     probes = np.append(2 ** np.arange((vocab - 1).bit_length()), vocab)
     within = utv_bound_online(x_sorted, draft_rank, probes, beta_hat, eta) <= theta

@@ -134,17 +134,8 @@ class RunConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        """Build from a JSON document; unknown keys and mistyped values raise ValueError."""
-        return from_dict(cls, d)
-
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        return cls.from_dict(json.loads(text))
 
 
 @functools.cache
@@ -212,7 +203,13 @@ def from_dict(cls, d, prefix: str = "", path: str = ""):
 
 
 def load_config(path: str | Path | None) -> RunConfig:
+    """The run config in the JSON file at ``path``, or the defaults for None;
+    a file that does not parse raises ValueError naming it."""
     if path is None:
         return RunConfig()
     with open(path) as fh:
-        return RunConfig.from_json(fh.read())
+        try:
+            doc = json.load(fh)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
+    return from_dict(RunConfig, doc)

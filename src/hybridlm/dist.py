@@ -61,8 +61,7 @@ class SortedProbVec:
     ``probs`` holds the sorted values and ``source`` the vector they came
     from, indexed by token id. Ranks order ties by ascending token id, so
     the ordering is total and reproducible. ``rank_of`` and ``top_ids``
-    read ranks off ``source`` without sorting the ids; ``perm``, the full
-    id order, is built only when read.
+    read ranks off ``source`` without sorting the ids.
     """
 
     probs: np.ndarray
@@ -76,11 +75,6 @@ class SortedProbVec:
         np.cumsum(self.probs, out=out[1:])
         return out
 
-    @cached_property
-    def perm(self) -> np.ndarray:
-        """``perm[rank]`` is the token id at that rank: the stable descending argsort."""
-        return np.argsort(-self.source, kind="stable")
-
     def __len__(self) -> int:
         return self.probs.size
 
@@ -92,13 +86,13 @@ class SortedProbVec:
         return int(np.count_nonzero(self.source > p) + np.count_nonzero(self.source[:token] == p))
 
     def top_ids(self, k: int) -> np.ndarray:
-        """The token ids of the top-k ranks, ``perm[:k]``, from a sort of the candidates only.
+        """The token ids of the top-k ranks, from a sort of the candidates only.
 
         Every id at rank < k has a value >= the k-th largest; those ids, in
-        ascending order, stable-sorted by descending value, start with
-        perm[:k]. Their values are the top ranks' values, so ``probs`` shows
-        whether they tie; without a tie the faster default sort gives the
-        same order.
+        ascending order, stable-sorted by descending value, start with the
+        ids of ranks 0..k-1. Their values are the top ranks' values, so
+        ``probs`` shows whether they tie; without a tie the faster default
+        sort gives the same order.
         """
         if not 1 <= k <= len(self):
             raise ValueError(f"k={k} out of range [1, {len(self)}]")

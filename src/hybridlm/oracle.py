@@ -36,8 +36,8 @@ from .uncertainty import (
 
 EOS_TOKEN = 0
 
-# The number of shards a calibration is split into by default. It is fixed,
-# not the host's core count, so the calibration files never depend on the host.
+# The number of shards a calibration is split into. It is fixed, not the
+# host's core count, so the calibration files never depend on the host.
 CALIBRATION_SEQUENCES = 8
 
 
@@ -182,7 +182,10 @@ def read_trace(path: str | Path) -> list[RoundInputs]:
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
+            try:
+                rec = json.loads(line)
+            except ValueError as e:
+                raise ValueError(f"trace {path} line {lineno}: {e}") from None
             if not isinstance(rec, dict) or not {"slm_logits", "llm_logits"} <= rec.keys():
                 raise ValueError(
                     f"trace {path} line {lineno}: expected an object with slm_logits and llm_logits"
@@ -201,12 +204,6 @@ def read_trace(path: str | Path) -> list[RoundInputs]:
     if len({n for r in records for n in (r.slm_logits.size, r.llm_logits.size)}) != 1:
         raise ValueError("trace records disagree on vocabulary size")
     return records
-
-
-def write_trace(path: str | Path, records: list[dict]) -> None:
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")
 
 
 # The calibration directory's two CSV tables, each declared by its record
@@ -235,19 +232,18 @@ def calibrate(
     seed: int,
     delta_u_gate: float | None = None,
     oracle_inst: SyntheticOracle | TraceOracle | None = None,
-    n_sequences: int = CALIBRATION_SEQUENCES,
     workers: int = 1,
 ) -> CalibrationSet:
     """Run the oracle with full two-sided knowledge and fit the policy inputs.
 
     Sequences advance by the exact (uncompressed) verification outcome.
-    The rounds are split into ``n_sequences`` shards: shard i runs the
-    global rounds [⌊n·i/S⌋, ⌊n·(i+1)/S⌋) as one sequence from the empty
-    context, each round keyed by its global index. The shards are shared
+    The rounds are split into S = ``CALIBRATION_SEQUENCES`` shards: shard
+    i runs the global rounds [⌊n·i/S⌋, ⌊n·(i+1)/S⌋) as one sequence from the
+    empty context, each round keyed by its global index. The shards are shared
     among ``workers`` processes by ``fork_map``; their rows are joined, and
     their bound vectors summed, in global round order, so the result is
     the same for any number of workers. A trace ignores the sequence, so
-    its calibration is the same for any ``n_sequences`` too.
+    its calibration is the same for any S too.
 
     ``delta_u_gate``, when set, estimates the non-deterministic-acceptance
     rate only over rounds with uncertainty above the gate. ``oracle_inst``,
@@ -257,12 +253,10 @@ def calibrate(
     retain_heap()
     if n_rounds < 2:
         raise ValueError("calibration needs at least two rounds")
-    if n_sequences < 1:
-        raise ValueError("calibration needs at least one sequence")
     k_grid = default_k_grid(spec.vocab_size)
     oracle = make_oracle(spec) if oracle_inst is None else oracle_inst
 
-    edges = [n_rounds * i // n_sequences for i in range(n_sequences + 1)]
+    edges = [n_rounds * i // CALIBRATION_SEQUENCES for i in range(CALIBRATION_SEQUENCES + 1)]
     shards = [range(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
     parts = fork_map(
         lambda rounds: _calibration_shard(oracle, rounds, ucfg, k_grid, seed), shards, workers
@@ -409,7 +403,10 @@ def save_calibration(out: Path, cal: CalibrationSet) -> None:
 def load_calibration(path: Path) -> CalibrationSet:
     """Read the three files ``save_calibration`` writes under ``path``."""
     with open(path / MODEL_FILE) as fh:
-        m = json.load(fh)
+        try:
+            m = json.load(fh)
+        except ValueError as e:
+            raise ValueError(f"{MODEL_FILE}: {e}") from None
     if not isinstance(m, dict):
         raise ValueError(f"{MODEL_FILE}: expected a JSON object")
     for name in (*(f.name for f in fields(LinearRejectionModel)), "delta_hat"):

@@ -14,7 +14,6 @@ metric only and never influences decisions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -90,9 +89,6 @@ class RoundRecord:
     def to_dict(self) -> dict:
         # Every field holds an immutable scalar, so no copy is needed.
         return {name: getattr(self, name) for name in RECORD_FIELDS}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 RECORD_FIELDS = [f.name for f in fields(RoundRecord)]

@@ -10,6 +10,7 @@ from hybridlm.channel import (
     ChannelSpec,
     LatencySpec,
     check_transcript_payload,
+    db_to_linear,
     decode_round,
     dequantize_prob,
     encode_round,
@@ -26,6 +27,7 @@ from hybridlm.dist import ProbVec, softmax, sort_desc
 from hybridlm.oracle import OracleSpec
 from hybridlm.pipeline import run_many
 from hybridlm.seeding import CHANNEL, round_rng
+from hybridlm.verification import rank_order
 
 
 class TestPayload:
@@ -142,7 +144,7 @@ class TestRayleighUplinkQuantiles:
             )
             for t in range(self.ROUNDS)
         ])
-        snr = spec.mean_snr_linear
+        snr = db_to_linear(mean_snr_db)
         for p in (0.05, 0.25, 0.5, 0.75, 0.95):
             # The closed form solved for the time at which it reaches p.
             t_p = self.BITS / (self.BANDWIDTH * math.log2(1.0 - snr * math.log(p)))
@@ -285,7 +287,7 @@ class TestWireCodec:
         rng = np.random.default_rng(k + draft_rank)
         logits = -1.2 * np.log(np.arange(1, self.V + 1)) + rng.normal(0.0, 0.5, self.V)
         s = sort_desc(softmax(rng.permutation(logits)))
-        c = compress(s, k, d=int(s.perm[draft_rank]))
+        c = compress(s, k, d=int(rank_order(s)[draft_rank]))
         assert c.draft_in_topk == (draft_rank < k)
         return c
 

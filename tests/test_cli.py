@@ -14,8 +14,10 @@ import pytest
 
 from hybridlm import cli, oracle, pipeline
 from hybridlm.cli import _read_records, load_calibration, main
-from hybridlm.config import RunConfig
+from hybridlm.config import RunConfig, from_dict
 from hybridlm.pipeline import RoundRecord
+
+from helpers import write_trace
 
 BASE_CFG = {
     "oracle": {
@@ -76,7 +78,7 @@ class TestCalibrate:
     def test_reports_the_rounds_a_trace_ran(self, tmp_path, capsys):
         rng = np.random.default_rng(4)
         trace = tmp_path / "trace.jsonl"
-        oracle.write_trace(trace, [
+        write_trace(trace, [
             {"slm_logits": rng.normal(size=16).tolist(), "llm_logits": rng.normal(size=16).tolist()}
             for _ in range(12)
         ])
@@ -125,7 +127,7 @@ class TestSimulate:
         r2 = json.loads((out2 / "report.json").read_text())
         assert r1["report"] == r2["report"]
         # The stream reads back as the records run_many made, floats exact.
-        _, made = pipeline.run_many(RunConfig.from_dict(BASE_CFG))
+        _, made = pipeline.run_many(from_dict(RunConfig, BASE_CFG))
         read = _read_records(out1 / "records.jsonl")
         assert len(read) == BASE_CFG["r_max"]
         assert {r.verdict for r in read} >= {"skipped", "accepted"}
@@ -415,12 +417,26 @@ class TestVerify:
     def test_zero_cases_is_config_error(self):
         assert main(["verify", "--cases", "0"]) == 1
 
+    def test_negative_seed_fails_before_any_suite(self, capsys, monkeypatch):
+        from hybridlm import verification
+
+        monkeypatch.setattr(verification, "check_unbiasedness", lambda *a: pytest.fail("ran"))
+        assert main(["verify", "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "config error: verify --seed must be >= 0, got -1\n"
+
 
 class TestExitCodes:
     def test_bad_config_file(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "x")]) == 1
+
+    def test_unparsable_config_names_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"r_max": 3,\n "seed": }')
+        assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: {bad}: Expecting value: line 2 column 10 (char 22)\n"
 
     def test_bad_config_values(self, tmp_path):
         cfg = write_cfg(tmp_path, policy={"variant": "nonsense"})
@@ -721,6 +737,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"config error: model.json: {name} must be a finite number, got {value!r}\n"
 
+    def test_unparsable_calibration_model(self, cfg_path, tmp_path, capsys, monkeypatch):
+        cal = tmp_path / "cal"
+        assert main(["calibrate", "--config", cfg_path, "--out", str(cal)]) == 0
+        (cal / "model.json").write_text('{"a": 1,\n')
+        monkeypatch.setattr(cli, "run_many", lambda *a, **k: pytest.fail("the run started"))
+        capsys.readouterr()
+        argv = ["simulate", "--config", cfg_path, "--calib", str(cal), "--out", str(tmp_path / "x")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: model.json: ") and "line 2 column 1" in err
+        assert err.count("\n") == 1
+
     def test_calibration_model_not_an_object(self, cfg_path, tmp_path, capsys, monkeypatch):
         cal = tmp_path / "cal"
         assert main(["calibrate", "--config", cfg_path, "--out", str(cal)]) == 0
@@ -764,7 +792,7 @@ class TestExitCodes:
     )
     def test_malformed_jsonl_record(self, tmp_path, capsys, monkeypatch, line):
         path = tmp_path / "records.jsonl"
-        path.write_text(GOOD_RECORD.to_json() + "\n" + line + "\n")
+        path.write_text(json.dumps(GOOD_RECORD.to_dict()) + "\n" + line + "\n")
         monkeypatch.setattr(cli, "metrics", lambda *a, **k: pytest.fail("aggregated"))
         assert main(["report", "--records", str(path), "--out", str(tmp_path / "rep")]) == 1
         err = capsys.readouterr().err
@@ -878,7 +906,7 @@ class TestTraceWorkflow:
     def test_on_the_fly_calibration_parses_the_trace_once(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(5)
         trace = tmp_path / "trace.jsonl"
-        oracle.write_trace(trace, [
+        write_trace(trace, [
             {"slm_logits": rng.normal(size=16).tolist(), "llm_logits": rng.normal(size=16).tolist()}
             for _ in range(12)
         ])
@@ -903,7 +931,7 @@ class TestTraceWorkflow:
         records[1]["eos"] = False
         records[2]["eos"] = eos
         trace = tmp_path / "trace.jsonl"
-        oracle.write_trace(trace, records)
+        write_trace(trace, records)
         cfg = write_cfg(
             tmp_path,
             oracle={"kind": "trace", "trace_path": str(trace), "vocab_size": 16},
@@ -916,13 +944,33 @@ class TestTraceWorkflow:
         assert err == f"config error: trace {trace} line 3: eos: expected true or false\n"
         assert not out.exists()
 
+    def test_unparsable_trace_line_fails_before_any_round(self, tmp_path, capsys, monkeypatch):
+        rng = np.random.default_rng(7)
+        trace = tmp_path / "trace.jsonl"
+        write_trace(trace, [
+            {"slm_logits": rng.normal(size=16).tolist(), "llm_logits": rng.normal(size=16).tolist()}
+            for _ in range(6)
+        ])
+        lines = trace.read_text().splitlines()
+        lines[3] = "{not json"
+        trace.write_text("\n".join(lines) + "\n")
+        cfg = write_cfg(
+            tmp_path,
+            oracle={"kind": "trace", "trace_path": str(trace), "vocab_size": 16},
+            policy={"variant": "hlm"},
+        )
+        monkeypatch.setattr(pipeline, "run_round", lambda *a, **k: pytest.fail("a round ran"))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: trace {trace} line 4: ") and err.count("\n") == 1
+
     def test_sweep_parses_the_trace_once(self, tmp_path, monkeypatch):
         # The calibration and all four points share one oracle. The workers
         # of a run on more than one CPU are forked and inherit it, so it is
         # never pickled, under any multiprocessing start method.
         rng = np.random.default_rng(6)
         trace = tmp_path / "trace.jsonl"
-        oracle.write_trace(trace, [
+        write_trace(trace, [
             {"slm_logits": rng.normal(size=16).tolist(), "llm_logits": rng.normal(size=16).tolist()}
             for _ in range(12)
         ])
@@ -1120,11 +1168,11 @@ class TestHeapRetention:
 # counted in process around run_many after a warm-up run.
 LIBRARY_FAULTS = """
 import resource
-from hybridlm.config import RunConfig
+from hybridlm.config import RunConfig, from_dict
 from hybridlm.pipeline import run_many
 
 def minor_faults(r_max):
-    cfg = RunConfig.from_dict({"policy": {"variant": "hlm"}, "r_max": r_max})
+    cfg = from_dict(RunConfig, {"policy": {"variant": "hlm"}, "r_max": r_max})
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     run_many(cfg)
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before

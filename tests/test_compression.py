@@ -30,7 +30,7 @@ from hybridlm.oracle import (
 )
 from hybridlm.specdec import distorted_resample_dist, resample_dist
 from hybridlm.uncertainty import LinearRejectionModel
-from hybridlm.verification import smoothed_tvd
+from hybridlm.verification import rank_order, smoothed_tvd
 
 MODEL = LinearRejectionModel(a=0.815, b=-0.066, mse=0.0, r2=1.0)
 
@@ -322,11 +322,12 @@ class TestTailGapClosedForm:
             s = sort_desc(x)
             ks = np.arange(1, n + 1)
             draft_rank = int(rng.integers(0, n))
-            d = int(s.perm[draft_rank])
+            order = rank_order(s)
+            d = int(order[draft_rank])
             explicit = []
             for k in ks:
                 x_hat = reconstruct(compress(s, int(k), d))
-                explicit.append(float(np.abs(s.probs[k:] - x_hat.probs[s.perm[k:]]).sum()))
+                explicit.append(float(np.abs(s.probs[k:] - x_hat.probs[order[k:]]).sum()))
             np.testing.assert_allclose(
                 tail_gap_after_fill(s, ks, draft_rank), explicit, rtol=0, atol=1e-12
             )
@@ -422,13 +423,13 @@ class TestSelectKOffline:
         grid = np.array([1, 4, 16])
         vals = np.array([0.05, 0.01, 0.0])
         sel = select_k_offline(grid, vals, theta=0.1, vocab_size=16)
-        assert sel.k_star == 1 and not sel.saturated
+        assert sel.k_star == 1
 
     def test_saturation(self):
         grid = np.array([1, 4, 8])
         vals = np.array([0.5, 0.3, 0.2])
         sel = select_k_offline(grid, vals, theta=0.0, vocab_size=16)
-        assert sel.k_star == 16 and sel.saturated
+        assert (sel.k_star, sel.bound_value_at_k) == (16, 0.2)
 
     def test_interpolated_refinement(self):
         # Crossing between grid points 10 and 20: interpolated value reaches
@@ -492,12 +493,13 @@ class TestSelectKOnline:
         k_also = select_k_online(s, 0, 0.05, MODEL, 0.1, self.ETA).k_star
         assert k_lo == k_also
 
-    def test_saturation_theta_zero(self):
+    @pytest.mark.parametrize("theta", [0.0, -0.1])
+    def test_nonpositive_theta_rejected(self, theta):
+        # PolicySpec rejects theta <= 0; a library call with one raises too.
         rng = np.random.default_rng(15)
-        x = ProbVec(rng.dirichlet(np.ones(16)) + 1e-12)
-        s = sort_desc(x)
-        sel = select_k_online(s, 0, 0.9, MODEL, 0.0, self.ETA)
-        assert sel.k_star == 16 and sel.saturated
+        s = sort_desc(ProbVec(rng.dirichlet(np.ones(16))))
+        with pytest.raises(ValueError, match="theta must be positive"):
+            select_k_online(s, 0, 0.9, MODEL, theta, self.ETA)
 
 
 class TestTableIo:

@@ -1,9 +1,11 @@
 """Tests for the run configuration document."""
 
+import json
+
 import pytest
 
 from hybridlm.channel import ChannelSpec, LatencySpec
-from hybridlm.config import CalibrationConfig, PolicySpec, RunConfig
+from hybridlm.config import CalibrationConfig, PolicySpec, RunConfig, from_dict
 from hybridlm.oracle import OracleSpec
 from hybridlm.pipeline import run_many
 
@@ -66,15 +68,15 @@ class TestValidation:
         # Token ids are fingerprinted as uint32. Only the document is decoded
         # here: one round at such a vocabulary would need tens of GB.
         with pytest.raises(ValueError, match=r"^vocabulary size must be <= 2\*\*32$"):
-            RunConfig.from_dict({"oracle": {"vocab_size": vocab_size}})
-        assert RunConfig.from_dict({"oracle": {"vocab_size": 2**32}}).oracle.vocab_size == 2**32
+            from_dict(RunConfig, {"oracle": {"vocab_size": vocab_size}})
+        assert from_dict(RunConfig, {"oracle": {"vocab_size": 2**32}}).oracle.vocab_size == 2**32
 
     @pytest.mark.parametrize("b_prob", [54, 64, 200])
     def test_b_prob_at_most_53(self, b_prob):
         # Beyond 53 bits 2^b - 1 is not exact in float64; from 64 the int64 codes wrap.
         with pytest.raises(ValueError, match=r"^b_prob must be <= 53$"):
-            RunConfig.from_dict({"b_prob": b_prob})
-        assert RunConfig.from_dict({"b_prob": 53}).b_prob == 53
+            from_dict(RunConfig, {"b_prob": b_prob})
+        assert from_dict(RunConfig, {"b_prob": 53}).b_prob == 53
 
     def test_theta_positive(self):
         for theta in (0.0, -0.1, float("nan")):
@@ -95,7 +97,7 @@ class TestValidation:
             ('{"r_max": %s}', "r_max"),
         ):
             with pytest.raises(ValueError, match=rf"^{key}: expected "):
-                RunConfig.from_json(doc % literal)
+                from_dict(RunConfig, json.loads(doc % literal))
 
     def test_worst_round_time_must_be_finite(self):
         # tau_slm_s + tau_llm_s + payload_bits(V, 8, V) / (bandwidth_hz * log2(1 + SNR_FLOOR))
@@ -119,7 +121,7 @@ class TestValidation:
 class TestRoundTrip:
     def test_json_round_trip_defaults(self):
         cfg = RunConfig()
-        assert RunConfig.from_json(cfg.to_json()) == cfg
+        assert from_dict(RunConfig, json.loads(cfg.to_json())) == cfg
 
     def test_json_round_trip_custom(self):
         cfg = RunConfig(
@@ -130,12 +132,12 @@ class TestRoundTrip:
             seed=9,
             quantize_wire=False,
         )
-        back = RunConfig.from_json(cfg.to_json())
+        back = from_dict(RunConfig, json.loads(cfg.to_json()))
         assert back == cfg
         assert back.policy.k_star == 12
 
     def test_partial_document_gets_defaults(self):
-        cfg = RunConfig.from_json('{"seed": 4, "policy": {"variant": "hlm"}}')
+        cfg = from_dict(RunConfig, json.loads('{"seed": 4, "policy": {"variant": "hlm"}}'))
         assert cfg.seed == 4
         assert cfg.policy.variant == "hlm"
         assert cfg.r_max == 512

@@ -19,6 +19,7 @@ from hybridlm.dist import (
     tvd,
 )
 from hybridlm.oracle import OracleSpec, SyntheticOracle
+from hybridlm.verification import rank_order
 
 
 def probvec_reference(values):
@@ -262,15 +263,15 @@ class TestSortDesc:
     def test_direct_ordering(self):
         s = sort_desc(ProbVec(np.array([0.1, 0.7, 0.2])))
         np.testing.assert_allclose(s.probs, [0.7, 0.2, 0.1])
-        np.testing.assert_array_equal(s.perm, [1, 2, 0])
+        np.testing.assert_array_equal(rank_order(s), [1, 2, 0])
 
     def test_tie_broken_by_index(self):
         s = sort_desc(ProbVec(np.array([0.25, 0.25, 0.5])))
-        np.testing.assert_array_equal(s.perm, [2, 0, 1])
+        np.testing.assert_array_equal(rank_order(s), [2, 0, 1])
 
     def test_sorted_input_identity_perm(self):
         s = sort_desc(ProbVec(np.array([0.5, 0.3, 0.2])))
-        np.testing.assert_array_equal(s.perm, [0, 1, 2])
+        np.testing.assert_array_equal(rank_order(s), [0, 1, 2])
 
     def test_round_trip(self):
         rng = np.random.default_rng(5)
@@ -278,7 +279,7 @@ class TestSortDesc:
             n = int(rng.integers(2, 64))
             p = ProbVec(rng.dirichlet(np.ones(n) * 0.5))
             s = sort_desc(p)
-            np.testing.assert_array_equal(p.probs[s.perm], s.probs)
+            np.testing.assert_array_equal(p.probs[rank_order(s)], s.probs)
             assert np.all(np.diff(s.probs) <= 0)
 
     def test_prefix_sums(self):
@@ -378,7 +379,7 @@ class TestSortDescMatchesStable:
         p = ProbVec(probs)
         s = sort_desc(p)
         expected = np.argsort(-p.probs, kind="stable")
-        np.testing.assert_array_equal(s.perm, expected)
+        np.testing.assert_array_equal(s.top_ids(len(p)), expected)
         assert s.probs.tobytes() == p.probs[expected].tobytes()
 
     def test_uniform(self):
@@ -460,11 +461,3 @@ class TestArgsortFreeRanks:
         for bad in (0, 5):
             with pytest.raises(ValueError):
                 s.top_ids(bad)
-
-    def test_perm_computed_on_first_read(self):
-        s = sort_desc(ProbVec(np.array([0.1, 0.7, 0.2])))
-        assert "perm" not in vars(s)
-        s.rank_of(0)
-        s.top_ids(2)
-        assert "perm" not in vars(s)
-        np.testing.assert_array_equal(s.perm, [1, 2, 0])

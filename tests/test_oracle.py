@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hybridlm import seeding
+from hybridlm import oracle, seeding
 from hybridlm.dist import softmax, sort_desc, tvd
 from hybridlm.oracle import (
     EOS_TOKEN,
@@ -22,9 +22,10 @@ from hybridlm.oracle import (
     make_oracle,
     read_trace,
     save_calibration,
-    write_trace,
 )
 from hybridlm.uncertainty import UncertaintyConfig
+
+from helpers import write_trace
 
 
 def synth(vocab=256, zipf=4.0, div=1.0, seed=0, eos=0.0):
@@ -328,7 +329,7 @@ class TestCalibrationShards:
             spec = trace_spec(tmp_path, 40)
         files = [
             calibration_files(
-                calibrate(spec, 37, UncertaintyConfig(m=10), seed=2, n_sequences=8, workers=w),
+                calibrate(spec, 37, UncertaintyConfig(m=10), seed=2, workers=w),
                 tmp_path / f"w{w}",
             )
             for w in (1, 2, 3)
@@ -337,15 +338,14 @@ class TestCalibrationShards:
         no_children_left()
 
     @pytest.mark.parametrize("n_rounds", [12, 50])
-    def test_trace_files_equal_for_any_shard_count(self, tmp_path, n_rounds):
+    def test_trace_files_equal_for_any_shard_count(self, monkeypatch, tmp_path, n_rounds):
         # A trace round ignores the sequence, so where the shards reset it
         # changes nothing; at 50 rounds the trace ends inside shard 1 of 3.
         spec = trace_spec(tmp_path, 12)
 
         def files(s):
-            cal = calibrate(
-                spec, n_rounds, UncertaintyConfig(m=10), seed=2, n_sequences=s, workers=2
-            )
+            monkeypatch.setattr(oracle, "CALIBRATION_SEQUENCES", s)
+            cal = calibrate(spec, n_rounds, UncertaintyConfig(m=10), seed=2, workers=2)
             assert len(cal.rows) == 12
             return calibration_files(cal, tmp_path / f"s{s}")
 
@@ -354,17 +354,18 @@ class TestCalibrationShards:
 
     @pytest.mark.parametrize("n_rounds", [2, 3, 7, 8, 13])
     def test_one_row_per_round_when_shards_outnumber_rounds(self, n_rounds):
-        cal = calibrate(synth(vocab=64, div=2.0, seed=1), n_rounds, UncertaintyConfig(m=10),
-                        seed=4, n_sequences=8)
+        cal = calibrate(synth(vocab=64, div=2.0, seed=1), n_rounds, UncertaintyConfig(m=10), seed=4)
         assert len(cal.rows) == n_rounds
 
-    def test_first_shard_is_a_one_sequence_calibration(self):
+    def test_first_shard_is_a_one_sequence_calibration(self, monkeypatch):
         # Shard 0 of 2 runs rounds 0..19 from the empty context, as a
         # one-sequence calibration of 20 rounds does.
         spec, ucfg = synth(vocab=64, eos=0.1, seed=6), UncertaintyConfig(m=5)
-        halves = calibrate(spec, 40, ucfg, seed=9, n_sequences=2)
-        first = calibrate(spec, 20, ucfg, seed=9, n_sequences=1)
-        whole = calibrate(spec, 40, ucfg, seed=9, n_sequences=1)
+        monkeypatch.setattr(oracle, "CALIBRATION_SEQUENCES", 2)
+        halves = calibrate(spec, 40, ucfg, seed=9)
+        monkeypatch.setattr(oracle, "CALIBRATION_SEQUENCES", 1)
+        first = calibrate(spec, 20, ucfg, seed=9)
+        whole = calibrate(spec, 40, ucfg, seed=9)
         assert halves.rows[:20].tobytes() == first.rows.tobytes() == whole.rows[:20].tobytes()
         assert halves.rows[20:].tobytes() != whole.rows[20:].tobytes()
 
@@ -377,14 +378,11 @@ class TestCalibrationShards:
         forks = []
         real = os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(real()) or forks[-1])
+        monkeypatch.setattr(oracle, "CALIBRATION_SEQUENCES", n_sequences)
         calibrate(synth(vocab=64, div=2.0, seed=1), n_rounds, UncertaintyConfig(m=10), seed=4,
-                  n_sequences=n_sequences, workers=workers)
+                  workers=workers)
         assert len(forks) == forked
         no_children_left()
-
-    def test_no_shard_is_an_error(self):
-        with pytest.raises(ValueError, match="at least one sequence"):
-            calibrate(synth(), 10, UncertaintyConfig(), seed=0, n_sequences=0)
 
 
 class TestCalibrationDirectory:

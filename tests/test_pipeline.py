@@ -14,12 +14,14 @@ from hybridlm import pipeline, seeding
 from hybridlm.channel import ChannelSpec
 from hybridlm.config import CalibrationConfig, PolicySpec, RunConfig
 from hybridlm.compression import compress, reconstruct
-from hybridlm.dist import SortedProbVec, softmax, sort_desc
-from hybridlm.oracle import OracleSpec, calibrate, make_oracle, write_trace
+from hybridlm.dist import softmax, sort_desc
+from hybridlm.oracle import OracleSpec, calibrate, make_oracle
 from hybridlm.parallel import fork_map
 from hybridlm.pipeline import RoundRecord, metrics, run_many, run_round, run_sequence
 from hybridlm.specdec import distorted_resample_dist
 from hybridlm.uncertainty import UncertaintyConfig
+
+from helpers import write_trace
 
 FIXED_CH = ChannelSpec(fading="fixed", mean_snr_db=10.0)
 
@@ -179,20 +181,26 @@ class TestCalibrationStreams:
             calibration=CalibrationConfig(n_rounds=60),
         )
         runs = [run_many(cfg, workers=w)[1] for w in (1, 3)]
-        assert [r.to_json() for r in runs[0]] == [r.to_json() for r in runs[1]]
+        assert [json.dumps(r.to_dict()) for r in runs[0]] == [
+            json.dumps(r.to_dict()) for r in runs[1]
+        ]
 
 
 class TestArgsortFreeRounds:
     """Rounds read sorted values only; the sorted id order is never built."""
 
     @pytest.fixture
-    def no_perm(self, monkeypatch):
-        def refuse(self):
-            raise AssertionError("SortedProbVec.perm read on the round path")
+    def no_full_argsort(self, monkeypatch):
+        real = np.argsort
 
-        monkeypatch.setattr(SortedProbVec, "perm", property(refuse))
+        def refuse(a, *args, **kwargs):
+            if np.size(a) >= 2048:
+                raise AssertionError("a full-vocabulary argsort on the round path")
+            return real(a, *args, **kwargs)
 
-    def test_calibrate_and_transmitting_simulate_without_perm(self, no_perm):
+        monkeypatch.setattr(np, "argsort", refuse)
+
+    def test_calibrate_and_transmitting_simulate_without_perm(self, no_full_argsort):
         cal = calibrate(OracleSpec(vocab_size=2048, seed=11), 60, UncertaintyConfig(m=10), seed=5)
         assert len(cal.rows) == 60
         cfg = make_cfg("cu_hlm_online", vocab=2048, u_th=0.0, r_max=40)
@@ -307,7 +315,6 @@ class TestRecordDict:
         monkeypatch.setattr(copy, "deepcopy", lambda *a, **k: copies.append(a) or real(*a, **k))
         for rec in self.RECORDS:
             rec.to_dict()
-            rec.to_json()
         assert copies == []
 
 
@@ -445,7 +452,7 @@ class TestSequenceMechanics:
         _, recs = run_many(make_cfg("cu_hlm_online", u_th=0.5, r_max=10,
                                     calibration=CalibrationConfig(n_rounds=120)))
         for r in recs:
-            parsed = json.loads(r.to_json())
+            parsed = json.loads(json.dumps(r.to_dict()))
             assert parsed["round"] == r.round
 
     def test_multi_sequence_seq_index(self):
@@ -495,7 +502,7 @@ class TestForkMap:
             transcript = []
             report, records = run_many(cfg, transcript=transcript, workers=workers)
             outputs.append((
-                "".join(r.to_json() + "\n" for r in records),
+                "".join(json.dumps(r.to_dict()) + "\n" for r in records),
                 json.dumps(report.to_dict()),
                 b"".join(transcript),
             ))

@@ -44,6 +44,7 @@ from hybridlm.uncertainty import (
     rejection_risk,
     thresholds,
 )
+from hybridlm.verification import rank_order
 
 # Regression constants used as a fixed reference model throughout.
 REF_A = 0.815
@@ -201,7 +202,7 @@ def oracle_rounds():
     rounds = []
     for sequence in ([], [5], [5, 17]):
         z = oracle.next_round(sequence, len(sequence)).slm_logits
-        rounds.append((z, sort_desc(softmax(z)).perm))
+        rounds.append((z, rank_order(sort_desc(softmax(z)))))
     return rounds
 
 
@@ -209,7 +210,7 @@ def oracle_rounds():
 def large_round():
     """A V=262144 synthetic-oracle round: SLM logits and their descending order."""
     z = SyntheticOracle(OracleSpec(vocab_size=262_144)).next_round([], 0).slm_logits
-    return z, sort_desc(softmax(z)).perm
+    return z, rank_order(sort_desc(softmax(z)))
 
 
 @pytest.fixture

@@ -22,7 +22,7 @@ class TestSuites:
         # The proof's triangle-inequality split makes tvd equal to half the
         # bound on tight instances, so a 0.5 scale only grazes equality;
         # 0.4 is decisively violated.
-        res = check_tvd_bound_dominance(60, seed=2, vocabs=(8, 64), bound_scale=0.4)
+        res = check_tvd_bound_dominance(60, seed=2, bound_scale=0.4)
         assert not res.passed
         assert res.worst_margin < 0
 
@@ -44,7 +44,7 @@ class TestSuites:
         assert res.worst_margin < 0
 
     def test_halved_bound_caught_by_risk_suite(self):
-        res = check_risk_bound(seed=3, n_samples=4000, bound_scale=0.5)
+        res = check_risk_bound(seed=3, bound_scale=0.5)
         assert not res.passed
 
     def test_unbiasedness_margin_positive(self):
@@ -60,7 +60,7 @@ class TestSuites:
         assert res.worst_margin < 0
 
     def test_online_dominance_margins(self):
-        res = check_online_bound_dominance(50, seed=5, etas=(10.0,))
+        res = check_online_bound_dominance(50, seed=5)
         assert res.passed
 
     def test_line_format(self):
