@@ -204,7 +204,7 @@ def from_dict(cls, d, prefix: str = "", path: str = ""):
 
 def load_config(path: str | Path | None) -> RunConfig:
     """The run config in the JSON file at ``path``, or the defaults for None;
-    a file that does not parse raises ValueError naming it."""
+    a file that does not parse, or is not an object, raises ValueError naming it."""
     if path is None:
         return RunConfig()
     with open(path) as fh:
@@ -212,4 +212,6 @@ def load_config(path: str | Path | None) -> RunConfig:
             doc = json.load(fh)
         except ValueError as e:
             raise ValueError(f"{path}: {e}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object")
     return from_dict(RunConfig, doc)

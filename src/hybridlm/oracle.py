@@ -22,7 +22,7 @@ import numpy as np
 
 from . import seeding
 from .compression import default_k_grid, utv_bound
-from .dist import check_logits, sample, softmax, sort_desc, tvd
+from .dist import ProbVec, TokenId, check_logits, sample, softmax, sort_desc, tvd
 from .heap import retain_heap
 from .parallel import fork_map
 from .specdec import rejection_prob, resample_dist, verify
@@ -68,7 +68,7 @@ class OracleSpec:
         if self.kind == "synthetic":
             if not self.zipf_s > 0.0:
                 raise ValueError("zipf_s must be positive")
-            if not np.isfinite(self.divergence) or self.divergence < 0.0:
+            if not math.isfinite(self.divergence) or self.divergence < 0.0:
                 raise ValueError("divergence must be finite and non-negative")
             if not 0.0 <= self.eos_prob < 1.0:
                 raise ValueError("eos_prob must be in [0, 1)")
@@ -165,6 +165,24 @@ def is_eos(spec: OracleSpec, flagged: bool, token: int) -> bool:
     if spec.kind == "trace":
         return flagged
     return spec.eos_prob > 0.0 and token == EOS_TOKEN
+
+
+def observe(
+    oracle, sequence: list[int], t: int, seed: int, streams: tuple[int, int], ucfg
+) -> tuple[bool, ProbVec, TokenId, float | None, ProbVec]:
+    """Round t as both sides see it: the trace's EOS flag, the device's x and
+    its draft d, d's uncertainty u (None when ``ucfg`` is None) and the
+    server's y. d and u draw from the round stream ids ``streams``, (DRAFT,
+    UNCERTAINTY) or their CALIBRATION_ twins. y is made after ``estimate_u``,
+    and the logits are freed on return, before the caller allocates.
+    """
+    inputs = oracle.next_round(sequence, t)
+    x = softmax(inputs.slm_logits)
+    d = sample(x, seeding.round_rng(seed, t, streams[0]))
+    u = None
+    if ucfg is not None:
+        u = estimate_u(inputs.slm_logits, d, ucfg, seeding.round_rng(seed, t, streams[1]))
+    return inputs.eos, x, d, u, softmax(inputs.llm_logits)
 
 
 def make_oracle(spec: OracleSpec):
@@ -325,18 +343,11 @@ def _calibration_round(
     with, and whether that token ends the sequence.
 
     The round's vectors live only in this call, so they are freed before the
-    next round's oracle draws. y is made after ``estimate_u`` and the logits
-    are freed once y is made; the sorted vector is made last, after the
+    next round's oracle draws; the sorted vector is made last, after the
     verdict's resampling distribution is freed.
     """
-    inputs = oracle.next_round(sequence, t)
-    flagged = inputs.eos
-    x = softmax(inputs.slm_logits)
-    d = sample(x, seeding.round_rng(seed, t, seeding.CALIBRATION_DRAFT))
-    u_rng = seeding.round_rng(seed, t, seeding.CALIBRATION_UNCERTAINTY)
-    u = estimate_u(inputs.slm_logits, d, ucfg, u_rng)
-    y = softmax(inputs.llm_logits)
-    del inputs
+    streams = (seeding.CALIBRATION_DRAFT, seeding.CALIBRATION_UNCERTAINTY)
+    flagged, x, d, u, y = observe(oracle, sequence, t, seed, streams, ucfg)
     x_d, y_d = float(x.probs[d]), float(y.probs[d])
     row = (u, rejection_prob(x_d, y_d), x_d, y_d)
 
@@ -401,7 +412,13 @@ def save_calibration(out: Path, cal: CalibrationSet) -> None:
 
 
 def load_calibration(path: Path) -> CalibrationSet:
-    """Read the three files ``save_calibration`` writes under ``path``."""
+    """Read the three files ``save_calibration`` writes under ``path``.
+
+    Every pairs value is a u, a rejection probability or a probability, so
+    it lies in [0, 1]. A mean bound is >= 0, or nan: ``calibrate`` writes
+    nan when every round had x = y, and the offline selector then sends every
+    entry.
+    """
     with open(path / MODEL_FILE) as fh:
         try:
             m = json.load(fh)
@@ -419,8 +436,14 @@ def load_calibration(path: Path) -> CalibrationSet:
         raise ValueError(f"{TABLE_FILE}: no rows")
     if k_grid[0] < 1 or np.any(k_grid[1:] <= k_grid[:-1]):
         raise ValueError(f"{TABLE_FILE}: k must be strictly increasing integers >= 1")
+    if np.any(table["mean_utv"] < 0.0):
+        raise ValueError(f"{TABLE_FILE}: mean_utv must be >= 0 or nan")
+    rows = _load_table(path / PAIRS_FILE, PAIRS)
+    for name in PAIRS.names:
+        if not np.all((rows[name] >= 0.0) & (rows[name] <= 1.0)):
+            raise ValueError(f"{PAIRS_FILE}: {name} must be in [0, 1]")
     return CalibrationSet(
-        rows=_load_table(path / PAIRS_FILE, PAIRS),
+        rows=rows,
         delta_hat=m["delta_hat"],
         utv_k_grid=k_grid,
         utv_values=table["mean_utv"],

@@ -37,10 +37,9 @@ from .compression import (
 from .config import PolicySpec, RunConfig
 from .dist import ProbVec, TokenId, sample, softmax, sort_desc, tvd
 from .heap import retain_heap
-from .oracle import CalibrationSet, TraceExhausted, calibrate, is_eos, make_oracle
+from .oracle import CalibrationSet, TraceExhausted, calibrate, is_eos, make_oracle, observe
 from .parallel import fork_map
 from .specdec import accepts, distorted_resample_dist, resample_dist, round_bias, verify_draft
-from .uncertainty import estimate_u
 
 
 VERDICTS = ("skipped", "accepted", "rejected")
@@ -146,32 +145,20 @@ def run_round(
 ) -> RoundRecord:
     policy = cfg.policy
     seed = cfg.seed + seq_index
-    inputs = oracle_inst.next_round(sequence, t)
-    flagged = inputs.eos
-
     if policy.variant == "llm_only":
+        inputs = oracle_inst.next_round(sequence, t)
         token = sample(softmax(inputs.llm_logits), seeding.round_rng(seed, t, seeding.VERIFY))
         return RoundRecord(
             seq=seq_index,
             round=t,
             token=token,
             latency_s=cfg.latency.tau_llm_s,
-            eos=is_eos(cfg.oracle, flagged, token),
+            eos=is_eos(cfg.oracle, inputs.eos, token),
         )
 
-    x = softmax(inputs.slm_logits)
-    d = sample(x, seeding.round_rng(seed, t, seeding.DRAFT))
-
-    u = None
-    if policy.uses_uncertainty:
-        u = estimate_u(
-            inputs.slm_logits, d, cfg.uncertainty, seeding.round_rng(seed, t, seeding.UNCERTAINTY)
-        )
-    # y is made after estimate_u, and the logits are not read past here.
-    # Freeing them keeps a transmitted round's peak at about five vectors
-    # of the vocabulary's size.
-    y = softmax(inputs.llm_logits)
-    del inputs
+    ucfg = cfg.uncertainty if policy.uses_uncertainty else None
+    streams = (seeding.DRAFT, seeding.UNCERTAINTY)
+    flagged, x, d, u, y = observe(oracle_inst, sequence, t, seed, streams, ucfg)
     x_d = float(x.probs[d])
     y_d = float(y.probs[d])
 

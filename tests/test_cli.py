@@ -438,6 +438,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"config error: {bad}: Expecting value: line 2 column 10 (char 22)\n"
 
+    def test_config_not_an_object_names_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "list.json"
+        bad.write_text("[1, 2]\n")
+        assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == f"config error: {bad}: expected a JSON object\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_divergence_integer_literal_beyond_int64(self, tmp_path, capsys):
+        # A float field takes an integer literal as large as the float range.
+        cfg = write_cfg(
+            tmp_path, oracle={"divergence": 2**64}, policy={"variant": "hlm"}, r_max=3
+        )
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads((tmp_path / "x" / "report.json").read_text())
+        assert report["config"]["oracle"]["divergence"] == 2**64
+
     def test_bad_config_values(self, tmp_path):
         cfg = write_cfg(tmp_path, policy={"variant": "nonsense"})
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
@@ -683,6 +700,44 @@ class TestExitCodes:
         argv = ["simulate", "--config", cfg_path, "--calib", str(cal), "--out", str(tmp_path / "x")]
         assert main(argv) == 1
         assert capsys.readouterr().err == "config error: utv_table.csv: no rows\n"
+
+    def test_negative_mean_bound_rejected(self, cfg_path, tmp_path, capsys, monkeypatch):
+        # The offline selector would take k=1 on every round: -5 is within any theta.
+        cal = tmp_path / "cal"
+        assert main(["calibrate", "--config", cfg_path, "--out", str(cal)]) == 0
+        table = cal / "utv_table.csv"
+        _, *rows = [line.split(",") for line in table.read_text().split()]
+        table.write_text("k,mean_utv\n" + "".join(f"{k},-5\n" for k, _ in rows))
+        cfg = write_cfg(tmp_path, policy={"variant": "cu_hlm_offline", "u_th": 0.0})
+        monkeypatch.setattr(cli, "run_many", lambda *a, **k: pytest.fail("the run started"))
+        capsys.readouterr()
+        argv = ["simulate", "--config", cfg, "--calib", str(cal), "--out", str(tmp_path / "x")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: utv_table.csv: mean_utv must be >= 0 or nan\n"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "column, value", [(0, "-0.25"), (1, "1.5"), (3, "nan")], ids=["u", "beta", "y_d"]
+    )
+    def test_pairs_value_outside_unit_interval(
+        self, cfg_path, tmp_path, capsys, monkeypatch, column, value
+    ):
+        cal = tmp_path / "cal"
+        assert main(["calibrate", "--config", cfg_path, "--out", str(cal)]) == 0
+        pairs = cal / "calibration_pairs.csv"
+        lines = pairs.read_text().splitlines()
+        cells = lines[5].split(",")
+        cells[column] = value
+        lines[5] = ",".join(cells)
+        pairs.write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(cli, "run_many", lambda *a, **k: pytest.fail("the run started"))
+        capsys.readouterr()
+        argv = ["simulate", "--config", cfg_path, "--calib", str(cal), "--out", str(tmp_path / "x")]
+        assert main(argv) == 1
+        name = lines[0].split(",")[column]
+        err = capsys.readouterr().err
+        assert err == f"config error: calibration_pairs.csv: {name} must be in [0, 1]\n"
 
     @pytest.mark.parametrize(
         "edit",

@@ -15,7 +15,7 @@ from hybridlm.channel import ChannelSpec
 from hybridlm.config import CalibrationConfig, PolicySpec, RunConfig
 from hybridlm.compression import compress, reconstruct
 from hybridlm.dist import softmax, sort_desc
-from hybridlm.oracle import OracleSpec, calibrate, make_oracle
+from hybridlm.oracle import OracleSpec, calibrate, make_oracle, observe
 from hybridlm.parallel import fork_map
 from hybridlm.pipeline import RoundRecord, metrics, run_many, run_round, run_sequence
 from hybridlm.specdec import distorted_resample_dist
@@ -216,6 +216,56 @@ class TestArgsortFreeRounds:
         n_tx = sum(r.delta for r in recs)
         assert 0 < n_tx < len(recs)
         assert len(sorts) == n_tx
+
+
+class TestObserve:
+    """``oracle.observe`` is the one step that draws a round's x, d, u and y."""
+
+    def test_reproduces_the_calibration_rows(self):
+        # 24 rounds in 8 shards: shard i starts at global round 3i from the
+        # empty context, keyed by that global index.
+        spec, ucfg = OracleSpec(vocab_size=128, seed=3), UncertaintyConfig(m=10)
+        cal = calibrate(spec, 24, ucfg, seed=5)
+        streams = (seeding.CALIBRATION_DRAFT, seeding.CALIBRATION_UNCERTAINTY)
+        oracle_inst = make_oracle(spec)
+        for t in range(0, 24, 3):
+            _, x, d, u, y = observe(oracle_inst, [], t, 5, streams, ucfg)
+            assert cal.rows[["u", "x_d", "y_d"]][t].tolist() == (u, x.probs[d], y.probs[d])
+
+    def test_skipped_round_is_its_observation(self):
+        # No u exceeds u_th = 1, so every round keeps its draft.
+        cfg = make_cfg("u_hlm", u_th=1.0)
+        oracle_inst = make_oracle(cfg.oracle)
+        sequence = [3, 1, 4]
+        rec = run_round(5, sequence, oracle_inst, cfg, None, seq_index=2)
+        streams = (seeding.DRAFT, seeding.UNCERTAINTY)
+        _, _, d, u, _ = observe(oracle_inst, sequence, 5, cfg.seed + 2, streams, cfg.uncertainty)
+        assert rec.delta == 0
+        assert (rec.u, rec.token) == (u, d)
+
+    def test_every_oracle_round_is_drawn_inside_observe(self, monkeypatch):
+        # An online run's 10 rounds and its calibration's 16, each drawn once.
+        real_observe = oracle_module.observe
+        real_next_round = oracle_module.SyntheticOracle.next_round
+        inside, calls = [], []
+
+        def counted_observe(*args):
+            inside.append(True)
+            try:
+                return real_observe(*args)
+            finally:
+                inside.pop()
+
+        def next_round(self, sequence, t):
+            calls.append(bool(inside))
+            return real_next_round(self, sequence, t)
+
+        monkeypatch.setattr(oracle_module, "observe", counted_observe)
+        monkeypatch.setattr(pipeline, "observe", counted_observe)
+        monkeypatch.setattr(oracle_module.SyntheticOracle, "next_round", next_round)
+        cfg = make_cfg("cu_hlm_online", u_th=0.5, r_max=10, calibration=CalibrationConfig(16))
+        run_many(cfg)
+        assert len(calls) == 26 and all(calls)
 
 
 class TestRoundMemory:
