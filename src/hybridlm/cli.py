@@ -16,9 +16,8 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .channel import check_transcript_payload
 from .config import RunConfig, field_types, from_dict, load_config
-from .oracle import CalibrationSet, csv_cell, load_calibration, make_oracle, save_calibration
+from .oracle import csv_cell, load_calibration, make_oracle, save_calibration
 from .parallel import fork_map, usable_cpus
 from .pipeline import (
     RoundRecord,
@@ -26,7 +25,6 @@ from .pipeline import (
     calibrate_from_config,
     ensure_calibration,
     metrics,
-    needs_calibration,
     run_many,
 )
 
@@ -98,10 +96,8 @@ def cmd_calibrate(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
-    if args.transcript:
-        check_transcript_payload(cfg.b_prob, cfg.oracle.vocab_size)
     oracle_inst = make_oracle(cfg.oracle)
-    calib = _calibration(args, cfg, oracle_inst)
+    calib = load_calibration(Path(args.calib)) if args.calib else None
     transcript: list[bytes] | None = [] if args.transcript else None
     report, records = run_many(cfg, calib, transcript, oracle_inst, workers=usable_cpus())
     out = Path(args.out)
@@ -151,7 +147,8 @@ def cmd_sweep(args) -> int:
         for value in values
     ]
     oracle_inst = make_oracle(cfg.oracle)  # parses a trace once for the calibration and every point
-    calib = _calibration(args, cfg, oracle_inst)
+    calib = load_calibration(Path(args.calib)) if args.calib else None
+    calib = ensure_calibration(cfg, calib, oracle_inst, usable_cpus())
     # Forked workers inherit the calibration and the oracle; a point's
     # sequences run in its worker's process.
     rows = fork_map(lambda p: _sweep_point(p, calib, oracle_inst), points, usable_cpus())
@@ -188,21 +185,6 @@ def cmd_report(args) -> int:
     _write_report(out, report)
     print(f"aggregated {report.n_rounds} rounds -> {out / 'report.json'}")
     return 0
-
-
-def _calibration(args, cfg: RunConfig, oracle_inst) -> CalibrationSet | None:
-    """The run's calibration, from ``ensure_calibration``: ``--calib``'s,
-    checked against the config, or, for a policy that needs one, one made
-    on the fly from ``oracle_inst`` on the usable CPUs, as said on stderr.
-    """
-    calib = load_calibration(Path(args.calib)) if args.calib else None
-    if calib is None and needs_calibration(cfg.policy):
-        print(
-            f"calibrating {cfg.calibration.n_rounds} rounds on the fly; "
-            "pass --calib with a `hybridlm calibrate` output to reuse one",
-            file=sys.stderr,
-        )
-    return ensure_calibration(cfg, calib, oracle_inst, usable_cpus())
 
 
 def _load(args) -> RunConfig:

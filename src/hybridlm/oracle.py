@@ -68,6 +68,8 @@ class OracleSpec:
         if self.kind == "synthetic":
             if not self.zipf_s > 0.0:
                 raise ValueError("zipf_s must be positive")
+            if not math.isfinite(self.zipf_s * math.log(self.vocab_size)):
+                raise ValueError("zipf_s * ln(vocab_size), the largest base logit, must be finite")
             if not math.isfinite(self.divergence) or self.divergence < 0.0:
                 raise ValueError("divergence must be finite and non-negative")
             if not 0.0 <= self.eos_prob < 1.0:
@@ -237,8 +239,7 @@ class CalibrationSet:
 
     rows: np.ndarray  # PAIRS records, one per calibration round
     delta_hat: float
-    utv_k_grid: np.ndarray
-    utv_values: np.ndarray
+    table: np.ndarray  # TABLE records, one per candidate k; the last k is the vocabulary size
     model: LinearRejectionModel
 
 
@@ -292,13 +293,11 @@ def calibrate(
     rows = np.array(rows, dtype=PAIRS)
     gated = rows if delta_u_gate is None else rows[rows["u"] > delta_u_gate]
     delta_hat = estimate_delta(gated["x_d"], gated["y_d"]) if gated.size else 0.0
-    utv_values = utv_acc / utv_count if utv_count > 0 else np.full(k_grid.size, np.nan)
+    table = np.empty(k_grid.size, dtype=TABLE)
+    table["k"] = k_grid
+    table["mean_utv"] = utv_acc / utv_count if utv_count > 0 else np.nan
     return CalibrationSet(
-        rows=rows,
-        delta_hat=delta_hat,
-        utv_k_grid=k_grid,
-        utv_values=utv_values,
-        model=fit_linear(rows["u"], rows["beta"]),
+        rows=rows, delta_hat=delta_hat, table=table, model=fit_linear(rows["u"], rows["beta"])
     )
 
 
@@ -371,13 +370,13 @@ def csv_cell(v) -> str:
     return str(v)
 
 
-def _save_table(path: Path, dtype: np.dtype, rows) -> None:
-    """One CSV table: the dtype's field names, then one row of ``csv_cell`` cells
-    per record of ``rows`` (anything ``np.asarray`` makes records of)."""
+def _save_table(path: Path, records: np.ndarray) -> None:
+    """One CSV table: the records' field names, then one row of ``csv_cell``
+    cells per record."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(dtype.names)
-        for row in np.asarray(rows, dtype=dtype).tolist():
+        writer.writerow(records.dtype.names)
+        for row in records.tolist():
             writer.writerow([csv_cell(v) for v in row])
 
 
@@ -403,8 +402,8 @@ def _load_table(path: Path, dtype: np.dtype) -> np.ndarray:
 def save_calibration(out: Path, cal: CalibrationSet) -> None:
     """Write the pairs table, the bound table and the model under ``out``."""
     out.mkdir(parents=True, exist_ok=True)
-    _save_table(out / PAIRS_FILE, PAIRS, cal.rows)
-    _save_table(out / TABLE_FILE, TABLE, list(zip(cal.utv_k_grid.tolist(), cal.utv_values)))
+    _save_table(out / PAIRS_FILE, cal.rows)
+    _save_table(out / TABLE_FILE, cal.table)
     model = {**asdict(cal.model), "delta_hat": cal.delta_hat}
     with open(out / MODEL_FILE, "w") as fh:
         json.dump(model, fh, indent=2, sort_keys=True)
@@ -445,7 +444,6 @@ def load_calibration(path: Path) -> CalibrationSet:
     return CalibrationSet(
         rows=rows,
         delta_hat=m["delta_hat"],
-        utv_k_grid=k_grid,
-        utv_values=table["mean_utv"],
+        table=table,
         model=LinearRejectionModel(**{f.name: m[f.name] for f in fields(LinearRejectionModel)}),
     )

@@ -14,12 +14,14 @@ metric only and never influences decisions.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import seeding
 from .channel import (
+    check_transcript_payload,
     encode_round,
     payload_bits,
     quantize_vocab,
@@ -84,6 +86,17 @@ class RoundRecord:
             raise ValueError(f"delta: must be 0 or 1, got {self.delta!r}")
         if self.verdict not in VERDICTS:
             raise ValueError(f"verdict: must be one of {', '.join(VERDICTS)}, got {self.verdict!r}")
+        # Only a transmitted round (delta 1) has a server verdict and a k.
+        if (self.verdict == "skipped") != (self.delta == 0):
+            raise ValueError(
+                f"verdict: must be 'skipped' exactly when delta is 0, "
+                f"got {self.verdict!r} with delta {self.delta}"
+            )
+        if (self.k_used is None) != (self.delta == 0):
+            raise ValueError(
+                f"k_used: must be null exactly when delta is 0, "
+                f"got {self.k_used!r} with delta {self.delta}"
+            )
 
     def to_dict(self) -> dict:
         # Every field holds an immutable scalar, so no copy is needed.
@@ -129,8 +142,8 @@ def resolve_k_star(cfg: RunConfig, calib: CalibrationSet | None) -> int | None:
         return None
     if policy.k_star is not None:
         return policy.k_star
-    vocab = cfg.oracle.vocab_size
-    return select_k_offline(calib.utv_k_grid, calib.utv_values, policy.theta, vocab).k_star
+    k_grid, utv = calib.table["k"], calib.table["mean_utv"]
+    return select_k_offline(k_grid, utv, policy.theta, cfg.oracle.vocab_size).k_star
 
 
 def run_round(
@@ -259,29 +272,31 @@ def calibrate_from_config(cfg: RunConfig, oracle_inst=None, workers: int = 1) ->
     )
 
 
-def needs_calibration(policy: PolicySpec) -> bool:
-    """Whether the policy reads fitted statistics (online, or offline without k_star)."""
-    return policy.variant == "cu_hlm_online" or (
-        policy.variant == "cu_hlm_offline" and policy.k_star is None
-    )
-
-
 def ensure_calibration(
     cfg: RunConfig, calib: CalibrationSet | None, oracle_inst=None, workers: int = 1
 ) -> CalibrationSet | None:
-    """Calibrate on the fly when the policy needs statistics it wasn't given.
+    """The calibration the run reads: ``calib``, or for a policy that reads
+    fitted statistics (online, or offline without k_star) and was given
+    none, one made here, as said on stderr.
 
     A given calibration that the policy reads must have been made at the
-    config's vocabulary size: its table's grid ends at the size it was
+    config's vocabulary size: its table's last k is the size it was
     calibrated at. A calibration made here runs ``oracle_inst``, the
     run's oracle, when one is given, in up to ``workers`` processes.
     """
-    if not needs_calibration(cfg.policy):
+    policy = cfg.policy
+    offline = policy.variant == "cu_hlm_offline" and policy.k_star is None
+    if not (policy.variant == "cu_hlm_online" or offline):
         return calib
     if calib is None:
+        print(
+            f"calibrating {cfg.calibration.n_rounds} rounds on the fly; "
+            "pass --calib with a `hybridlm calibrate` output to reuse one",
+            file=sys.stderr,
+        )
         return calibrate_from_config(cfg, oracle_inst, workers)
     vocab = cfg.oracle.vocab_size
-    calib_vocab = int(calib.utv_k_grid[-1])
+    calib_vocab = int(calib.table["k"][-1])
     if calib_vocab != vocab:
         raise ValueError(
             f"calibration table was made at vocab_size {calib_vocab}, "
@@ -323,13 +338,16 @@ def run_many(
 ) -> tuple[SimReport, list[RoundRecord]]:
     """All configured sequences plus the aggregate report.
 
-    The run's oracle (``oracle_inst``, or one made here), calibration and
-    offline k* are resolved here, once, so a trace is parsed once. The
+    A transcript's payload width is checked first. The run's oracle
+    (``oracle_inst``, or one made here), calibration and offline k* are
+    resolved here, once, so a trace is parsed once. The
     sequences, and the shards of an on-the-fly calibration, are shared
     among ``workers`` processes by ``fork_map``; each sequence is keyed by
     its own index, so the records and transcript are the same for any
     number of workers.
     """
+    if transcript is not None:
+        check_transcript_payload(cfg.b_prob, cfg.oracle.vocab_size)
     oracle_inst = make_oracle(cfg.oracle) if oracle_inst is None else oracle_inst
     calib = ensure_calibration(cfg, calib, oracle_inst, workers)
     k_star = resolve_k_star(cfg, calib)

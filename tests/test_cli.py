@@ -65,7 +65,7 @@ class TestCalibrate:
         assert set(model) == {"a", "b", "mse", "r2", "delta_hat"}
         assert model["a"] > 0
         cal = load_calibration(out)
-        assert cal.utv_k_grid[-1] == 128
+        assert cal.table["k"][-1] == 128
         assert len(cal.rows) == 150
 
     def test_repeat_byte_identical(self, cfg_path, tmp_path):
@@ -107,7 +107,7 @@ class TestCalibrate:
         model = json.loads((out / "model.json").read_text())
         assert abs(model["a"]) < 1e-9 and model["delta_hat"] == 0.0
         # No round has x != y, so every bound average is a NaN, which loads.
-        assert np.all(np.isnan(load_calibration(out).utv_values))
+        assert np.all(np.isnan(load_calibration(out).table["mean_utv"]))
 
 
 class TestSimulate:
@@ -178,6 +178,21 @@ class TestSimulate:
         for argv in (["--config", cfg_path, "--calib", str(cal)], ["--config", hlm]):
             assert main([*command, *argv, "--out", str(tmp_path / "b")]) == 0
             assert capsys.readouterr().err == ""
+
+    def test_given_calibration_resolved_once(self, cfg_path, tmp_path, monkeypatch):
+        # `simulate --calib` hands the loaded calibration to run_many, which
+        # checks it; the command resolves it no second time.
+        cal = tmp_path / "cal"
+        assert main(["calibrate", "--config", cfg_path, "--out", str(cal)]) == 0
+        calls = []
+        real = pipeline.ensure_calibration
+        for module in (cli, pipeline):
+            monkeypatch.setattr(
+                module, "ensure_calibration", lambda *a, **k: calls.append(1) or real(*a, **k)
+            )
+        argv = ["simulate", "--config", cfg_path, "--calib", str(cal), "--out", str(tmp_path / "x")]
+        assert main(argv) == 0
+        assert len(calls) == 1
 
     def test_transcript_written(self, cfg_path, tmp_path):
         out = tmp_path / "tr"
@@ -470,7 +485,10 @@ class TestExitCodes:
         ids=["unknown_key", "mistyped_value", "transcript_vocab", "transcript_b_prob"],
     )
     def test_config_error_before_any_work(self, tmp_path, capsys, monkeypatch, overrides):
-        monkeypatch.setattr(cli, "run_many", lambda *a, **k: pytest.fail("the run started"))
+        # The transcript width is checked as run_many starts, before its
+        # calibration and its sequences.
+        for name in ("ensure_calibration", "run_sequence"):
+            monkeypatch.setattr(pipeline, name, lambda *a, **k: pytest.fail("the run started"))
         cfg = write_cfg(tmp_path, **overrides)
         out = tmp_path / "x"
         argv = ["simulate", "--config", cfg, "--out", str(out), "--transcript"]
@@ -580,14 +598,16 @@ class TestExitCodes:
             ({"latency": {"tau_slm_s": 1e308, "tau_llm_s": 1e308}}, "a round's worst-case time"),
             ({"channel": {"bandwidth_hz": 1e-300}}, "a round's worst-case time"),
             ({"channel": {"bandwidth_hz": 1e-320}}, "a round's worst-case time"),
+            ({"oracle": {"vocab_size": 64, "zipf_s": 1e308}}, "zipf_s * ln(vocab_size)"),
         ],
-        ids=["mean_snr_db", "rician_k_db", "latency", "bandwidth", "bandwidth_subnormal"],
+        ids=["mean_snr_db", "rician_k_db", "latency", "bandwidth", "bandwidth_subnormal", "zipf_s"],
     )
     def test_overflowing_value_fails_before_any_round(
         self, tmp_path, capsys, monkeypatch, overrides, message
     ):
         # Each once ended in an OverflowError at the first transmitted round,
-        # or wrote "latency_s": Infinity, which `report` then rejected.
+        # or in non-finite logits at the first round, or wrote "latency_s":
+        # Infinity, which `report` then rejected.
         monkeypatch.setattr(pipeline, "run_round", lambda *a, **k: pytest.fail("a round ran"))
         cfg = write_cfg(tmp_path, policy={"variant": "hlm"}, **overrides)
         out = tmp_path / "x"
@@ -836,13 +856,18 @@ class TestExitCodes:
             json.dumps({**GOOD_RECORD.to_dict(), "tau_comm_s": -1e-3}),
             json.dumps({**GOOD_RECORD.to_dict(), "payload_bits": -8}),
             json.dumps({**GOOD_RECORD.to_dict(), "k_used": 0}),
+            json.dumps({**GOOD_RECORD.to_dict(), "delta": 1, "k_used": 5}),
+            json.dumps({**GOOD_RECORD.to_dict(), "verdict": "accepted", "k_used": 5}),
+            json.dumps({**GOOD_RECORD.to_dict(), "k_used": 5}),
+            json.dumps({**GOOD_RECORD.to_dict(), "delta": 1, "verdict": "rejected"}),
         ],
         ids=[
             "missing_fields", "extra_key", "mistyped_value", "not_an_object", "not_json",
             "delta_out_of_range", "unknown_verdict", "negative_seq", "negative_round",
             "negative_token", "latency_nan", "eos_null", "payload_bits_400_digits",
             "latency_400_digits", "latency_zero", "latency_negative", "tau_comm_negative",
-            "payload_bits_negative", "k_used_zero",
+            "payload_bits_negative", "k_used_zero", "transmitted_but_skipped",
+            "untransmitted_but_accepted", "untransmitted_with_k", "transmitted_without_k",
         ],
     )
     def test_malformed_jsonl_record(self, tmp_path, capsys, monkeypatch, line):

@@ -22,6 +22,8 @@ from hybridlm.compression import (
 from hybridlm.channel import quantize_vocab
 from hybridlm.dist import ProbVec, softmax, sort_desc, tvd
 from hybridlm.oracle import (
+    PAIRS,
+    TABLE,
     CalibrationSet,
     OracleSpec,
     SyntheticOracle,
@@ -520,10 +522,11 @@ class TestTableIo:
     def test_round_trip(self, tmp_path):
         grid = default_k_grid(100)
         vals = np.linspace(0.5, 0.0, grid.size)
+        table = np.array(list(zip(grid.tolist(), vals)), dtype=TABLE)
         cal = CalibrationSet(
-            rows=[], delta_hat=0.0, utv_k_grid=grid, utv_values=vals, model=MODEL
+            rows=np.empty(0, dtype=PAIRS), delta_hat=0.0, table=table, model=MODEL
         )
         save_calibration(tmp_path, cal)
         back = load_calibration(tmp_path)
-        np.testing.assert_array_equal(back.utv_k_grid, grid)
-        np.testing.assert_allclose(back.utv_values, vals, rtol=1e-8)
+        np.testing.assert_array_equal(back.table["k"], grid)
+        np.testing.assert_allclose(back.table["mean_utv"], vals, rtol=1e-8)

@@ -13,6 +13,7 @@ from hybridlm.dist import softmax, sort_desc, tvd
 from hybridlm.oracle import (
     EOS_TOKEN,
     PAIRS,
+    TABLE,
     OracleSpec,
     SyntheticOracle,
     TraceExhausted,
@@ -25,7 +26,7 @@ from hybridlm.oracle import (
 )
 from hybridlm.uncertainty import UncertaintyConfig
 
-from helpers import write_trace
+from helpers import no_children_left, write_trace
 
 
 def synth(vocab=256, zipf=4.0, div=1.0, seed=0, eos=0.0):
@@ -258,7 +259,7 @@ class TestCalibrate:
         assert max(betas) == 0.0
         assert abs(cal.model.a) < 1e-9 and abs(cal.model.b) < 1e-9
         # All rounds have x = y, so no bound averages exist.
-        assert np.all(np.isnan(cal.utv_values))
+        assert np.all(np.isnan(cal.table["mean_utv"]))
 
     def test_positive_slope_and_correlation(self):
         cal = calibrate(synth(vocab=512, div=1.0, seed=4), 600, UncertaintyConfig(), seed=4)
@@ -275,16 +276,16 @@ class TestCalibrate:
 
     def test_utv_table_zero_at_full_vocab(self):
         cal = calibrate(synth(vocab=128, seed=5), 80, UncertaintyConfig(m=5), seed=5)
-        assert cal.utv_k_grid[-1] == 128
-        assert cal.utv_values[-1] == pytest.approx(0.0, abs=1e-12)
-        assert np.all(cal.utv_values >= 0.0)
+        assert cal.table["k"][-1] == 128
+        assert cal.table["mean_utv"][-1] == pytest.approx(0.0, abs=1e-12)
+        assert np.all(cal.table["mean_utv"] >= 0.0)
 
     def test_deterministic(self):
         a = calibrate(synth(vocab=64, seed=6), 50, UncertaintyConfig(m=5), seed=9)
         b = calibrate(synth(vocab=64, seed=6), 50, UncertaintyConfig(m=5), seed=9)
         np.testing.assert_array_equal(a.rows[["u", "beta"]], b.rows[["u", "beta"]])
         assert a.delta_hat == b.delta_hat
-        np.testing.assert_array_equal(a.utv_values, b.utv_values)
+        np.testing.assert_array_equal(a.table, b.table)
 
     def test_delta_gate(self):
         spec = synth(vocab=128, seed=7)
@@ -313,11 +314,6 @@ def trace_spec(tmp_path, rounds=12, vocab=16):
         for _ in range(rounds)
     ])
     return OracleSpec(kind="trace", trace_path=str(path), vocab_size=vocab)
-
-
-def no_children_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 class TestCalibrationShards:
@@ -395,8 +391,8 @@ class TestCalibrationDirectory:
         assert back.rows.dtype == cal.rows.dtype == PAIRS
         for name in PAIRS.names:
             np.testing.assert_allclose(back.rows[name], cal.rows[name], rtol=1e-8)
-        np.testing.assert_array_equal(back.utv_k_grid, cal.utv_k_grid)
-        assert back.utv_k_grid.dtype.kind == "i"
-        np.testing.assert_allclose(back.utv_values, cal.utv_values, rtol=1e-8)
+        np.testing.assert_array_equal(back.table["k"], cal.table["k"])
+        assert back.table.dtype == cal.table.dtype == TABLE
+        np.testing.assert_allclose(back.table["mean_utv"], cal.table["mean_utv"], rtol=1e-8)
         assert back.model == cal.model
         assert back.delta_hat == cal.delta_hat

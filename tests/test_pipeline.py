@@ -21,7 +21,7 @@ from hybridlm.pipeline import RoundRecord, metrics, run_many, run_round, run_seq
 from hybridlm.specdec import distorted_resample_dist
 from hybridlm.uncertainty import UncertaintyConfig
 
-from helpers import write_trace
+from helpers import no_children_left, write_trace
 
 FIXED_CH = ChannelSpec(fading="fixed", mean_snr_db=10.0)
 
@@ -425,6 +425,24 @@ class TestSequenceMechanics:
         assert {r.seq for r in recs} == {0, 1, 2}
         assert sorted(calls) == ["ensure_calibration", "make_oracle", "resolve_k_star"]
 
+    def test_on_the_fly_calibration_said_on_stderr(self, capsys):
+        cfg = make_cfg(
+            "cu_hlm_online", u_th=0.5, r_max=4, calibration=CalibrationConfig(n_rounds=40)
+        )
+        run_many(cfg)
+        assert capsys.readouterr().err == (
+            "calibrating 40 rounds on the fly; "
+            "pass --calib with a `hybridlm calibrate` output to reuse one\n"
+        )
+        run_many(cfg, calib=pipeline.calibrate_from_config(cfg))
+        assert capsys.readouterr().err == ""
+
+    def test_transcript_width_checked_before_calibration(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "calibrate", lambda *a, **k: pytest.fail("calibrated"))
+        cfg = make_cfg("cu_hlm_online", vocab=65536, u_th=0.0)
+        with pytest.raises(ValueError, match="transcript indexes are 16-bit"):
+            run_many(cfg, transcript=[])
+
     def test_trace_parsed_once_per_run(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(1)
         records = [
@@ -517,11 +535,6 @@ class TestSequenceMechanics:
         assert toks0 != toks1
 
 
-def _no_children_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 class TestForkMap:
     @pytest.mark.parametrize("kind", ["synthetic", "trace"])
     def test_outputs_equal_for_any_worker_count(self, tmp_path, kind):
@@ -558,7 +571,7 @@ class TestForkMap:
             ))
         assert outputs[0][2] and {r.seq for r in records} == set(range(5))
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
-        _no_children_left()
+        no_children_left()
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     def test_results_in_item_order(self, workers):
@@ -577,7 +590,7 @@ class TestForkMap:
 
         with pytest.raises(KeyError, match=f"item {min(bad)}"):
             fork_map(fn, range(6), workers)
-        _no_children_left()
+        no_children_left()
 
     def test_child_that_dies_without_a_result(self):
         def fn(i):
@@ -587,7 +600,7 @@ class TestForkMap:
 
         with pytest.raises(ChildProcessError, match="ended with status 7"):
             fork_map(fn, range(4), 2)
-        _no_children_left()
+        no_children_left()
 
     @pytest.mark.parametrize("workers, items", [(1, 5), (3, 5), (8, 3), (4, 1)])
     def test_min_of_workers_and_items_processes(self, monkeypatch, workers, items):
@@ -596,7 +609,7 @@ class TestForkMap:
         monkeypatch.setattr(os, "fork", lambda: forks.append(real()) or forks[-1])
         pids = fork_map(lambda i: os.getpid(), range(items), workers)
         assert len(set(pids)) == min(workers, items) == len(forks) + 1
-        _no_children_left()
+        no_children_left()
 
 
 class TestMetrics:

@@ -20,6 +20,7 @@ from hybridlm.dist import (
 )
 from hybridlm.oracle import (
     PAIRS,
+    TABLE,
     CalibrationSet,
     OracleSpec,
     SyntheticOracle,
@@ -612,8 +613,7 @@ class TestCalibrationCsv:
         cal = CalibrationSet(
             rows=rows,
             delta_hat=0.5,
-            utv_k_grid=np.array([1, 2]),
-            utv_values=np.array([0.2, 0.1]),
+            table=np.array([(1, 0.2), (2, 0.1)], dtype=TABLE),
             model=REF_MODEL,
         )
         save_calibration(tmp_path, cal)
