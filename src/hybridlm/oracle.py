@@ -74,6 +74,8 @@ class OracleSpec:
                 raise ValueError("divergence must be finite and non-negative")
             if not 0.0 <= self.eos_prob < 1.0:
                 raise ValueError("eos_prob must be in [0, 1)")
+            if self.trace_path is not None:
+                raise ValueError("oracle.trace_path is set, but a synthetic oracle reads no trace")
         elif self.trace_path is None:
             raise ValueError("trace oracle requires a path")
 
@@ -414,9 +416,9 @@ def load_calibration(path: Path) -> CalibrationSet:
     """Read the three files ``save_calibration`` writes under ``path``.
 
     Every pairs value is a u, a rejection probability or a probability, so
-    it lies in [0, 1]. A mean bound is >= 0, or nan: ``calibrate`` writes
-    nan when every round had x = y, and the offline selector then sends every
-    entry.
+    it lies in [0, 1]. A mean bound is finite and >= 0, or nan: ``calibrate``
+    writes nan when every round had x = y, and the offline selector then
+    sends every entry.
     """
     with open(path / MODEL_FILE) as fh:
         try:
@@ -437,6 +439,8 @@ def load_calibration(path: Path) -> CalibrationSet:
         raise ValueError(f"{TABLE_FILE}: k must be strictly increasing integers >= 1")
     if np.any(table["mean_utv"] < 0.0):
         raise ValueError(f"{TABLE_FILE}: mean_utv must be >= 0 or nan")
+    if np.any(np.isinf(table["mean_utv"])):
+        raise ValueError(f"{TABLE_FILE}: mean_utv must be finite or nan")
     rows = _load_table(path / PAIRS_FILE, PAIRS)
     for name in PAIRS.names:
         if not np.all((rows[name] >= 0.0) & (rows[name] <= 1.0)):

@@ -51,8 +51,8 @@ VERDICTS = ("skipped", "accepted", "rejected")
 class RoundRecord:
     """One round of a sequence; field order is the JSONL key order.
 
-    Skipped and ``llm_only`` rounds leave the transmission fields at their
-    defaults.
+    Skipped and ``llm_only`` rounds (delta 0) leave the ``TRANSMITTED``
+    fields at their defaults.
     """
 
     seq: int
@@ -86,16 +86,16 @@ class RoundRecord:
             raise ValueError(f"delta: must be 0 or 1, got {self.delta!r}")
         if self.verdict not in VERDICTS:
             raise ValueError(f"verdict: must be one of {', '.join(VERDICTS)}, got {self.verdict!r}")
-        # Only a transmitted round (delta 1) has a server verdict and a k.
-        if (self.verdict == "skipped") != (self.delta == 0):
+        if self.delta == 0:
+            for name, default in TRANSMITTED.items():
+                if (value := getattr(self, name)) != default:
+                    raise ValueError(f"{name}: must be {default!r} when delta is 0, got {value!r}")
+        elif self.verdict == "skipped" or self.counterfactual_accept is not None or None in (
+            self.k_used, self.snr_linear, self.bias
+        ):
             raise ValueError(
-                f"verdict: must be 'skipped' exactly when delta is 0, "
-                f"got {self.verdict!r} with delta {self.delta}"
-            )
-        if (self.k_used is None) != (self.delta == 0):
-            raise ValueError(
-                f"k_used: must be null exactly when delta is 0, "
-                f"got {self.k_used!r} with delta {self.delta}"
+                "delta 1: needs a verdict other than 'skipped', a k_used, an snr_linear "
+                "and a bias, and no counterfactual_accept"
             )
 
     def to_dict(self) -> dict:
@@ -104,6 +104,10 @@ class RoundRecord:
 
 
 RECORD_FIELDS = [f.name for f in fields(RoundRecord)]
+# The fields only a transmitted round (delta 1) writes, and the defaults the others keep.
+_TX_ONLY = ("k_used", "payload_bits", "snr_linear", "tau_comm_s", "verdict", "fallback_used",
+            "bias", "tvd_pq", "bound_at_selection")
+TRANSMITTED = {f.name: f.default for f in fields(RoundRecord) if f.name in _TX_ONLY}
 
 
 @dataclass(frozen=True)
@@ -365,36 +369,25 @@ def run_many(
 
 
 def metrics(records: list[RoundRecord]) -> SimReport:
-    """Aggregate a record stream into the summary report."""
+    """Aggregate a record stream into the summary report, by round kind."""
     if not records:
         raise ValueError("no records to aggregate")
+
+    def mean(values: list) -> float | None:
+        return float(np.mean(values)) if values else None
+
     n = len(records)
-    deltas = np.array([r.delta for r in records])
-    tr = float(deltas.mean())
-    cf = [r.counterfactual_accept for r in records if r.delta == 0 and r.counterfactual_accept is not None]
-    tsr = float(np.mean(cf)) if cf else None
-    biases = [r.bias for r in records if r.bias is not None]
-    mean_bias = float(np.mean(biases)) if biases else None
-    total_latency = float(sum(r.latency_s for r in records))
-    ks = [r.k_used for r in records if r.k_used is not None]
-    mean_k = float(np.mean(ks)) if ks else None
-    mean_payload = float(np.mean([r.payload_bits for r in records]))
-    tx = [r for r in records if r.delta == 1]
-    acc = (
-        float(np.mean([1.0 if r.verdict == "accepted" else 0.0 for r in tx]))
-        if tx
-        else None
-    )
-    bounded = [r for r in records if r.bound_at_selection is not None]
+    tx = [r for r in records if r.delta]
+    bounded = [r for r in tx if r.bound_at_selection is not None]
     violations = sum(r.tvd_pq is not None and r.tvd_pq > r.bound_at_selection for r in bounded)
     return SimReport(
         n_rounds=n,
-        tr=tr,
-        tsr=tsr,
-        mean_bias=mean_bias,
-        mean_throughput_tokens_per_s=n / total_latency,
-        mean_k=mean_k,
-        mean_payload_bits=mean_payload,
-        acceptance_rate_given_tx=acc,
+        tr=len(tx) / n,
+        tsr=mean([r.counterfactual_accept for r in records if r.counterfactual_accept is not None]),
+        mean_bias=mean([r.bias for r in tx]),
+        mean_throughput_tokens_per_s=n / float(sum(r.latency_s for r in records)),
+        mean_k=mean([r.k_used for r in tx]),
+        mean_payload_bits=mean([r.payload_bits for r in records]),
+        acceptance_rate_given_tx=mean([r.verdict == "accepted" for r in tx]),
         bound_violations=violations if bounded else None,
     )

@@ -31,3 +31,15 @@ def test_result_and_digests_from_the_last_two_lines(bench_record):
 def test_missing_provenance_line_is_an_error(bench_record):
     with pytest.raises(ValueError):
         bench_record.parse_run_output(json.dumps({"correct": True}) + "\n")
+
+
+@pytest.mark.parametrize("value", ["1", None])
+def test_machine_records_pythondontwritebytecode(bench_record, monkeypatch, value):
+    # Set, every bench child compiles the package from source; the file says so.
+    if value is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+    block = bench_record.machine()
+    assert block["PYTHONDONTWRITEBYTECODE"] == value
+    assert set(block) == {"cores", "python", "numpy", "PYTHONDONTWRITEBYTECODE"}

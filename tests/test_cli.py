@@ -36,6 +36,9 @@ BASE_CFG = {
 }
 
 GOOD_RECORD = RoundRecord(seq=0, round=0, token=3, latency_s=0.1, eos=False)
+# The fields a transmitted round needs, over GOOD_RECORD's skipped round.
+GOOD_TX = {**GOOD_RECORD.to_dict(), "delta": 1, "verdict": "accepted", "k_used": 5,
+           "snr_linear": 9.5, "bias": 0.0}
 
 
 @pytest.fixture
@@ -737,6 +740,22 @@ class TestExitCodes:
         assert err == "config error: utv_table.csv: mean_utv must be >= 0 or nan\n"
         assert not (tmp_path / "x").exists()
 
+    def test_infinite_mean_bound_rejected(self, cfg_path, tmp_path, capsys, monkeypatch):
+        # The offline selector would find no k within theta and send k=|V| on every round.
+        cal = tmp_path / "cal"
+        assert main(["calibrate", "--config", cfg_path, "--out", str(cal)]) == 0
+        table = cal / "utv_table.csv"
+        _, *rows = [line.split(",") for line in table.read_text().split()]
+        table.write_text("k,mean_utv\n" + "".join(f"{k},inf\n" for k, _ in rows))
+        cfg = write_cfg(tmp_path, policy={"variant": "cu_hlm_offline", "u_th": 0.0})
+        monkeypatch.setattr(cli, "run_many", lambda *a, **k: pytest.fail("the run started"))
+        capsys.readouterr()
+        argv = ["simulate", "--config", cfg, "--calib", str(cal), "--out", str(tmp_path / "x")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: utv_table.csv: mean_utv must be finite or nan\n"
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize(
         "column, value", [(0, "-0.25"), (1, "1.5"), (3, "nan")], ids=["u", "beta", "y_d"]
     )
@@ -860,6 +879,13 @@ class TestExitCodes:
             json.dumps({**GOOD_RECORD.to_dict(), "verdict": "accepted", "k_used": 5}),
             json.dumps({**GOOD_RECORD.to_dict(), "k_used": 5}),
             json.dumps({**GOOD_RECORD.to_dict(), "delta": 1, "verdict": "rejected"}),
+            json.dumps({**GOOD_RECORD.to_dict(), "payload_bits": 800, "tau_comm_s": 0.5}),
+            json.dumps(
+                {**GOOD_RECORD.to_dict(), "bound_at_selection": 0.01, "tvd_pq": 0.5, "bias": 0.3}
+            ),
+            json.dumps({**GOOD_TX, "counterfactual_accept": True}),
+            json.dumps({**GOOD_TX, "snr_linear": None}),
+            json.dumps({**GOOD_TX, "bias": None}),
         ],
         ids=[
             "missing_fields", "extra_key", "mistyped_value", "not_an_object", "not_json",
@@ -868,6 +894,9 @@ class TestExitCodes:
             "latency_400_digits", "latency_zero", "latency_negative", "tau_comm_negative",
             "payload_bits_negative", "k_used_zero", "transmitted_but_skipped",
             "untransmitted_but_accepted", "untransmitted_with_k", "transmitted_without_k",
+            "untransmitted_with_payload", "untransmitted_with_bias_and_bound",
+            "transmitted_with_counterfactual", "transmitted_without_snr",
+            "transmitted_without_bias",
         ],
     )
     def test_malformed_jsonl_record(self, tmp_path, capsys, monkeypatch, line):
@@ -877,6 +906,15 @@ class TestExitCodes:
         assert main(["report", "--records", str(path), "--out", str(tmp_path / "rep")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {path} line 2: ") and err.count("\n") == 1
+
+    def test_each_round_kind_loads(self, tmp_path):
+        # A skipped and a transmitted round, each with only the fields its kind
+        # writes, aggregate: the malformed cases above differ from these in one way.
+        path = tmp_path / "records.jsonl"
+        path.write_text(json.dumps(GOOD_RECORD.to_dict()) + "\n" + json.dumps(GOOD_TX) + "\n")
+        assert main(["report", "--records", str(path), "--out", str(tmp_path / "rep")]) == 0
+        report = json.loads((tmp_path / "rep" / "report.json").read_text())["report"]
+        assert report["tr"] == 0.5 and report["mean_k"] == 5.0
 
     def test_csv_records_are_gone(self, cfg_path, tmp_path, capsys, monkeypatch):
         # JSONL is the one record stream: --format is no flag, and a CSV

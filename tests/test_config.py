@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from hybridlm import pipeline
 from hybridlm.channel import ChannelSpec, LatencySpec
+from hybridlm.cli import main
 from hybridlm.config import CalibrationConfig, PolicySpec, RunConfig, from_dict
 from hybridlm.oracle import OracleSpec
 from hybridlm.pipeline import run_many
@@ -110,6 +112,20 @@ class TestValidation:
                 RunConfig(**kw)
         RunConfig(latency=LatencySpec(tau_slm_s=1e307, tau_llm_s=1e307))
         RunConfig(channel=ChannelSpec(bandwidth_hz=1e-290))
+
+    def test_trace_path_needs_trace_kind(self, tmp_path, capsys, monkeypatch):
+        # A config that meant to replay a trace but left out "kind" would run
+        # the synthetic oracle; it fails at load instead, before any round.
+        monkeypatch.setattr(pipeline, "run_round", lambda *a, **k: pytest.fail("a round ran"))
+        doc = {"oracle": {"vocab_size": 64, "trace_path": "/nonexistent.jsonl"},
+               "policy": {"variant": "hlm"}, "r_max": 4}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == (
+            "config error: oracle.trace_path is set, but a synthetic oracle reads no trace\n"
+        )
+        assert not (tmp_path / "x").exists()
 
     def test_run_ranges(self):
         with pytest.raises(ValueError):

@@ -12,11 +12,11 @@ other, this runs the checkout's
 
 with this interpreter, and writes BENCH_<pr>.json (into --out, by default
 this repository's root). The file holds the machine (cores, Python and
-numpy versions), the sha256 of the checkout's default config
-(``RunConfig().to_json()``), each workload's result line and, under
-``digests``, the sha256 of each workload's outputs from its provenance line,
-so two files alone show whether the outputs are equal. A perf change cites
-the two files it compares.
+numpy versions, ``PYTHONDONTWRITEBYTECODE``), the sha256 of the checkout's
+default config (``RunConfig().to_json()``), each workload's result line and,
+under ``digests``, the sha256 of each workload's outputs from its provenance
+line, so two files alone show whether the outputs are equal. A perf change
+cites the two files it compares.
 """
 
 from __future__ import annotations
@@ -43,6 +43,18 @@ def default_config_sha256(root: Path) -> str:
         [sys.executable, "-c", CONFIG_JSON], env=env, check=True, capture_output=True
     ).stdout
     return hashlib.sha256(out).hexdigest()
+
+
+def machine() -> dict:
+    """The host the runs share. Where ``PYTHONDONTWRITEBYTECODE`` is set, every
+    bench child compiles ``hybridlm`` from source, which moves ``setup_s`` and
+    ``peak_rss_mb``; its value is recorded, or None when it is unset."""
+    return {
+        "cores": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+    }
 
 
 def parse_run_output(stdout: str) -> tuple[dict, dict]:
@@ -76,11 +88,7 @@ def main(argv=None) -> int:
     workloads = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
     doc = {
         "pr": args.pr,
-        "machine": {
-            "cores": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
+        "machine": machine(),
         "default_config_sha256": default_config_sha256(root),
         "command": f"bench/run.py --workload W --seed {args.seed} "
                    f"--seconds {args.seconds:g} --trace 0",
